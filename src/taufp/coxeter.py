@@ -208,11 +208,6 @@ class WeylElement:
         return f"WeylElement(word={''.join(map(str, self.word)) or 'e'})"
 
 
-def _generator_matrices(cartan: CartanData) -> tuple[np.ndarray, ...]:
-    """Matrices of the generators s_i acting on simple-root coordinates."""
-    return cartan._gens
-
-
 def identity_element(cartan: CartanData) -> WeylElement:
     return WeylElement(np.eye(cartan.rank, dtype=np.int64), ())
 
@@ -232,7 +227,7 @@ def _word_matrix(gens: list[np.ndarray], word, n: int) -> np.ndarray:
 
 def _reduced_word_after_descent(cartan: CartanData, w: WeylElement, i: int, target: np.ndarray):
     """Exchange property: drop one letter of w's word to get a word for w s_i."""
-    gens = _generator_matrices(cartan)
+    gens = cartan._gens
     word = w.word
     k = len(word)
     n = cartan.rank
@@ -254,7 +249,7 @@ def apply_generator(cartan: CartanData, w: WeylElement, i: int) -> WeylElement:
     """Right multiplication w * s_i; the length moves by exactly one."""
     if not 1 <= i <= cartan.rank:
         raise ValueError(f"generator index {i} out of range")
-    gens = _generator_matrices(cartan)
+    gens = cartan._gens
     mat = w.mat @ gens[i - 1]
     if is_ascent(w, i):
         return WeylElement(mat, w.word + (i,))
@@ -271,7 +266,7 @@ def multiply(cartan: CartanData, a: WeylElement, b: WeylElement) -> WeylElement:
 
 def inverse(cartan: CartanData, w: WeylElement) -> WeylElement:
     """Inverse; the reversed word is reduced since generators are involutions."""
-    gens = _generator_matrices(cartan)
+    gens = cartan._gens
     word = tuple(reversed(w.word))
     return WeylElement(_word_matrix(gens, word, cartan.rank), word)
 
@@ -308,7 +303,7 @@ def weak_order(cartan: CartanData, budget: int = DEFAULT_BUDGET) -> WeakOrder:
         raise BudgetError(
             f"weak order of {cartan.name} needs {total} elements, budget is {budget}"
         )
-    gens = _generator_matrices(cartan)
+    gens = cartan._gens
     ident = identity_element(cartan)
     names: dict[bytes, str] = {ident.key(): "e"}
     elements: dict[str, WeylElement] = {"e": ident}

@@ -217,15 +217,6 @@ class FiniteLattice:
             acc = self._join_idx(acc, self.index(nm))
         return self.elements[acc]
 
-    def meet_all(self, names) -> str:
-        names = list(names)
-        if not names:
-            raise ValueError("meet of an empty set")
-        acc = self.index(names[0])
-        for nm in names[1:]:
-            acc = self._meet_idx(acc, self.index(nm))
-        return self.elements[acc]
-
     def upper_covers(self, x: str) -> set[str]:
         """dp(x): the elements covering x."""
         return {self.elements[p] for p in self._parents[self.index(x)]}

@@ -15,15 +15,23 @@ congruence mod n in the cyclic case; Ext^1 comes from the projective
 presentation 0 -> K -> P(top M) -> M -> 0.  Both closed forms are gated by
 an exact linear-algebra oracle in the test suite before anything else here
 is trusted.
+
+Each algebra is validated once.  On first use it builds integer tables over
+its indecomposables (module index, P(k), tau, syzygy, brick and tau-rigid
+flags), linear in their number, and cross-checks the flags against the Hom
+formula.  Public functions check a module argument with one index lookup
+and then read the tables or evaluate the closed forms, so single queries
+stay cheap at any size.  The quadratic Hom matrix, the bitmasks behind the
+pair order, the tau-tilting pairs, their lattice and the semibricks are
+built only by the budgeted enumerations.  All of it lives on the instance
+and goes away with the algebra.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
-
-import numpy as np
+from functools import cached_property
 
 from .errors import BudgetError, ConsistencyError
 from .lattice import FiniteLattice, from_covers
@@ -51,7 +59,6 @@ __all__ = [
     "fpdim_nakayama",
     "bongartz_completion",
     "self_ext_bound",
-    "canonical_form",
     "DEFAULT_MAX_N",
 ]
 
@@ -90,8 +97,9 @@ class NakayamaAlgebra:
             return (v - 1) % self.n + 1
         return v
 
-    def proj_len(self, k: int) -> int:
-        return self.kupisch[self.vertex(k) - 1]
+    @cached_property
+    def _tables(self) -> _Tables:
+        return _Tables(self)
 
     def __str__(self):
         return f"{self.shape}[{','.join(map(str, self.kupisch))}]"
@@ -126,121 +134,6 @@ def make_algebra(shape: str, kupisch) -> NakayamaAlgebra:
     return NakayamaAlgebra(shape, ls)
 
 
-def top_vertex(a: NakayamaAlgebra, m: Uniserial) -> int:
-    return a.vertex(m.socle + m.length - 1)
-
-
-def module_exists(a: NakayamaAlgebra, m: Uniserial) -> bool:
-    if m.length < 1:
-        return False
-    if a.cyclic:
-        return m.socle == a.vertex(m.socle) and m.length <= a.proj_len(top_vertex(a, m))
-    top = m.socle + m.length - 1
-    return 1 <= m.socle and top <= a.n and m.length <= a.kupisch[top - 1]
-
-
-def module(a: NakayamaAlgebra, socle: int, length: int) -> Uniserial:
-    """Normalized, existence-checked M(socle; length)."""
-    m = Uniserial(a.vertex(socle), length)
-    if not module_exists(a, m):
-        raise ValueError(f"{m} does not exist over {a}")
-    return m
-
-
-def projective_module(a: NakayamaAlgebra, k: int) -> Uniserial:
-    """P(k): the projective with top S(k), via the Kupisch series."""
-    k = a.vertex(k)
-    if not 1 <= k <= a.n:
-        raise ValueError(f"vertex {k} out of range")
-    return module(a, k - a.proj_len(k) + 1, a.proj_len(k))
-
-
-def is_projective(a: NakayamaAlgebra, m: Uniserial) -> bool:
-    return m.length == a.proj_len(top_vertex(a, m))
-
-
-def indecomposables(a: NakayamaAlgebra) -> list[Uniserial]:
-    """All uniserials, sorted by (socle, length); count is sum of the series."""
-    out = []
-    for t in range(1, a.n + 1):
-        for l in range(1, a.kupisch[t - 1] + 1):
-            out.append(module(a, t - l + 1, l))
-    out.sort(key=lambda m: (m.socle, m.length))
-    return out
-
-
-def tau(a: NakayamaAlgebra, m: Uniserial) -> Uniserial | None:
-    """AR translate: socle shift M(i;l) -> M(i-1;l); None on projectives."""
-    _require(a, m)
-    if is_projective(a, m):
-        return None
-    return module(a, m.socle - 1, m.length)
-
-
-def _require(a: NakayamaAlgebra, m: Uniserial) -> None:
-    if not module_exists(a, m):
-        raise ValueError(f"{m} does not exist over {a}")
-
-
-def hom_dim(a: NakayamaAlgebra, m: Uniserial, n_: Uniserial) -> int:
-    """dim Hom(M, N): the number of admissible common image lengths."""
-    _require(a, m)
-    _require(a, n_)
-    bound = min(m.length, n_.length)
-    shift = m.socle + m.length - n_.socle
-    if not a.cyclic:
-        return 1 if 1 <= shift <= bound else 0
-    n = a.n
-    first = shift % n
-    if first == 0:
-        first = n
-    if first > bound:
-        return 0
-    return (bound - first) // n + 1
-
-
-def ext_dim(a: NakayamaAlgebra, m: Uniserial, n_: Uniserial) -> int:
-    """dim Ext^1(M, N) via 0 -> K -> P(top M) -> M -> 0.
-
-    Ext^1(M,N) = hom(K,N) - hom(P0,N) + hom(M,N); a negative value would
-    mean the Hom formula is broken and raises.
-    """
-    _require(a, m)
-    _require(a, n_)
-    if is_projective(a, m):
-        return 0
-    t = top_vertex(a, m)
-    p0 = projective_module(a, t)
-    k = module(a, p0.socle, p0.length - m.length)
-    val = hom_dim(a, k, n_) - hom_dim(a, p0, n_) + hom_dim(a, m, n_)
-    if val < 0:
-        raise ConsistencyError(f"Ext formula went negative on ({m}, {n_}) over {a}")
-    return val
-
-
-def is_brick(a: NakayamaAlgebra, m: Uniserial) -> bool:
-    """Length criterion l <= n, cross-checked against End = k."""
-    _require(a, m)
-    flag = m.length <= a.n
-    if flag != (hom_dim(a, m, m) == 1):
-        raise ConsistencyError(f"brick criterion disagrees with End dimension on {m}")
-    return flag
-
-
-def bricks(a: NakayamaAlgebra) -> list[Uniserial]:
-    return [m for m in indecomposables(a) if is_brick(a, m)]
-
-
-def is_tau_rigid_module(a: NakayamaAlgebra, m: Uniserial) -> bool:
-    """Projective or l < n, cross-checked against Hom(M, tau M) = 0."""
-    _require(a, m)
-    flag = is_projective(a, m) or m.length < a.n
-    t = tau(a, m)
-    if flag != ((0 if t is None else hom_dim(a, m, t)) == 0):
-        raise ConsistencyError(f"tau-rigidity criterion disagrees on {m}")
-    return flag
-
-
 @dataclass(frozen=True)
 class TauPair:
     """Basic pair (M, P): module summands plus projective vertices P(k)."""
@@ -257,25 +150,257 @@ class TauPair:
         return self.name()
 
 
+def _hom(a, m: Uniserial, n_: Uniserial) -> int:
+    """Closed-form dim Hom(M, N): the number of admissible common image lengths.
+
+    Only a.n and a.cyclic are read, so a's tables may stand in for a.
+    """
+    bound = min(m.length, n_.length)
+    shift = m.socle + m.length - n_.socle
+    if not a.cyclic:
+        return 1 if 1 <= shift <= bound else 0
+    first = shift % a.n or a.n
+    if first > bound:
+        return 0
+    return (bound - first) // a.n + 1
+
+
+def _bits(mask: int):
+    """Indices of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _mask(flags) -> int:
+    return sum(1 << i for i, f in enumerate(flags) if f)
+
+
+def _union(masks: list[int], select: int) -> int:
+    """Bitwise or of masks[i] over the set bits i of select."""
+    out = 0
+    for i in _bits(select):
+        out |= masks[i]
+    return out
+
+
+class _Tables:
+    """Tables over the indecomposables of one algebra, sorted by (socle,
+    length).  The linear ones (index, P(k), tau, syzygy, brick and tau-rigid
+    flags) are built and cross-checked at once; the quadratic Hom matrix,
+    the pair-order bitmasks, the pairs, their lattice and the semibricks
+    only when an enumeration kernel first asks for them."""
+
+    def __init__(self, a: NakayamaAlgebra):
+        self.name = name = str(a)
+        self.n = n = a.n
+        self.cyclic = a.cyclic
+        self.mods = mods = sorted(
+            (Uniserial(a.vertex(t - l + 1), l)
+             for t in range(1, n + 1) for l in range(1, a.kupisch[t - 1] + 1)),
+            key=lambda m: (m.socle, m.length),
+        )
+        self.index = index = {m: i for i, m in enumerate(mods)}
+        self.proj = [index[Uniserial(a.vertex(k - l + 1), l)] for k, l in enumerate(a.kupisch, 1)]
+        # P(top M), and K in 0 -> K -> P(top M) -> M -> 0 (-1 on projectives)
+        self.cover = [self.proj[a.vertex(m.socle + m.length - 1) - 1] for m in mods]
+        self.syzygy = [
+            -1 if p == i else index[Uniserial(mods[p].socle, mods[p].length - m.length)]
+            for i, (m, p) in enumerate(zip(mods, self.cover))
+        ]
+        self.tau = [
+            -1 if p == i else index[Uniserial(a.vertex(m.socle - 1), m.length)]
+            for i, (m, p) in enumerate(zip(mods, self.cover))
+        ]
+        self.brick = [m.length <= n for m in mods]
+        self.rigid = [t < 0 or m.length < n for m, t in zip(mods, self.tau)]
+        for i, (m, t) in enumerate(zip(mods, self.tau)):
+            if self.brick[i] != (self.h(i, i) == 1):
+                raise ConsistencyError(f"{name}: brick criterion disagrees with End(M) on {m}")
+            if self.rigid[i] != (t < 0 or self.h(i, t) == 0):
+                raise ConsistencyError(
+                    f"{name}: tau-rigidity criterion disagrees with Hom(M, tau M) on {m}"
+                )
+
+    def h(self, i: int, j: int) -> int:
+        """dim Hom(M_i, M_j) from the closed form."""
+        return _hom(self, self.mods[i], self.mods[j])
+
+    def ext(self, i: int, j: int) -> int:
+        """dim Ext^1(M_i, M_j) = hom(K, N) - hom(P0, N) + hom(M, N) for
+        0 -> K -> P0 -> M -> 0; a negative value means the Hom formula is
+        broken and raises."""
+        k = self.syzygy[i]
+        if k < 0:
+            return 0
+        val = self.h(k, j) - self.h(self.cover[i], j) + self.h(i, j)
+        if val < 0:
+            raise ConsistencyError(f"{self.name}: negative Ext: the Ext formula went "
+                                   f"negative on ({self.mods[i]}, {self.mods[j]})")
+        return val
+
+    @cached_property
+    def hom(self) -> list[list[int]]:
+        size = range(len(self.mods))
+        return [[self.h(i, j) for j in size] for i in size]
+
+    @cached_property
+    def tau_hom(self) -> list[int]:
+        """Per module M: the modules N with Hom(N, tau M) != 0."""
+        return [0 if t < 0 else _mask(row[t] for row in self.hom) for t in self.tau]
+
+    @cached_property
+    def proj_hom(self) -> list[int]:
+        """Per module M: the vertices k (bit k - 1) with Hom(P(k), M) != 0."""
+        return [_mask(self.hom[p][i] for p in self.proj) for i in range(len(self.mods))]
+
+    def find(self, m: Uniserial) -> int:
+        try:
+            return self.index[m]
+        except KeyError:
+            raise ValueError(f"{m} does not exist over {self.name}") from None
+
+    def tau_down(self, mmask: int) -> int:
+        """Modules N with Hom(N, tau M) != 0 for some summand M in mmask."""
+        return _union(self.tau_hom, mmask)
+
+    @cached_property
+    def pairs(self) -> list[tuple[TauPair, int, int]]:
+        """tau-tilting pairs sorted by name, with their module bitmask (over
+        indecomposables) and vertex bitmask (bit k - 1 for P(k))."""
+        n, tau_hom = self.n, self.tau_hom
+        # bad[i]: modules that cannot sit next to M_i in a tau-rigid module
+        bad = [tau_hom[i] | _mask(row >> i & 1 for row in tau_hom) for i in range(len(self.mods))]
+        found: list[tuple[int, int]] = []
+
+        def dfs(chosen: int, count: int, allowed: int, vmask: int) -> None:
+            for ks in itertools.combinations(_bits(vmask), n - count):
+                found.append((chosen, _mask(k in ks for k in range(n))))
+            if count == n:
+                return
+            for i in _bits(allowed):
+                dfs(chosen | 1 << i, count + 1, allowed & -(2 << i) & ~bad[i],
+                    vmask & ~self.proj_hom[i])
+
+        dfs(0, 0, _mask(self.rigid), (1 << n) - 1)
+        return sorted(((TauPair(frozenset(self.mods[i] for i in _bits(mm)),
+                                frozenset(k + 1 for k in _bits(pm))), mm, pm)
+                       for mm, pm in found), key=lambda r: r[0].name())
+
+    @cached_property
+    def pair_lower(self) -> list[int]:
+        """Strict down-sets of the pair order as bitmasks over self.pairs:
+        (M, P) >= (N, Q) iff Hom(N, tau M) = 0 and P is a subset of Q."""
+        pairs = [(self.tau_down(mm), mm, pm) for _, mm, pm in self.pairs]
+        return [
+            _mask(j != i and not (dx & my or px & ~py) for j, (_, my, py) in enumerate(pairs))
+            for i, (dx, _, px) in enumerate(pairs)
+        ]
+
+    @cached_property
+    def pair_lattice(self) -> FiniteLattice:
+        lower = self.pair_lower
+        names = [pr.name() for pr, _, _ in self.pairs]
+        covers = []
+        for i, down in enumerate(lower):
+            below = _union(lower, down)
+            if below >> i & 1:
+                raise ConsistencyError(f"{self.name}: tau-tilting order not antisymmetric")
+            covers.extend((names[i], names[j]) for j in _bits(down & ~below))
+        lat = from_covers(names, covers)
+        top = TauPair(frozenset(self.mods[p] for p in self.proj), frozenset())
+        bot = TauPair(frozenset(), frozenset(range(1, self.n + 1)))
+        if lat.maximum != top.name() or lat.minimum != bot.name():
+            raise ConsistencyError(f"{self.name}: tau-tilting lattice extremes are wrong")
+        return lat
+
+    @cached_property
+    def semibricks(self) -> list[frozenset[Uniserial]]:
+        hom = self.hom
+        clash = [_mask(x or y for x, y in zip(hom[i], (row[i] for row in hom)))
+                 for i in range(len(self.mods))]
+        out: list[frozenset[Uniserial]] = []
+
+        def dfs(chosen: int, allowed: int) -> None:
+            out.append(frozenset(self.mods[i] for i in _bits(chosen)))
+            for i in _bits(allowed):
+                dfs(chosen | 1 << i, allowed & -(2 << i) & ~clash[i])
+
+        dfs(0, _mask(self.brick))
+        return out
+
+
+def module(a: NakayamaAlgebra, socle: int, length: int) -> Uniserial:
+    """Normalized, existence-checked M(socle; length)."""
+    m = Uniserial(a.vertex(socle), length)
+    a._tables.find(m)
+    return m
+
+
+def projective_module(a: NakayamaAlgebra, k: int) -> Uniserial:
+    """P(k): the projective with top S(k), via the Kupisch series."""
+    k = a.vertex(k)
+    if not 1 <= k <= a.n:
+        raise ValueError(f"vertex {k} out of range")
+    t = a._tables
+    return t.mods[t.proj[k - 1]]
+
+
+def indecomposables(a: NakayamaAlgebra) -> list[Uniserial]:
+    """All uniserials, sorted by (socle, length); count is sum of the series."""
+    return list(a._tables.mods)
+
+
+def tau(a: NakayamaAlgebra, m: Uniserial) -> Uniserial | None:
+    """AR translate: socle shift M(i;l) -> M(i-1;l); None on projectives."""
+    t = a._tables
+    j = t.tau[t.find(m)]
+    return None if j < 0 else t.mods[j]
+
+
+def hom_dim(a: NakayamaAlgebra, m: Uniserial, n_: Uniserial) -> int:
+    """dim Hom(M, N): the number of admissible common image lengths."""
+    a._tables.find(m), a._tables.find(n_)
+    return _hom(a, m, n_)
+
+
+def ext_dim(a: NakayamaAlgebra, m: Uniserial, n_: Uniserial) -> int:
+    """dim Ext^1(M, N) via 0 -> K -> P(top M) -> M -> 0.
+
+    Ext^1(M,N) = hom(K,N) - hom(P0,N) + hom(M,N); a negative value would
+    mean the Hom formula is broken and raises.
+    """
+    t = a._tables
+    return t.ext(t.find(m), t.find(n_))
+
+
+def is_brick(a: NakayamaAlgebra, m: Uniserial) -> bool:
+    """Length criterion l <= n, cross-checked against End = k."""
+    t = a._tables
+    return t.brick[t.find(m)]
+
+
+def bricks(a: NakayamaAlgebra) -> list[Uniserial]:
+    return [m for m, b in zip(a._tables.mods, a._tables.brick) if b]
+
+
+def is_tau_rigid_module(a: NakayamaAlgebra, m: Uniserial) -> bool:
+    """Projective or l < n, cross-checked against Hom(M, tau M) = 0."""
+    t = a._tables
+    return t.rigid[t.find(m)]
+
+
 def is_tau_rigid_pair(a: NakayamaAlgebra, pair: TauPair) -> bool:
     """Hom(M, tau M) = 0 over all summand pairs and Hom(P(k), M) = 0."""
-    for m in pair.mods:
-        _require(a, m)
+    t = a._tables
+    idx = [t.find(m) for m in pair.mods]
     for k in pair.projs:
         if a.vertex(k) != k or not 1 <= k <= a.n:
             raise ValueError(f"projective vertex {k} out of range")
-    taus = {m: tau(a, m) for m in pair.mods}
-    for m in pair.mods:
-        for m2 in pair.mods:
-            t = taus[m2]
-            if t is not None and hom_dim(a, m, t) != 0:
-                return False
-    for k in pair.projs:
-        pk = projective_module(a, k)
-        for m in pair.mods:
-            if hom_dim(a, pk, m) != 0:
-                return False
-    return True
+    taus = [t.tau[i] for i in idx if t.tau[i] >= 0]
+    return not (any(t.h(i, j) for i in idx for j in taus)
+                or any(t.h(t.proj[k - 1], i) for k in pair.projs for i in idx))
 
 
 def _check_budget(a: NakayamaAlgebra, max_n: int) -> None:
@@ -286,152 +411,29 @@ def _check_budget(a: NakayamaAlgebra, max_n: int) -> None:
         raise BudgetError(f"{a} has a projective longer than the length cap {len_cap}")
 
 
-@lru_cache(maxsize=None)
-def _enumerate_pairs(a: NakayamaAlgebra) -> tuple[TauPair, ...]:
-    n = a.n
-    cands = [m for m in indecomposables(a) if is_tau_rigid_module(a, m)]
-    c = len(cands)
-    taus = [tau(a, m) for m in cands]
-    compat = [[False] * c for _ in range(c)]
-    for i in range(c):
-        for j in range(c):
-            ti, tj = taus[i], taus[j]
-            ok = (tj is None or hom_dim(a, cands[i], tj) == 0) and (
-                ti is None or hom_dim(a, cands[j], ti) == 0
-            )
-            compat[i][j] = ok
-    projs_of = []  # per candidate: vertices k with Hom(P(k), M) = 0
-    for m in cands:
-        mask = 0
-        for k in range(1, n + 1):
-            if hom_dim(a, projective_module(a, k), m) == 0:
-                mask |= 1 << k
-        projs_of.append(mask)
-
-    all_vertices = ((1 << (n + 1)) - 2)  # bits 1..n
-    pairs: list[TauPair] = []
-
-    def emit(chosen: list[int], vmask: int) -> None:
-        need = n - len(chosen)
-        verts = [k for k in range(1, n + 1) if (vmask >> k) & 1]
-        if len(verts) < need:
-            return
-        mods = frozenset(cands[i] for i in chosen)
-        for t in itertools.combinations(verts, need):
-            pairs.append(TauPair(mods, frozenset(t)))
-
-    def dfs(start: int, chosen: list[int], vmask: int) -> None:
-        emit(chosen, vmask)
-        if len(chosen) == n:
-            return
-        for i in range(start, c):
-            if all(compat[i][j] for j in chosen):
-                chosen.append(i)
-                dfs(i + 1, chosen, vmask & projs_of[i])
-                chosen.pop()
-
-    dfs(0, [], all_vertices)
-    pairs.sort(key=lambda p: p.name())
-    return tuple(pairs)
-
-
 def tau_tilting_pairs(a: NakayamaAlgebra, max_n: int = DEFAULT_MAX_N) -> list[TauPair]:
     """All basic tau-tilting pairs: tau-rigid pairs with |M| + |P| = n."""
     _check_budget(a, max_n)
-    return list(_enumerate_pairs(a))
-
-
-def _pair_geq(a: NakayamaAlgebra, x: TauPair, y: TauPair) -> bool:
-    """x >= y iff Hom(M_y, tau M_x) = 0 and projs_x is a subset of projs_y."""
-    if not x.projs <= y.projs:
-        return False
-    for m in x.mods:
-        t = tau(a, m)
-        if t is None:
-            continue
-        for m2 in y.mods:
-            if hom_dim(a, m2, t) != 0:
-                return False
-    return True
-
-
-@lru_cache(maxsize=None)
-def _pair_lattice(a: NakayamaAlgebra) -> FiniteLattice:
-    pairs = _enumerate_pairs(a)
-    p = len(pairs)
-    lower = [0] * p  # strict down-sets as bitmasks
-    upper = [0] * p
-    for i in range(p):
-        for j in range(p):
-            if i != j and _pair_geq(a, pairs[i], pairs[j]):
-                lower[i] |= 1 << j
-                upper[j] |= 1 << i
-    for i in range(p):
-        if lower[i] & upper[i]:
-            raise ConsistencyError(f"tau-tilting order not antisymmetric over {a}")
-    covers = []
-    names = [pr.name() for pr in pairs]
-    for i in range(p):
-        down = lower[i]
-        j = 0
-        while down >> j:
-            if (down >> j) & 1 and not (lower[i] & upper[j]):
-                covers.append((names[i], names[j]))
-            j += 1
-    lat = from_covers(names, covers)
-    top = TauPair(frozenset(projective_module(a, k) for k in range(1, a.n + 1)), frozenset())
-    bot = TauPair(frozenset(), frozenset(range(1, a.n + 1)))
-    if lat.maximum != top.name() or lat.minimum != bot.name():
-        raise ConsistencyError(f"tau-tilting lattice extremes are wrong over {a}")
-    return lat
+    return [pr for pr, _, _ in a._tables.pairs]
 
 
 def tau_tiltp_lattice(a: NakayamaAlgebra, max_n: int = DEFAULT_MAX_N) -> FiniteLattice:
     """The lattice of tau-tilting pairs; maximum (A,0), minimum (0,A)."""
     _check_budget(a, max_n)
-    return _pair_lattice(a)
-
-
-@lru_cache(maxsize=None)
-def _enumerate_semibricks(a: NakayamaAlgebra) -> tuple[frozenset[Uniserial], ...]:
-    bs = bricks(a)
-    c = len(bs)
-    orth = [[False] * c for _ in range(c)]
-    for i in range(c):
-        for j in range(i + 1, c):
-            ok = hom_dim(a, bs[i], bs[j]) == 0 and hom_dim(a, bs[j], bs[i]) == 0
-            orth[i][j] = orth[j][i] = ok
-    out: list[frozenset[Uniserial]] = []
-
-    def dfs(start: int, chosen: list[int]) -> None:
-        out.append(frozenset(bs[i] for i in chosen))
-        for i in range(start, c):
-            if all(orth[i][j] for j in chosen):
-                chosen.append(i)
-                dfs(i + 1, chosen)
-                chosen.pop()
-
-    dfs(0, [])
-    return tuple(out)
+    return a._tables.pair_lattice
 
 
 def semibricks(a: NakayamaAlgebra, max_n: int = DEFAULT_MAX_N) -> list[frozenset[Uniserial]]:
     """All semibricks: Hom-orthogonal sets of bricks, the empty set included."""
     _check_budget(a, max_n)
-    return list(_enumerate_semibricks(a))
+    return list(a._tables.semibricks)
 
 
 def ext_quiver(a: NakayamaAlgebra, mods) -> Quiver:
     """Quiver on a module set with dim Ext^1(S, S') arrows S -> S'."""
-    ms = sorted(set(mods), key=lambda m: (m.socle, m.length))
-    for m in ms:
-        _require(a, m)
-    size = len(ms)
-    adj = np.zeros((size, size), dtype=np.int64)
-    for i in range(size):
-        for j in range(size):
-            adj[i, j] = ext_dim(a, ms[i], ms[j])
-    return Quiver([str(m) for m in ms], adj)
+    t = a._tables
+    idx = sorted({t.find(m) for m in mods})
+    return Quiver([str(t.mods[i]) for i in idx], [[t.ext(i, j) for j in idx] for i in idx])
 
 
 def fpdim_nakayama(
@@ -439,17 +441,14 @@ def fpdim_nakayama(
 ) -> float:
     """Brute-force FP dimension: sup of rho over all semibrick Ext-quivers."""
     _check_budget(a, max_n)
-    best = 0.0
-    for sb in _enumerate_semibricks(a):
-        if not sb:
-            continue
-        best = max(best, spectral_radius(ext_quiver(a, sb), tol=tol))
-    return best
+    sbs = a._tables.semibricks
+    return max((spectral_radius(ext_quiver(a, sb), tol=tol) for sb in sbs if sb), default=0.0)
 
 
 def self_ext_bound(a: NakayamaAlgebra) -> int:
     """Largest self-extension dimension over all bricks (the d_b bound)."""
-    return max((ext_dim(a, s, s) for s in bricks(a)), default=0)
+    t = a._tables
+    return max((t.ext(i, i) for i, b in enumerate(t.brick) if b), default=0)
 
 
 def bongartz_completion(a: NakayamaAlgebra, m: Uniserial, max_n: int = DEFAULT_MAX_N) -> TauPair:
@@ -460,41 +459,25 @@ def bongartz_completion(a: NakayamaAlgebra, m: Uniserial, max_n: int = DEFAULT_M
     no projective slot; the result is verified maximal against the full
     enumeration.  Projective or linear inputs fall back to the search.
     """
-    _require(a, m)
-    if not is_tau_rigid_module(a, m):
+    t = a._tables
+    i = t.find(m)
+    if not t.rigid[i]:
         raise ValueError(f"{m} is not tau-rigid over {a}")
     _check_budget(a, max_n)
-    pairs = [p for p in _enumerate_pairs(a) if m in p.mods]
-    if not pairs:
-        raise ConsistencyError(f"no tau-tilting pair contains {m} over {a}")
-    maxima = [p for p in pairs if all(p == q or _pair_geq(a, p, q) for q in pairs)]
+    containing = _mask(mm >> i & 1 for _, mm, _ in t.pairs)
+    if not containing:
+        raise ConsistencyError(f"{a}: no tau-tilting pair contains {m}")
+    maxima = [x for x in _bits(containing) if not containing & ~t.pair_lower[x] & ~(1 << x)]
     if len(maxima) != 1:
-        raise ConsistencyError(f"Bongartz completion of {m} is not unique over {a}")
-    found = maxima[0]
-    if a.cyclic and not is_projective(a, m):
+        raise ConsistencyError(f"{a}: Bongartz completion of {m} is not unique")
+    found = t.pairs[maxima[0]][0]
+    if a.cyclic and t.tau[i] >= 0:
         mods = {m}
         mods.update(module(a, m.socle, j) for j in range(1, m.length))
-        mods.update(
-            projective_module(a, m.socle - 1 + k) for k in range(m.length, a.n)
-        )
+        mods.update(projective_module(a, m.socle - 1 + k) for k in range(m.length, a.n))
         formula = TauPair(frozenset(mods), frozenset())
         if formula != found:
             raise ConsistencyError(
-                f"completion formula {formula} disagrees with enumeration {found}"
+                f"{a}: Bongartz completion formula {formula} disagrees with enumeration {found}"
             )
     return found
-
-
-def canonical_form(q: Quiver) -> tuple:
-    """Isomorphism-invariant form of a small quiver: the lexicographically
-    least adjacency matrix over all vertex permutations (n <= 6 only)."""
-    n = q.n
-    if n > 6:
-        raise ValueError("canonical_form is intended for quivers with at most 6 vertices")
-    adj = q.adj
-    best = None
-    for perm in itertools.permutations(range(n)):
-        cand = tuple(tuple(int(adj[perm[i], perm[j]]) for j in range(n)) for i in range(n))
-        if best is None or cand < best:
-            best = cand
-    return best if best is not None else ()

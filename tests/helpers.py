@@ -20,15 +20,7 @@ import itertools
 from fractions import Fraction
 from functools import lru_cache
 
-from taufp.nakayama import (
-    NakayamaAlgebra,
-    Uniserial,
-    make_algebra,
-    module,
-    projective_module,
-    is_projective,
-    top_vertex,
-)
+from taufp.nakayama import NakayamaAlgebra, Uniserial, make_algebra
 
 
 def _vertex(shape: str, n: int, v: int) -> int:
@@ -145,13 +137,34 @@ def _ext_oracle_cached(shape, n, a, k, p0_socle, p0_len, b, l):
 
 
 def ext_oracle(a: NakayamaAlgebra, m: Uniserial, n_: Uniserial) -> int:
-    """dim Ext^1(M, N) = dim coker(Hom(P0, N) -> Hom(Omega M, N))."""
-    if is_projective(a, m):
+    """dim Ext^1(M, N) = dim coker(Hom(P0, N) -> Hom(Omega M, N)).
+
+    P0 = M(top - l_top + 1; l_top) is the projective cover, read off the
+    Kupisch series; M is projective exactly when its length is l_top.
+    """
+    top = _vertex(a.shape, a.n, m.socle + m.length - 1)
+    l_top = a.kupisch[top - 1]
+    if m.length == l_top:
         return 0
-    p0 = projective_module(a, top_vertex(a, m))
+    p0_socle = _vertex(a.shape, a.n, top - l_top + 1)
     return _ext_oracle_cached(
-        a.shape, a.n, m.socle, m.length, p0.socle, p0.length, n_.socle, n_.length
+        a.shape, a.n, m.socle, m.length, p0_socle, l_top, n_.socle, n_.length
     )
+
+
+def canonical_form(q) -> tuple:
+    """Isomorphism-invariant form of a small quiver: the lexicographically
+    least adjacency matrix over all vertex permutations (n <= 6 only)."""
+    n = q.n
+    if n > 6:
+        raise ValueError("canonical_form is intended for quivers with at most 6 vertices")
+    adj = q.adj
+    best = None
+    for perm in itertools.permutations(range(n)):
+        cand = tuple(tuple(int(adj[perm[i], perm[j]]) for j in range(n)) for i in range(n))
+        if best is None or cand < best:
+            best = cand
+    return best if best is not None else ()
 
 
 # ---------------------------------------------------------------------------

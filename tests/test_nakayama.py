@@ -5,18 +5,20 @@ representation oracle in helpers.py (see test_oracle_gate in the acceptance
 suite for the exhaustive sweep).
 """
 
+import gc
 import itertools
+import weakref
 
 import pytest
 
+from taufp import nakayama
 from taufp.errors import BudgetError, ConsistencyError
-from taufp.lattice import fpdim_lattice
+from taufp.lattice import fpdim_lattice, from_covers
 from taufp.nakayama import (
     TauPair,
     Uniserial,
     bongartz_completion,
     bricks,
-    canonical_form,
     ext_dim,
     ext_quiver,
     fpdim_nakayama,
@@ -38,7 +40,7 @@ from taufp.lattice import q_of
 from taufp.quiver import loop_removed
 from taufp.spectral import spectral_radius
 
-from helpers import ext_oracle, hom_oracle
+from helpers import canonical_form, ext_oracle, hom_oracle
 
 L12 = make_algebra("linear", [1, 2])
 C222 = make_algebra("cyclic", [2, 2, 2])
@@ -206,6 +208,52 @@ def test_budget_guard():
     assert len(tau_tilting_pairs(big, max_n=6)) == len(semibricks(big, max_n=6))
     with pytest.raises(BudgetError):
         fpdim_nakayama(make_algebra("cyclic", [9]))
+
+
+def test_algebra_is_freed_with_its_results():
+    a = make_algebra("cyclic", [3, 3, 3])
+    tau_tilting_pairs(a)
+    tau_tiltp_lattice(a)
+    semibricks(a)
+    fpdim_nakayama(a)
+    ref = weakref.ref(a)
+    del a
+    gc.collect()
+    assert ref() is None
+
+
+# Over cyclic[3,3,3]: S(1) is a brick, tau M(2;1) = S(1), and S(1) has the
+# projective cover P(1) = M(2;3), so each wrong Hom value trips one stage of
+# the first public call: the table build, or Ext^1(S(1), S(1)) itself.
+@pytest.mark.parametrize("stage, m, n_, value", [
+    ("brick criterion", Uniserial(1, 1), Uniserial(1, 1), 2),
+    ("tau-rigidity", Uniserial(2, 1), Uniserial(1, 1), 1),
+    ("negative Ext", Uniserial(2, 3), Uniserial(1, 1), 7),
+])
+def test_table_cross_checks_name_algebra_and_stage(monkeypatch, stage, m, n_, value):
+    closed_form = nakayama._hom
+    monkeypatch.setattr(
+        nakayama, "_hom", lambda a, x, y: value if (x, y) == (m, n_) else closed_form(a, x, y)
+    )
+    a = make_algebra("cyclic", [3, 3, 3])
+    with pytest.raises(ConsistencyError) as err:
+        ext_dim(a, Uniserial(1, 1), Uniserial(1, 1))
+    assert str(a) in str(err.value) and stage in str(err.value)
+
+
+@pytest.mark.parametrize("stage, target, fake", [
+    ("not antisymmetric", (nakayama._Tables, "tau_down"), lambda self, mmask: 0),
+    ("extremes", (nakayama, "from_covers"),
+     lambda names, covers: from_covers(names, [(lo, up) for up, lo in covers])),
+    ("completion formula", (nakayama, "projective_module"), lambda a, k: module(a, 1, 1)),
+])
+def test_pair_checks_name_algebra_and_stage(monkeypatch, stage, target, fake):
+    monkeypatch.setattr(*target, fake)
+    a = make_algebra("cyclic", [3, 3, 3])
+    with pytest.raises(ConsistencyError) as err:
+        tau_tiltp_lattice(a)
+        bongartz_completion(a, module(a, 1, 1))
+    assert str(a) in str(err.value) and stage in str(err.value)
 
 
 def test_bongartz():
