@@ -60,7 +60,6 @@ from .coxeter import (
     longest_element,
     multiply,
     parabolic_longest,
-    symmetrizer,
     weak_order,
     weyl_order,
 )

@@ -294,6 +294,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
+_PARSER: argparse.ArgumentParser | None = None
+
+
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and reused by every main()."""
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = _build_parser()
+    return _PARSER
+
+
 _DISPATCH = {
     "quiver": _cmd_quiver,
     "lattice": _cmd_lattice,
@@ -305,7 +316,7 @@ _DISPATCH = {
 
 def main(argv=None) -> int:
     started = time.perf_counter()
-    parser = _build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if args.command == "preproj" and args.subcmd != "table":
         if args.type is None or args.rank is None:

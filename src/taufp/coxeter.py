@@ -4,8 +4,11 @@ Groups are realized through the integer reflection representation on
 simple-root coordinates: the generator s_i sends alpha_j to
 alpha_j - c_{ji} alpha_i.  Elements are deduplicated by their matrix, so
 identities are exact.  The right weak order is generated by breadth-first
-search from the identity along ascents and returned as a FiniteLattice
-whose element names are lex-minimal reduced words.
+search from the identity along ascents, one length level at a time: the
+level's matrices are stacked, its ascents found in one comparison and all
+products w s_i taken in one batched matmul, so Python only deduplicates.
+The order is returned as a FiniteLattice whose element names are
+lex-minimal reduced words.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ __all__ = [
     "WeylElement",
     "WeakOrder",
     "cartan_matrix",
-    "symmetrizer",
     "coxeter_exponent",
     "weyl_order",
     "identity_element",
@@ -136,13 +138,6 @@ def cartan_matrix(family: str, rank: int, multiplier: int = 1) -> CartanData:
         raise AssertionError(f"symmetrizer failed for {family}{rank}")
     c.flags.writeable = False
     return CartanData(family, rank, c, diag, multiplier)
-
-
-def symmetrizer(family: str, rank: int, multiplier: int = 1) -> np.ndarray:
-    """The diagonal symmetrizer matrix c * pattern for the given type."""
-    return np.diag(
-        np.array(cartan_matrix(family, rank, multiplier).symmetrizer_diag, dtype=np.int64)
-    )
 
 
 def coxeter_exponent(cartan: CartanData, i: int, j: int) -> int:
@@ -271,10 +266,6 @@ def inverse(cartan: CartanData, w: WeylElement) -> WeylElement:
     return WeylElement(_word_matrix(gens, word, cartan.rank), word)
 
 
-def _word_name(word) -> str:
-    return "".join(str(i) for i in word) if word else "e"
-
-
 @dataclass
 class WeakOrder:
     """Right weak order of a Weyl group, as a lattice plus element lookup."""
@@ -291,6 +282,56 @@ class WeakOrder:
         return self.elements[name]
 
 
+def _weak_order_covers(cartan: CartanData, budget: int):
+    """Level-batched BFS of (W, <=_R) from the identity along ascents.
+
+    Returns the declaration order (BFS order, each level in lex order of
+    words), the covers (w s_i, w) in the order they are found, and the
+    elements by name.  Raises BudgetError before any work when the group
+    order exceeds the budget.
+    """
+    total = weyl_order(cartan.family, cartan.rank)
+    if total > budget:
+        raise BudgetError(
+            f"weak order of {cartan.name} needs {total} elements, budget is {budget}"
+        )
+    gens = np.stack(cartan._gens)
+    ident = identity_element(cartan)
+    names: dict[bytes, str] = {ident.key(): "e"}
+    elements: dict[str, WeylElement] = {"e": ident}
+    declaration = ["e"]
+    covers: list[tuple[str, str]] = []
+    level = [("e", ident)]
+    while level:
+        mats = np.stack([w.mat for _, w in level])
+        # i is an ascent of w iff column i of w is a positive root
+        ascents = (mats >= 0).all(axis=1).tolist()
+        prods = mats[:, None] @ gens[None]
+        nxt: list[tuple[str, WeylElement]] = []
+        for (wname, w), asc, row in zip(level, ascents, prods):
+            prefix = wname if w.word else ""
+            for i, up in enumerate(asc):
+                if not up:
+                    continue
+                key = row[i].tobytes()
+                nm = names.get(key)
+                if nm is None:
+                    nm = prefix + str(i + 1)
+                    # copy, so that the element does not keep the batch alive
+                    elem = WeylElement(row[i].copy(), w.word + (i + 1,))
+                    names[key] = nm
+                    elements[nm] = elem
+                    declaration.append(nm)
+                    nxt.append((nm, elem))
+                covers.append((nm, wname))
+        level = nxt
+    if len(elements) != total:
+        raise AssertionError(
+            f"BFS found {len(elements)} elements of {cartan.name}, expected {total}"
+        )
+    return declaration, covers, elements
+
+
 def weak_order(cartan: CartanData, budget: int = DEFAULT_BUDGET) -> WeakOrder:
     """BFS generation of (W, <=_R) as a FiniteLattice.
 
@@ -298,42 +339,8 @@ def weak_order(cartan: CartanData, budget: int = DEFAULT_BUDGET) -> WeakOrder:
     ascent i, so upper means longer.  Raises BudgetError up front when the
     group order exceeds the budget.
     """
-    total = weyl_order(cartan.family, cartan.rank)
-    if total > budget:
-        raise BudgetError(
-            f"weak order of {cartan.name} needs {total} elements, budget is {budget}"
-        )
-    gens = cartan._gens
-    ident = identity_element(cartan)
-    names: dict[bytes, str] = {ident.key(): "e"}
-    elements: dict[str, WeylElement] = {"e": ident}
-    declaration = ["e"]
-    covers: list[tuple[str, str]] = []
-    level = [ident]
-    while level:
-        nxt: list[WeylElement] = []
-        for w in level:  # level is in lex order of words
-            wname = names[w.key()]
-            for i in range(1, cartan.rank + 1):
-                if not is_ascent(w, i):
-                    continue
-                mat = w.mat @ gens[i - 1]
-                key = mat.tobytes()
-                if key not in names:
-                    elem = WeylElement(mat, w.word + (i,))
-                    nm = _word_name(elem.word)
-                    names[key] = nm
-                    elements[nm] = elem
-                    declaration.append(nm)
-                    nxt.append(elem)
-                covers.append((names[key], wname))
-        level = nxt
-    if len(elements) != total:
-        raise AssertionError(
-            f"BFS found {len(elements)} elements of {cartan.name}, expected {total}"
-        )
-    lat = from_covers(declaration, covers)
-    return WeakOrder(cartan, lat, elements)
+    declaration, covers, elements = _weak_order_covers(cartan, budget)
+    return WeakOrder(cartan, from_covers(declaration, covers), elements)
 
 
 def longest_element(order: WeakOrder) -> WeylElement:

@@ -5,7 +5,9 @@ upper covering lower.  Reachability is kept as ancestor bitsets (one Python
 int per element), which makes joins and meets cheap even on weak orders
 with tens of thousands of elements.  The FP dimension of a lattice scans,
 for each non-maximal element x, the quiver on the upper covers of x whose
-arrows y -> y' record that y is not a lower cover of y v y'.
+arrows y -> y' record that y is not a lower cover of y v y'.  The scan works
+on element indices, and each distinct quiver has its spectral radius
+computed once per call.
 """
 
 from __future__ import annotations
@@ -260,6 +262,20 @@ def opposite(lat: FiniteLattice) -> FiniteLattice:
     )
 
 
+def _q_adj(lat: FiniteLattice, ys: list[int]) -> np.ndarray:
+    """Adjacency matrix of Q on upper covers ys (indices, declaration order)."""
+    m = len(ys)
+    adj = np.zeros((m, m), dtype=np.int64)
+    for a in range(m):
+        for b in range(a + 1, m):
+            ds = lat._children[lat._join_idx(ys[a], ys[b])]
+            if ys[a] not in ds:
+                adj[a, b] = 1
+            if ys[b] not in ds:
+                adj[b, a] = 1
+    return adj
+
+
 def q_of(lat: FiniteLattice, x: str, ys=None) -> Quiver:
     """Quiver on a set of upper covers of x.
 
@@ -278,18 +294,8 @@ def q_of(lat: FiniteLattice, x: str, ys=None) -> Quiver:
     stray = [y for y in ys if y not in dp]
     if stray:
         raise ValueError(f"{stray[0]!r} is not an upper cover of {x!r}")
-    ys.sort(key=lat.index)
-    m = len(ys)
-    adj = np.zeros((m, m), dtype=np.int64)
-    for a in range(m):
-        for b in range(a + 1, m):
-            z = lat.join(ys[a], ys[b])
-            ds = lat.lower_covers(z)
-            if ys[a] not in ds:
-                adj[a, b] = 1
-            if ys[b] not in ds:
-                adj[b, a] = 1
-    return Quiver(ys, adj)
+    idx = sorted(lat.index(y) for y in ys)
+    return Quiver([lat.elements[i] for i in idx], _q_adj(lat, idx))
 
 
 def fpdim_lattice(lat: FiniteLattice, tol: float = 1e-12) -> tuple[float, str | None]:
@@ -298,21 +304,30 @@ def fpdim_lattice(lat: FiniteLattice, tol: float = 1e-12) -> tuple[float, str | 
     Maximizes rho(Q(x, dp(x))) over all x below the maximum; elements with a
     single upper cover contribute 0 and are skipped.  Ties go to the first
     element in declaration order; a one-element lattice gives (0.0, None).
+    Within one call each distinct adjacency matrix of Q(x, dp(x)) has its
+    spectral radius computed once (the E6 weak order has 99 among 50,567).
     """
     best = 0.0
     witness = None
-    for x in lat.elements:
-        if x == lat.maximum:
+    rhos: dict[tuple[int, bytes], float] = {}
+    for x in range(len(lat)):
+        if x == lat._max:
             continue
         if witness is None:
             witness = x
-        if len(lat.upper_covers(x)) <= 1:
+        ys = sorted(lat._parents[x])
+        if len(ys) <= 1:
             continue
-        rho = spectral_radius(q_of(lat, x), tol=tol)
+        adj = _q_adj(lat, ys)
+        key = (len(ys), adj.tobytes())
+        rho = rhos.get(key)
+        if rho is None:
+            rho = spectral_radius(Quiver([lat.elements[y] for y in ys], adj), tol=tol)
+            rhos[key] = rho
         if rho > best + tol:
             best = rho
             witness = x
-    return best, witness
+    return best, (None if witness is None else lat.elements[witness])
 
 
 def lattice_to_dict(lat: FiniteLattice) -> dict:

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .coxeter import CartanData, weak_order, DEFAULT_BUDGET
+from .coxeter import CartanData, DEFAULT_BUDGET, _weak_order_covers
 from .errors import ConsistencyError
-from .lattice import FiniteLattice, opposite
+from .lattice import FiniteLattice, from_covers
 from .quiver import Quiver
 from .spectral import dynkin_rho, spectral_radius
 
@@ -58,6 +58,11 @@ def tau_tiltp_model(cartan: CartanData, budget: int = DEFAULT_BUDGET) -> FiniteL
 
     This is the opposite of the right weak order of the Weyl group of C; it
     does not depend on the symmetrizer.  The maximum corresponds to the
-    identity of W, i.e. the pair (A, 0).
+    identity of W, i.e. the pair (A, 0).  The lattice is built straight from
+    the weak-order BFS with each cover reversed, so only one lattice is
+    built; its elements and covers are in the order of
+    opposite(weak_order(cartan).lattice).
     """
-    return opposite(weak_order(cartan, budget=budget).lattice)
+    # the elements are not kept: they would stay alive while the lattice builds
+    declaration, covers = _weak_order_covers(cartan, budget)[:2]
+    return from_covers(declaration, [(l, u) for u, l in covers])

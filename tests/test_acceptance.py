@@ -1,8 +1,9 @@
 """Acceptance suite: one test per criterion, at the stated tolerances.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see one PASS line per
-criterion.  The two largest weak orders (F4, E6) live in the stretch
-marker; everything else runs in the default suite.
+criterion.  The end-to-end run of the two largest weak orders (F4, E6)
+and the E6 cover-quiver check live in the stretch marker; everything else
+runs in the default suite.
 
 The oracle-equivalence criterion is defined first because every Hom/Ext
 value used elsewhere rests on it.
@@ -28,7 +29,7 @@ from taufp.coxeter import (
     weak_order,
     weyl_order,
 )
-from taufp.lattice import fpdim_lattice, lattice_from_dict, q_of
+from taufp.lattice import fpdim_lattice, from_covers, lattice_from_dict, opposite, q_of
 from taufp.nakayama import (
     ext_dim,
     fpdim_nakayama,
@@ -154,6 +155,88 @@ def test_criterion03_stretch_f4_e6():
     elapsed = time.perf_counter() - started
     assert elapsed < 300.0
     _ok(3, f"(stretch: F4 with 1152 and E6 with 51840 elements, {elapsed:.1f}s)")
+
+
+def _reference_fpdim(lat):
+    """The FP dimension by its definition: max rho(Q(x)) over x below the
+    maximum, ties to the first element in declaration order."""
+    best, witness = 0.0, None
+    for x in lat.elements:
+        if x == lat.maximum:
+            continue
+        if witness is None:
+            witness = x
+        if len(lat.upper_covers(x)) > 1:
+            rho = spectral_radius(q_of(lat, x))
+            if rho > best + 1e-12:
+                best, witness = rho, x
+    return best, witness
+
+
+def test_criterion03_model_is_the_opposite_weak_order():
+    lattices = []
+    for fam, rank in TABLE_GRID:
+        if (fam, rank) == ("E", 6):
+            continue
+        cd = cartan_matrix(fam, rank)
+        model = tau_tiltp_model(cd)
+        dual = opposite(weak_order(cd).lattice)
+        assert model.elements == dual.elements, (fam, rank)
+        assert model.covers == dual.covers, (fam, rank)
+        lattices.append(model)
+    for path in sorted(FIXTURES.glob("*.json")):
+        data = json.loads(path.read_text())
+        # quiver fixtures have no covers; bowtie is the non-lattice fixture
+        if "covers" in data and path.name != "bowtie.json":
+            lattices.append(lattice_from_dict(data))
+    # a diamond glued under a hexagon: Q(0) has no arrows and Q(t) is a
+    # 2-cycle, so a radius reused across distinct quivers of one size shows
+    lattices.append(from_covers(
+        ["0", "a", "b", "t", "c", "d", "c2", "d2", "top"],
+        [("a", "0"), ("b", "0"), ("t", "a"), ("t", "b"), ("c", "t"), ("d", "t"),
+         ("c2", "c"), ("d2", "d"), ("top", "c2"), ("top", "d2")],
+    ))
+    assert fpdim_lattice(lattices[-1]) == (1.0, "t")
+    assert len(lattices) == len(TABLE_GRID) - 1 + 3 + 1
+    for lat in lattices:
+        assert fpdim_lattice(lat) == _reference_fpdim(lat), lat
+    _ok(3, f"(model = opposite weak order, fpdim = reference loop on {len(lattices)} lattices)")
+
+
+def _descent_graph_mismatches(fam, rank):
+    """Elements x of the model whose Q(x) is not the double Dynkin graph
+    induced on the right descent set of x (Bjorner-Brenti, GTM 231, 3.2)."""
+    cd = cartan_matrix(fam, rank)
+    w = weak_order(cd)
+    model = tau_tiltp_model(cd)
+    by_key = {elem.key(): name for name, elem in w.elements.items()}
+    gens = [w.element(str(i)).mat for i in range(1, rank + 1)]
+    bad = []
+    for x in model.elements:
+        if x == model.maximum:
+            continue
+        elem = w.element(x)
+        gen_of = {by_key[(elem.mat @ g).tobytes()]: i for i, g in enumerate(gens)}
+        descents = {i for i in range(rank) if not is_ascent(elem, i + 1)}
+        q = q_of(model, x)
+        ys = [gen_of[y] for y in q.labels]
+        want = [[int(a != b and cd.cartan[a, b] != 0) for b in ys] for a in ys]
+        if set(ys) != descents or q.adj.tolist() != want:
+            bad.append(x)
+    return bad
+
+
+def test_criterion03_cover_quivers_are_descent_graphs():
+    types = [t for t in TABLE_GRID if t != ("E", 6)]
+    for fam, rank in types:
+        assert _descent_graph_mismatches(fam, rank) == [], (fam, rank)
+    _ok(3, f"(Q(x) = double Dynkin graph on the descents of x, {len(types)} types)")
+
+
+@pytest.mark.stretch
+def test_criterion03_stretch_e6_descent_graphs():
+    assert _descent_graph_mismatches("E", 6) == []
+    _ok(3, "(stretch: Q(x) = descent graph on all 51840 elements of E6)")
 
 
 # -- criterion 4 ---------------------------------------------------------------
