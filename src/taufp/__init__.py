@@ -8,8 +8,9 @@ Subpackages:
   of bipartite quadratic forms and their exact definiteness
 - lattice: finite lattices from Hasse covers and their FP dimension
 - coxeter: Cartan matrices, Weyl groups, the right weak order
-- preproj: Gabriel quivers of generalized preprojective algebras and the
-  weak-order model of their tau-tilting poset
+- preproj: Gabriel quivers of generalized preprojective algebras, their
+  closed-form spectral radii per Dynkin type, the B-type characteristic
+  polynomial family, and the weak-order model of their tau-tilting poset
 - nakayama: the full combinatorial module calculus of connected Nakayama
   algebras (bricks, semibricks, tau-tilting pairs, brute-force FP dimension)
 """
@@ -31,10 +32,8 @@ from .spectral import (
     Definiteness,
     IntPolynomial,
     SymIntMatrix,
-    bn_family_char_polys,
     char_poly,
     definiteness,
-    dynkin_rho,
     gram_matrix,
     largest_real_root,
     spectral_radius,
@@ -63,7 +62,13 @@ from .coxeter import (
     weak_order,
     weyl_order,
 )
-from .preproj import fpdim_preproj, gabriel_quiver, tau_tiltp_model
+from .preproj import (
+    bn_family_char_polys,
+    dynkin_rho,
+    fpdim_preproj,
+    gabriel_quiver,
+    tau_tiltp_model,
+)
 from .nakayama import (
     NakayamaAlgebra,
     TauPair,

@@ -164,7 +164,7 @@ def _cmd_preproj(args, report: Report) -> None:
             for mult in (1, 2):
                 cd = coxeter.cartan_matrix(fam, rank, multiplier=mult)
                 computed = spectral.spectral_radius(preproj.gabriel_quiver(cd))
-                closed = spectral.dynkin_rho(fam, rank, minimal=(mult == 1))
+                closed = preproj.dynkin_rho(fam, rank, minimal=(mult == 1))
                 ok = abs(computed - closed) <= 1e-9
                 all_ok &= ok
                 kind = "minimal" if mult == 1 else "non-minimal"
@@ -185,7 +185,7 @@ def _cmd_preproj(args, report: Report) -> None:
             report.value("dot", quiver.to_dot(q), quiver.to_dot(q))
     else:  # rho
         computed = spectral.spectral_radius(q, tol=args.tol)
-        closed = spectral.dynkin_rho(cd.family, cd.rank, minimal=cd.minimal)
+        closed = preproj.dynkin_rho(cd.family, cd.rank, minimal=cd.minimal)
         report.real("rho", computed)
         report.real("closed_form", closed)
         report.verdict("closed_form_match", abs(computed - closed) <= 1e-9)

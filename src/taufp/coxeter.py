@@ -19,7 +19,6 @@ import numpy as np
 
 from .errors import BudgetError
 from .lattice import FiniteLattice, from_covers
-from .spectral import _check_type_rank
 
 __all__ = [
     "CartanData",
@@ -40,6 +39,23 @@ __all__ = [
 ]
 
 DEFAULT_BUDGET = 60000
+
+_E_COXETER = {6: 12, 7: 18, 8: 30}
+
+
+def _check_type_rank(family: str, rank: int) -> None:
+    ok = {
+        "A": rank >= 1,
+        "B": rank >= 2,
+        "C": rank >= 2,
+        "D": rank >= 4,
+        "E": rank in (6, 7, 8),
+        "F": rank == 4,
+        "G": rank == 2,
+    }.get(family)
+    if not ok:
+        raise ValueError(f"invalid Dynkin type {family}{rank}")
+
 
 _SYMMETRIZER_PATTERN = {
     "A": lambda n: [1] * n,

@@ -4,20 +4,30 @@ The Gabriel quiver of Pi(C, D) is the double quiver of the Dynkin diagram
 plus a loop at each vertex whose symmetrizer entry is at least 2: the loop
 generator at vertex i is nilpotent of degree d_i, so it survives in the
 quiver exactly when d_i >= 2.  Its spectral radius equals the FP dimension
-of the algebra, and a closed form per type is cross-checked on every call.
+of the algebra, and a closed form per type (dynkin_rho) is cross-checked
+on every call.  bn_family_char_polys checks the B-type characteristic
+polynomials against their recurrence and closed-form roots.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .coxeter import CartanData, DEFAULT_BUDGET, _weak_order_covers
+from .coxeter import _E_COXETER, CartanData, DEFAULT_BUDGET, _check_type_rank, _weak_order_covers
 from .errors import ConsistencyError
 from .lattice import FiniteLattice, from_covers
 from .quiver import Quiver
-from .spectral import dynkin_rho, spectral_radius
+from .spectral import ONE, IntPolynomial, char_poly, spectral_radius
 
-__all__ = ["gabriel_quiver", "fpdim_preproj", "tau_tiltp_model"]
+__all__ = [
+    "gabriel_quiver",
+    "fpdim_preproj",
+    "tau_tiltp_model",
+    "dynkin_rho",
+    "bn_family_char_polys",
+]
 
 
 def gabriel_quiver(cartan: CartanData) -> Quiver:
@@ -66,3 +76,70 @@ def tau_tiltp_model(cartan: CartanData, budget: int = DEFAULT_BUDGET) -> FiniteL
     # the elements are not kept: they would stay alive while the lattice builds
     declaration, covers = _weak_order_covers(cartan, budget)[:2]
     return from_covers(declaration, [(l, u) for u, l in covers])
+
+
+def dynkin_rho(family: str, rank: int, minimal: bool = True) -> float:
+    """Closed-form spectral radius of the Gabriel quiver of Pi(C, D).
+
+    minimal=True is the c = 1 symmetrizer column; otherwise every vertex
+    carries a loop and the radius shifts accordingly.
+    """
+    _check_type_rank(family, rank)
+    n = rank
+    if minimal:
+        if family == "A":
+            return 2 * math.cos(math.pi / (n + 1))
+        if family == "B":
+            return 1 + 2 * math.cos(2 * math.pi / (2 * n + 1))
+        if family == "C":
+            return 2 * math.cos(math.pi / (2 * n + 1))
+        if family == "D":
+            return 2 * math.cos(math.pi / (2 * (n - 1)))
+        if family == "E":
+            return 2 * math.cos(math.pi / _E_COXETER[n])
+        if family == "F":
+            return (1 + math.sqrt(13)) / 2
+        return (1 + math.sqrt(5)) / 2  # G2
+    if family == "D":
+        return 1 + 2 * math.cos(math.pi / (2 * (n - 1)))
+    if family == "E":
+        return 1 + 2 * math.cos(math.pi / _E_COXETER[n])
+    # A, B, C, F4, G2 all collapse onto the A_n shape plus loops
+    return 1 + 2 * math.cos(math.pi / (n + 1))
+
+
+def _bn_quiver(n: int) -> Quiver:
+    """Double path on n vertices with loops at 1..n-1 (none for n = 1)."""
+    adj = np.zeros((n, n), dtype=np.int64)
+    for i in range(n - 1):
+        adj[i, i + 1] = adj[i + 1, i] = 1
+        adj[i, i] = 1
+    return Quiver([str(i + 1) for i in range(n)], adj)
+
+
+def bn_family_char_polys(n_max: int, tol: float = 1e-9) -> list[IntPolynomial]:
+    """Characteristic polynomials f_1..f_{n_max} of the B-type quiver family.
+
+    Checks the three-term recurrence f_{n+1} = (x-1) f_n - f_{n-1} exactly
+    (anchored at f_0 = 1) and that the real roots of f_n are
+    1 + 2 cos(2k pi / (2n+1)), k = 1..n, within tol.
+    """
+    if n_max < 2:
+        raise ValueError("n_max must be >= 2")
+    polys = [char_poly(_bn_quiver(n)) for n in range(1, n_max + 1)]
+    x_minus_1 = IntPolynomial((-1, 1))
+    prev = ONE
+    for n in range(1, n_max):
+        expected = x_minus_1 * polys[n - 1] - prev
+        if expected != polys[n]:
+            raise ConsistencyError(f"B-type recurrence fails at n = {n + 1}")
+        prev = polys[n - 1]
+    for n, f in enumerate(polys, start=1):
+        roots = np.roots(list(reversed(f.coeffs)))
+        if np.abs(roots.imag).max() > tol:
+            raise ConsistencyError(f"nonreal root in f_{n}")
+        got = np.sort(roots.real)
+        want = np.sort([1 + 2 * math.cos(2 * k * math.pi / (2 * n + 1)) for k in range(1, n + 1)])
+        if np.abs(got - want).max() > tol:
+            raise ConsistencyError(f"root set of f_{n} differs from closed form")
+    return polys

@@ -2,10 +2,13 @@
 
 Everything here is deterministic: spectral radii come from shifted power
 iteration with Collatz-Wielandt bracketing on strongly connected blocks,
-characteristic polynomials are computed exactly over Python integers, and
-definiteness of integer Gram matrices is decided by exact congruence
-elimination over rationals (the positive-semidefinite-but-singular cases
-are knife edges that floating point gets wrong).
+characteristic polynomials are computed exactly over Python integers and
+their largest real root is isolated by Sturm bisection in integer
+arithmetic (primitive pseudo-remainder chains, homogeneous evaluation at
+each rational midpoint), and definiteness of integer Gram matrices is
+decided by exact congruence elimination over rationals (the
+positive-semidefinite-but-singular cases are knife edges that floating
+point gets wrong).
 """
 
 from __future__ import annotations
@@ -26,8 +29,6 @@ __all__ = [
     "char_poly",
     "largest_real_root",
     "spectral_radius",
-    "dynkin_rho",
-    "bn_family_char_polys",
     "gram_matrix",
     "definiteness",
 ]
@@ -95,7 +96,6 @@ class IntPolynomial:
 
 
 ONE = IntPolynomial((1,))
-X_MINUS_1 = IntPolynomial((-1, 1))
 
 
 def char_poly(q: Quiver) -> IntPolynomial:
@@ -128,100 +128,144 @@ def char_poly(q: Quiver) -> IntPolynomial:
     return IntPolynomial(tuple(coeffs))
 
 
-def _poly_derivative(p: list[Fraction]) -> list[Fraction]:
-    return [p[i] * i for i in range(1, len(p))]
+def _derivative(p: list[int]) -> list[int]:
+    return [i * p[i] for i in range(1, len(p))]
 
 
-def _poly_divmod(a: list[Fraction], b: list[Fraction]):
-    a = a[:]
-    q = [Fraction(0)] * max(1, len(a) - len(b) + 1)
-    while len(a) >= len(b) and any(a):
-        while a and a[-1] == 0:
-            a.pop()
-        if len(a) < len(b):
-            break
-        f = a[-1] / b[-1]
-        shift = len(a) - len(b)
+def _primitive(p: list[int]) -> list[int]:
+    """p divided by the gcd of its coefficients, a positive integer."""
+    g = math.gcd(*p)
+    return [c // g for c in p] if g > 1 else p
+
+
+def _pseudo_rem(a: list[int], b: list[int]) -> list[int]:
+    """Remainder of a modulo b times a positive integer (a power of |lc(b)|).
+
+    Each step scales the running remainder by |lc(b)| before cancelling its
+    leading term, so the result stays an integer polynomial with the sign
+    pattern of the rational remainder.  Trailing zeros are stripped.
+    """
+    r = a[:]
+    lb = b[-1]
+    scale, sign = abs(lb), (1 if lb > 0 else -1)
+    shift = len(r) - len(b)
+    while shift >= 0:
+        lead = r[-1] * sign
+        if scale != 1:
+            r = [c * scale for c in r]
+        for i, cb in enumerate(b):
+            r[shift + i] -= lead * cb
+        r.pop()
+        while r and r[-1] == 0:
+            r.pop()
+        shift = len(r) - len(b)
+    return r
+
+
+def _exact_quotient(a: list[int], b: list[int]) -> list[int]:
+    """a / b over the integers; b is primitive, so by Gauss's lemma an exact
+    rational division has an integer quotient."""
+    r = a[:]
+    lb = b[-1]
+    q = [0] * (len(a) - len(b) + 1)
+    for shift in range(len(q) - 1, -1, -1):
+        f, rem = divmod(r[-1], lb)
+        if rem:
+            raise ConsistencyError("square-free division left a remainder")
         q[shift] = f
         for i, cb in enumerate(b):
-            a[shift + i] -= f * cb
-        a.pop()
-    while a and a[-1] == 0:
-        a.pop()
-    return q, a
-
-
-def _poly_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    while b and any(b):
-        _, r = _poly_divmod(a, b)
-        a, b = b, r
-    if a and a[-1] != 1:
-        lead = a[-1]
-        a = [c / lead for c in a]
-    return a
-
-
-def _square_free(p: IntPolynomial) -> list[Fraction]:
-    fr = [Fraction(c) for c in p.coeffs]
-    der = _poly_derivative(fr)
-    if not der:
-        return fr
-    g = _poly_gcd(fr, der)
-    if len(g) <= 1:
-        return fr
-    q, r = _poly_divmod(fr, g)
+            r[shift + i] -= f * cb
+        r.pop()
     if any(r):
         raise ConsistencyError("square-free division left a remainder")
     return q
 
 
-def _sturm_chain(p: list[Fraction]) -> list[list[Fraction]]:
-    chain = [p, _poly_derivative(p)]
-    while chain[-1] and any(chain[-1]):
-        _, r = _poly_divmod(chain[-2], chain[-1])
-        if not any(r):
-            break
-        chain.append([-c for c in r])
-    return chain
+def _square_free(p: IntPolynomial) -> list[int]:
+    """p / gcd(p, p') as a primitive integer polynomial whose leading
+    coefficient has the sign of p's."""
+    coeffs = list(p.coeffs)
+    a, b = coeffs, _primitive(_derivative(coeffs))
+    while b:  # primitive Euclid: a ends as the primitive gcd
+        a, b = b, _primitive(_pseudo_rem(a, b))
+    g = a if a[-1] > 0 else [-c for c in a]
+    return _primitive(_exact_quotient(coeffs, g))
 
 
-def _eval(p: list[Fraction], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
+def _sturm_chain(p: list[int]) -> list[list[int]]:
+    """Primitive pseudo-remainder Sturm chain: each member is a positive
+    multiple of the classical member, so every sign count is the same."""
+    chain = [p, _primitive(_derivative(p))]
+    while True:
+        r = _pseudo_rem(chain[-2], chain[-1])
+        if not r:
+            return chain
+        chain.append(_primitive([-c for c in r]))
 
 
-def _sign_variations(chain, x: Fraction) -> int:
-    signs = []
+def _sign_variations(chain: list[list[int]], num: int, den: int) -> int:
+    """Sign changes of the chain at num/den (den > 0), zeros skipped.
+
+    Each member of degree d is evaluated as sum c_i num^i den^(d-i), which
+    has the sign of its value at num/den.
+    """
+    powers = [1]
+    for _ in range(len(chain[0]) - 1):
+        powers.append(powers[-1] * den)
+    changes = prev = 0
     for p in chain:
-        v = _eval(p, x)
-        if v:
-            signs.append(1 if v > 0 else -1)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+        d = len(p) - 1
+        acc = p[d]
+        for i in range(1, d + 1):
+            acc = acc * num + p[d - i] * powers[i]
+        if acc:
+            sign = 1 if acc > 0 else -1
+            changes += sign == -prev
+            prev = sign
+    return changes
 
 
 def largest_real_root(p: IntPolynomial, tol: float = 1e-12) -> float:
     """Largest real root of an integer polynomial, isolated by Sturm bisection.
 
-    Exact rational arithmetic throughout; requires at least one real root.
+    Exact integer arithmetic throughout; requires at least one real root and
+    a positive, finite tol.  The bracket is bisected until it is at most
+    tol/2 wide, with tol rounded to a denominator of at most 10**18 when
+    that leaves it positive.
     """
+    if not (tol > 0 and math.isfinite(tol)):
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     if p.degree <= 0:
         raise ValueError("constant polynomial has no roots")
-    sf = _square_free(p)
-    chain = _sturm_chain(sf)
-    bound = Fraction(1) + max(abs(Fraction(c, p.coeffs[-1])) for c in p.coeffs[:-1])
-    lo, hi = -bound, bound
-    if _sign_variations(chain, lo) - _sign_variations(chain, hi) < 1:
+    chain = _sturm_chain(_square_free(p))
+    # Cauchy bound b/d = 1 + max |c_i / c_n|: every root lies in (-b/d, b/d)
+    lead = abs(p.coeffs[-1])
+    b = lead + max(abs(c) for c in p.coeffs[:-1])
+    g = math.gcd(b, lead)
+    b, den = b // g, lead // g
+    lo, hi = -b, b  # numerators over den
+    v_hi = _sign_variations(chain, hi, den)
+    if _sign_variations(chain, lo, den) - v_hi < 1:
         raise ValueError("polynomial has no real roots")
-    # shrink to the largest root: keep at least one root in (lo, hi]
-    while hi - lo > Fraction(tol).limit_denominator(10**18) / 2:
-        mid = (lo + hi) / 2
-        if _sign_variations(chain, mid) - _sign_variations(chain, hi) >= 1:
+    width = Fraction(tol).limit_denominator(10**18) or Fraction(tol)
+    w_num, w_den = width.numerator, 2 * width.denominator
+    # Fujiwara: every root has |z| <= 2 max_k |c_(n-k) / c_n|^(1/k).  Each
+    # term rounded up to a power of two gives the bound cap; a midpoint at
+    # or above it has no root above it, so its sign count is not needed.
+    top, n = lead.bit_length(), p.degree
+    e = max((-((top - 1 - abs(c).bit_length()) // (n - i))
+             for i, c in enumerate(p.coeffs[:-1]) if c), default=0)
+    cap = 1 << max(0, e + 1)
+    # shrink to the largest root: keep at least one root in (lo, hi].  hi
+    # moves only when (mid, hi] holds no root, so V(hi) never changes.
+    while (hi - lo) * w_den > w_num * den:
+        mid = lo + hi
+        lo, hi, den = 2 * lo, 2 * hi, 2 * den
+        if mid < cap * den and _sign_variations(chain, mid, den) - v_hi >= 1:
             lo = mid
         else:
             hi = mid
-    return float((lo + hi) / 2)
+    return (lo + hi) / (2 * den)
 
 
 def _tarjan_scc(adj: np.ndarray) -> list[list[int]]:
@@ -321,89 +365,6 @@ def spectral_radius(q: Quiver, tol: float = 1e-12, verify: bool = False) -> floa
                 f"spectral radius mismatch: power iteration {rho!r} vs root isolation {exact!r}"
             )
     return rho
-
-
-_E_COXETER = {6: 12, 7: 18, 8: 30}
-
-
-def _check_type_rank(family: str, rank: int) -> None:
-    ok = {
-        "A": rank >= 1,
-        "B": rank >= 2,
-        "C": rank >= 2,
-        "D": rank >= 4,
-        "E": rank in (6, 7, 8),
-        "F": rank == 4,
-        "G": rank == 2,
-    }.get(family)
-    if not ok:
-        raise ValueError(f"invalid Dynkin type {family}{rank}")
-
-
-def dynkin_rho(family: str, rank: int, minimal: bool = True) -> float:
-    """Closed-form spectral radius of the Gabriel quiver of Pi(C, D).
-
-    minimal=True is the c = 1 symmetrizer column; otherwise every vertex
-    carries a loop and the radius shifts accordingly.
-    """
-    _check_type_rank(family, rank)
-    n = rank
-    if minimal:
-        if family == "A":
-            return 2 * math.cos(math.pi / (n + 1))
-        if family == "B":
-            return 1 + 2 * math.cos(2 * math.pi / (2 * n + 1))
-        if family == "C":
-            return 2 * math.cos(math.pi / (2 * n + 1))
-        if family == "D":
-            return 2 * math.cos(math.pi / (2 * (n - 1)))
-        if family == "E":
-            return 2 * math.cos(math.pi / _E_COXETER[n])
-        if family == "F":
-            return (1 + math.sqrt(13)) / 2
-        return (1 + math.sqrt(5)) / 2  # G2
-    if family == "D":
-        return 1 + 2 * math.cos(math.pi / (2 * (n - 1)))
-    if family == "E":
-        return 1 + 2 * math.cos(math.pi / _E_COXETER[n])
-    # A, B, C, F4, G2 all collapse onto the A_n shape plus loops
-    return 1 + 2 * math.cos(math.pi / (n + 1))
-
-
-def _bn_quiver(n: int) -> Quiver:
-    """Double path on n vertices with loops at 1..n-1 (none for n = 1)."""
-    adj = np.zeros((n, n), dtype=np.int64)
-    for i in range(n - 1):
-        adj[i, i + 1] = adj[i + 1, i] = 1
-        adj[i, i] = 1
-    return Quiver([str(i + 1) for i in range(n)], adj)
-
-
-def bn_family_char_polys(n_max: int, tol: float = 1e-9) -> list[IntPolynomial]:
-    """Characteristic polynomials f_1..f_{n_max} of the B-type quiver family.
-
-    Checks the three-term recurrence f_{n+1} = (x-1) f_n - f_{n-1} exactly
-    (anchored at f_0 = 1) and that the real roots of f_n are
-    1 + 2 cos(2k pi / (2n+1)), k = 1..n, within tol.
-    """
-    if n_max < 2:
-        raise ValueError("n_max must be >= 2")
-    polys = [char_poly(_bn_quiver(n)) for n in range(1, n_max + 1)]
-    prev = ONE
-    for n in range(1, n_max):
-        expected = X_MINUS_1 * polys[n - 1] - prev
-        if expected != polys[n]:
-            raise ConsistencyError(f"B-type recurrence fails at n = {n + 1}")
-        prev = polys[n - 1]
-    for n, f in enumerate(polys, start=1):
-        roots = np.roots(list(reversed(f.coeffs)))
-        if np.abs(roots.imag).max() > tol:
-            raise ConsistencyError(f"nonreal root in f_{n}")
-        got = np.sort(roots.real)
-        want = np.sort([1 + 2 * math.cos(2 * k * math.pi / (2 * n + 1)) for k in range(1, n + 1)])
-        if np.abs(got - want).max() > tol:
-            raise ConsistencyError(f"root set of f_{n} differs from closed form")
-    return polys
 
 
 @dataclass(frozen=True)

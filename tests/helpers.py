@@ -168,6 +168,102 @@ def canonical_form(q) -> tuple:
 
 
 # ---------------------------------------------------------------------------
+# Sturm reference: classical Sturm bisection over Fractions, kept as the
+# reference the integer route in taufp.spectral must match float for float.
+
+
+def _fr_derivative(p):
+    return [p[i] * i for i in range(1, len(p))]
+
+
+def _fr_divmod(a, b):
+    a = a[:]
+    q = [Fraction(0)] * max(1, len(a) - len(b) + 1)
+    while len(a) >= len(b) and any(a):
+        while a and a[-1] == 0:
+            a.pop()
+        if len(a) < len(b):
+            break
+        f = a[-1] / b[-1]
+        shift = len(a) - len(b)
+        q[shift] = f
+        for i, cb in enumerate(b):
+            a[shift + i] -= f * cb
+        a.pop()
+    while a and a[-1] == 0:
+        a.pop()
+    return q, a
+
+
+def _fr_gcd(a, b):
+    while b and any(b):
+        _, r = _fr_divmod(a, b)
+        a, b = b, r
+    if a and a[-1] != 1:
+        lead = a[-1]
+        a = [c / lead for c in a]
+    return a
+
+
+def _fr_square_free(coeffs):
+    fr = [Fraction(c) for c in coeffs]
+    der = _fr_derivative(fr)
+    if not der:
+        return fr
+    g = _fr_gcd(fr, der)
+    if len(g) <= 1:
+        return fr
+    q, r = _fr_divmod(fr, g)
+    if any(r):
+        raise AssertionError("square-free division left a remainder")
+    return q
+
+
+def _fr_sturm_chain(p):
+    chain = [p, _fr_derivative(p)]
+    while chain[-1] and any(chain[-1]):
+        _, r = _fr_divmod(chain[-2], chain[-1])
+        if not any(r):
+            break
+        chain.append([-c for c in r])
+    return chain
+
+
+def _fr_sign_variations(chain, x):
+    signs = []
+    for p in chain:
+        v = Fraction(0)
+        for c in reversed(p):
+            v = v * x + c
+        if v:
+            signs.append(1 if v > 0 else -1)
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def sturm_largest_root_reference(coeffs, tol=1e-12):
+    """Largest real root of the integer polynomial with coefficients
+    `coeffs` (lowest degree first, leading one nonzero) by Fraction Sturm
+    bisection.  Raises ValueError for a constant polynomial or one with no
+    real root.  Only for tol >= 1e-18: a smaller tol rounds to 0 below and
+    the loop never ends."""
+    coeffs = tuple(coeffs)
+    if len(coeffs) <= 1:
+        raise ValueError("constant polynomial has no roots")
+    chain = _fr_sturm_chain(_fr_square_free(coeffs))
+    bound = Fraction(1) + max(abs(Fraction(c, coeffs[-1])) for c in coeffs[:-1])
+    lo, hi = -bound, bound
+    if _fr_sign_variations(chain, lo) - _fr_sign_variations(chain, hi) < 1:
+        raise ValueError("polynomial has no real roots")
+    while hi - lo > Fraction(tol).limit_denominator(10**18) / 2:
+        mid = (lo + hi) / 2
+        if _fr_sign_variations(chain, mid) - _fr_sign_variations(chain, hi) >= 1:
+            lo = mid
+        else:
+            hi = mid
+    return float((lo + hi) / 2)
+
+
+# ---------------------------------------------------------------------------
 # corpora
 
 

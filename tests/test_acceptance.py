@@ -40,7 +40,7 @@ from taufp.nakayama import (
     tau_tiltp_lattice,
     tau_tilting_pairs,
 )
-from taufp.preproj import gabriel_quiver, tau_tiltp_model
+from taufp.preproj import bn_family_char_polys, dynkin_rho, gabriel_quiver, tau_tiltp_model
 from taufp.quiver import (
     Quiver,
     build_quiver,
@@ -50,8 +50,6 @@ from taufp.quiver import (
     separated_quiver,
 )
 from taufp.spectral import (
-    bn_family_char_polys,
-    dynkin_rho,
     gram_matrix,
     definiteness,
     largest_real_root,

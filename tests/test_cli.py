@@ -6,7 +6,7 @@ import pathlib
 import pytest
 
 import taufp.cli as cli
-import taufp.spectral
+import taufp.preproj
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -43,6 +43,13 @@ def test_quiver_verify_flag(capsys):
     code, out, _ = run(capsys, "quiver", "rho", "--verify", "--file",
                        FIXTURES / "b2_quiver.json")
     assert code == 0
+
+
+def test_quiver_verify_tiny_tol_terminates(capsys):
+    # 1e-20 rounds to 0 at denominator 10**18; the Sturm bisection must still stop
+    code, out, _ = run(capsys, "quiver", "rho", "--file", FIXTURES / "b2_quiver.json",
+                       "--verify", "--tol", "1e-20")
+    assert code == 0 and "rho = 1.618033988750" in out
 
 
 def test_lattice_commands(capsys):
@@ -111,8 +118,8 @@ def test_preproj_commands(capsys):
 
 
 def test_preproj_verdict_failure_exit1(capsys, monkeypatch):
-    monkeypatch.setattr(taufp.spectral, "dynkin_rho", lambda *a, **k: 99.0)
-    monkeypatch.setattr(cli.spectral, "dynkin_rho", lambda *a, **k: 99.0)
+    monkeypatch.setattr(taufp.preproj, "dynkin_rho", lambda *a, **k: 99.0)
+    monkeypatch.setattr(cli.preproj, "dynkin_rho", lambda *a, **k: 99.0)
     code, out, _ = run(capsys, "preproj", "rho", "--type", "A", "--rank", 2)
     assert code == 1 and "FAIL" in out
 

@@ -5,22 +5,23 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
 
 from taufp.errors import ConsistencyError
+from taufp.preproj import bn_family_char_polys, dynkin_rho
 from taufp.quiver import Quiver, build_quiver, connected_components
 from taufp.spectral import (
     IntPolynomial,
     SymIntMatrix,
-    bn_family_char_polys,
     char_poly,
     definiteness,
-    dynkin_rho,
     gram_matrix,
     largest_real_root,
     spectral_radius,
 )
 
-from helpers import random_quiver
+from helpers import random_quiver, sturm_largest_root_reference
 
 
 def test_char_poly_examples():
@@ -52,6 +53,64 @@ def test_largest_real_root():
         largest_real_root(IntPolynomial((1, 0, 1)))  # x^2 + 1
 
 
+def test_largest_real_root_rejects_bad_tol():
+    for tol in (0, 0.0, -1e-12, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            largest_real_root(IntPolynomial((-1, -1, 1)), tol=tol)
+
+
+def test_largest_real_root_tiny_tol_terminates():
+    # tol below 5e-19 rounds to 0 at denominator 10**18; the exact tol is
+    # used instead, so the bisection still stops
+    phi = (1 + math.sqrt(5)) / 2
+    for tol in (1e-20, 1e-300, 5e-324):
+        got = largest_real_root(IntPolynomial((-1, -1, 1)), tol=tol)
+        assert got == pytest.approx(phi, abs=1e-15)
+
+
+@st.composite
+def integer_polys(draw):
+    """Coefficient tuples, lowest degree first: either random coefficients
+    (constants included) or products of a nonzero constant, linear factors
+    with multiplicities and quadratics with no real root.  A product may be
+    restricted to negative roots."""
+    if draw(st.booleans()):
+        coeffs = draw(st.lists(st.integers(-20, 20), min_size=1, max_size=9))
+        coeffs[-1] = coeffs[-1] or draw(st.sampled_from([-3, -1, 1, 2]))
+        return tuple(coeffs)
+    poly = IntPolynomial((draw(st.sampled_from([-6, -3, -2, -1, 1, 2, 5])),))
+    negative_only = draw(st.booleans())
+    for _ in range(draw(st.integers(0, 3))):
+        a = draw(st.integers(1, 4))
+        b = draw(st.integers(1, 9) if negative_only else st.integers(-9, 9))
+        for _ in range(draw(st.integers(1, 3))):
+            poly = poly * IntPolynomial((b, a))  # a x + b, root -b/a
+    for _ in range(draw(st.integers(0, 2))):
+        b = draw(st.integers(-4, 4))
+        c = draw(st.integers(b * b // 4 + 1, b * b // 4 + 9))  # b^2 < 4c
+        poly = poly * IntPolynomial((c, b, 1))
+    return poly.coeffs
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(integer_polys(), st.sampled_from([1e-3, 1e-6, 1e-12, 1e-13]))
+def test_largest_real_root_matches_fraction_reference_and_sympy(coeffs, tol):
+    try:
+        want = sturm_largest_root_reference(coeffs, tol)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=str(exc)):
+            largest_real_root(IntPolynomial(coeffs), tol)
+        return
+    got = largest_real_root(IntPolynomial(coeffs), tol)
+    assert got.hex() == want.hex()
+    # independent exact isolation: the largest root's isolating interval
+    x = sympy.Symbol("x")
+    intervals = sympy.Poly(list(reversed(coeffs)), x).intervals(eps=Fraction(tol))
+    (a, b), _ = max(intervals, key=lambda iv: iv[0][1])
+    a, b = Fraction(int(a.p), int(a.q)), Fraction(int(b.p), int(b.q))
+    assert a - Fraction(tol) <= Fraction(got) <= b + Fraction(tol)
+
+
 def test_spectral_radius_basics():
     assert spectral_radius(build_quiver([], [])) == 0.0
     acyclic = build_quiver(["1", "2", "3"], [("1", "2", 1), ("1", "3", 1), ("2", "3", 1)])
@@ -65,6 +124,24 @@ def test_spectral_radius_basics():
     assert spectral_radius(allones, verify=True) == pytest.approx(2.0, abs=1e-11)
     with pytest.raises(ValueError):
         spectral_radius(allones, tol=0.0)
+
+
+def _dense_strongly_connected(n, seed):
+    """Arrows with probability 1/2 and multiplicity 1..3, plus a random
+    Hamiltonian cycle, so the quiver is strongly connected."""
+    rng = np.random.default_rng(seed)
+    adj = (rng.random((n, n)) < 0.5) * rng.integers(1, 4, size=(n, n))
+    perm = rng.permutation(n)
+    adj[perm, np.roll(perm, 1)] = np.maximum(adj[perm, np.roll(perm, 1)], 1)
+    return Quiver([f"v{i}" for i in range(n)], adj)
+
+
+@pytest.mark.parametrize("n", [24, 32, pytest.param(48, marks=pytest.mark.stretch)])
+def test_verify_dense_size_ceiling(n):
+    # exact char-poly and Sturm route on dense quivers; ~0.1 s, 0.25 s, 1.3 s
+    q = _dense_strongly_connected(n, seed=n)
+    want = float(np.abs(np.linalg.eigvals(q.adj.astype(float))).max())
+    assert spectral_radius(q, verify=True) == pytest.approx(want, abs=1e-9)
 
 
 def test_spectral_radius_loops_only():
