@@ -149,18 +149,10 @@ def _cmd_coxeter(args, report: Report) -> None:
         report.value("witness", witness)
 
 
-_TABLE_TYPES = (
-    [("A", r) for r in range(1, 7)]
-    + [("B", r) for r in (2, 3, 4)]
-    + [("C", r) for r in (2, 3, 4)]
-    + [("D", 4), ("D", 5), ("E", 6), ("F", 4), ("G", 2)]
-)
-
-
 def _cmd_preproj(args, report: Report) -> None:
     if args.subcmd == "table":
         all_ok = True
-        for fam, rank in _TABLE_TYPES:
+        for fam, rank in preproj.TABLE_TYPES:
             for mult in (1, 2):
                 cd = coxeter.cartan_matrix(fam, rank, multiplier=mult)
                 computed = spectral.spectral_radius(preproj.gabriel_quiver(cd))
@@ -172,7 +164,7 @@ def _cmd_preproj(args, report: Report) -> None:
                     f"{fam}{rank} ({kind}): rho = {_fmt(computed)} closed = {_fmt(closed)} "
                     f"{'PASS' if ok else 'FAIL'}"
                 )
-        report.doc["values"]["rows"] = len(_TABLE_TYPES) * 2
+        report.doc["values"]["rows"] = len(preproj.TABLE_TYPES) * 2
         report.verdict("tables", all_ok)
         return
     cd = _cartan_from_args(args)

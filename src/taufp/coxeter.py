@@ -5,10 +5,12 @@ simple-root coordinates: the generator s_i sends alpha_j to
 alpha_j - c_{ji} alpha_i.  Elements are deduplicated by their matrix, so
 identities are exact.  The right weak order is generated by breadth-first
 search from the identity along ascents, one length level at a time: the
-level's matrices are stacked, its ascents found in one comparison and all
-products w s_i taken in one batched matmul, so Python only deduplicates.
-The order is returned as a FiniteLattice whose element names are
-lex-minimal reduced words.
+level's matrices are stacked, its ascents found in one comparison, the
+products w s_i over those ascents taken in one batched matmul and
+deduplicated in one np.unique on the matrix bytes.  A product over an
+ascent is one longer, so no element can repeat across levels.  The order
+is returned as a FiniteLattice whose element names are lex-minimal
+reduced words.
 """
 
 from __future__ import annotations
@@ -298,13 +300,18 @@ class WeakOrder:
         return self.elements[name]
 
 
-def _weak_order_covers(cartan: CartanData, budget: int):
+def _weak_order_covers(cartan: CartanData, budget: int, keep_elements: bool = False):
     """Level-batched BFS of (W, <=_R) from the identity along ascents.
 
-    Returns the declaration order (BFS order, each level in lex order of
-    words), the covers (w s_i, w) in the order they are found, and the
-    elements by name.  Raises BudgetError before any work when the group
-    order exceeds the budget.
+    Returns the declaration order (BFS order; within a level, the order in
+    which the elements are first reached, scanning the previous level in
+    order and each element's ascents by generator, which is lex order of
+    the words), the covers (w s_i, w) in the same scan order, and, with
+    keep_elements, the WeylElements by name (None without).
+    An ascent w s_i has length l(w) + 1, so a product can only repeat within
+    its own level: each level is deduplicated on its own by np.unique on the
+    matrix bytes.  Raises BudgetError before any work when the group order
+    exceeds the budget.
     """
     total = weyl_order(cartan.family, cartan.rank)
     if total > budget:
@@ -313,37 +320,35 @@ def _weak_order_covers(cartan: CartanData, budget: int):
         )
     gens = np.stack(cartan._gens)
     ident = identity_element(cartan)
-    names: dict[bytes, str] = {ident.key(): "e"}
-    elements: dict[str, WeylElement] = {"e": ident}
+    elements = {"e": ident} if keep_elements else None
     declaration = ["e"]
     covers: list[tuple[str, str]] = []
-    level = [("e", ident)]
-    while level:
-        mats = np.stack([w.mat for _, w in level])
+    names, prefixes, words = ["e"], [""], [()]  # a child's name extends its prefix
+    mats = ident.mat[None]
+    while True:
         # i is an ascent of w iff column i of w is a positive root
-        ascents = (mats >= 0).all(axis=1).tolist()
-        prods = mats[:, None] @ gens[None]
-        nxt: list[tuple[str, WeylElement]] = []
-        for (wname, w), asc, row in zip(level, ascents, prods):
-            prefix = wname if w.word else ""
-            for i, up in enumerate(asc):
-                if not up:
-                    continue
-                key = row[i].tobytes()
-                nm = names.get(key)
-                if nm is None:
-                    nm = prefix + str(i + 1)
-                    # copy, so that the element does not keep the batch alive
-                    elem = WeylElement(row[i].copy(), w.word + (i + 1,))
-                    names[key] = nm
-                    elements[nm] = elem
-                    declaration.append(nm)
-                    nxt.append((nm, elem))
-                covers.append((nm, wname))
-        level = nxt
-    if len(elements) != total:
+        parent, gen = np.nonzero((mats >= 0).all(axis=1))
+        if not len(parent):
+            break
+        prods = mats[parent] @ gens[gen]
+        keys = prods.reshape(len(prods), -1).view(f"V{prods[0].nbytes}").ravel()
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        order = np.argsort(first)  # new elements in order of first occurrence
+        rank = np.argsort(order)
+        first = first[order].tolist()
+        parent, gen = parent.tolist(), (gen + 1).tolist()
+        new = [prefixes[parent[c]] + str(gen[c]) for c in first]
+        covers.extend(zip([new[r] for r in rank[inverse].tolist()],
+                          [names[p] for p in parent]))
+        declaration.extend(new)
+        mats = prods[first]
+        if keep_elements:
+            words = [words[parent[c]] + (gen[c],) for c in first]
+            elements.update((nm, WeylElement(m, w)) for nm, m, w in zip(new, mats, words))
+        names = prefixes = new
+    if len(declaration) != total:
         raise AssertionError(
-            f"BFS found {len(elements)} elements of {cartan.name}, expected {total}"
+            f"BFS found {len(declaration)} elements of {cartan.name}, expected {total}"
         )
     return declaration, covers, elements
 
@@ -355,7 +360,7 @@ def weak_order(cartan: CartanData, budget: int = DEFAULT_BUDGET) -> WeakOrder:
     ascent i, so upper means longer.  Raises BudgetError up front when the
     group order exceeds the budget.
     """
-    declaration, covers, elements = _weak_order_covers(cartan, budget)
+    declaration, covers, elements = _weak_order_covers(cartan, budget, keep_elements=True)
     return WeakOrder(cartan, from_covers(declaration, covers), elements)
 
 

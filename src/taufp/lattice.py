@@ -3,11 +3,16 @@
 A lattice is stored by its Hasse diagram: cover pairs (upper, lower) with
 upper covering lower.  Reachability is kept as ancestor bitsets (one Python
 int per element), which makes joins and meets cheap even on weak orders
-with tens of thousands of elements.  The FP dimension of a lattice scans,
-for each non-maximal element x, the quiver on the upper covers of x whose
-arrows y -> y' record that y is not a lower cover of y v y'.  The scan works
-on element indices, and each distinct quiver has its spectral radius
-computed once per call.
+with tens of thousands of elements.
+
+Every lattice is certified at construction, at any size.  A bounded finite
+poset is a lattice as soon as any two upper covers of a common element have
+a join (Bjorner-Edelman-Ziegler, DCG 5 (1990), Lemma 2.1), so the
+constructor computes exactly those joins and raises LatticeError on the
+first one missing.  The same joins give the cover quivers: Q(x, dp(x)) has
+vertices the upper covers y of x and an arrow y -> y' exactly when y is not
+a lower cover of y v y'.  Each is kept as one row-major bitmask, which the
+FP dimension scan reads without computing any join.
 """
 
 from __future__ import annotations
@@ -26,19 +31,13 @@ __all__ = [
     "fpdim_lattice",
     "lattice_to_dict",
     "lattice_from_dict",
-    "FULL_VALIDATION_MAX",
 ]
-
-# full pairwise join/meet validation is O(|L|^2); above this size we rely on
-# structural checks plus on-demand join computation (which still detects a
-# missing join whenever one is requested)
-FULL_VALIDATION_MAX = 600
 
 
 class FiniteLattice:
-    """Validated finite lattice. Use :func:`from_covers` to build one."""
+    """Certified finite lattice. Use :func:`from_covers` to build one."""
 
-    def __init__(self, elements, covers, _validate_pairs=None):
+    def __init__(self, elements, covers):
         self.elements: tuple[str, ...] = tuple(str(e) for e in elements)
         if not self.elements:
             raise ValueError("a lattice needs at least one element")
@@ -46,17 +45,14 @@ class FiniteLattice:
             raise ValueError("duplicate element names")
         self._index = {e: i for i, e in enumerate(self.elements)}
         n = len(self.elements)
-        self.covers: tuple[tuple[str, str], ...] = tuple(
-            (str(u), str(l)) for u, l in covers
-        )
+        self.covers: tuple[tuple[str, str], ...] = tuple((str(u), str(l)) for u, l in covers)
         self._parents: list[list[int]] = [[] for _ in range(n)]  # upper covers
         self._children: list[list[int]] = [[] for _ in range(n)]  # lower covers
         seen = set()
         for u, l in self.covers:
-            if u not in self._index:
-                raise ValueError(f"cover references unknown element {u!r}")
-            if l not in self._index:
-                raise ValueError(f"cover references unknown element {l!r}")
+            for e in (u, l):
+                if e not in self._index:
+                    raise ValueError(f"cover references unknown element {e!r}")
             if u == l:
                 raise ValueError(f"cover ({u!r}, {l!r}) relates an element to itself")
             iu, il = self._index[u], self._index[l]
@@ -65,6 +61,8 @@ class FiniteLattice:
             seen.add((iu, il))
             self._children[iu].append(il)
             self._parents[il].append(iu)
+        for ps in self._parents:
+            ps.sort()  # the vertex order of Q(x, dp(x))
 
         self._toporder = self._topological_order()
         # Bitsets are indexed by topological POSITION (maxima first), not by
@@ -80,22 +78,16 @@ class FiniteLattice:
 
         maxima = [i for i in range(n) if not self._parents[i]]
         minima = [i for i in range(n) if not self._children[i]]
-        if _validate_pairs:
-            self._validate_joins_meets()
+        # acyclic and nonempty, so there is at least one of each
         if len(maxima) != 1:
-            names = sorted(self.elements[i] for i in maxima)
-            raise LatticeError(
-                f"no join for ({names[0]}, {names[1]})" if len(names) > 1 else "no maximum",
-                tuple(names[:2]) if len(names) > 1 else None,
-            )
+            a, b = sorted(self.elements[i] for i in maxima)[:2]
+            raise LatticeError(f"no join for ({a}, {b})", (a, b))
         if len(minima) != 1:
-            names = sorted(self.elements[i] for i in minima)
-            raise LatticeError(
-                f"no meet for ({names[0]}, {names[1]})" if len(names) > 1 else "no minimum",
-                tuple(names[:2]) if len(names) > 1 else None,
-            )
+            a, b = sorted(self.elements[i] for i in minima)[:2]
+            raise LatticeError(f"no meet for ({a}, {b})", (a, b))
         self._max = maxima[0]
         self._min = minima[0]
+        self._qmask = self._certify()
 
     # -- construction helpers -------------------------------------------------
 
@@ -140,13 +132,40 @@ class FiniteLattice:
         return bool((self._up[i] >> self._pos[j]) & 1)
 
     def _check_reduced(self) -> None:
-        for u, l in self.covers:
-            iu, il = self._index[u], self._index[l]
-            for c in self._children[iu]:
-                if c != il and self._leq_idx(il, c):
+        # A cover implied by a longer path u > c > ... >= l puts l at least
+        # two below u in longest-path depth from the maxima, so only covers
+        # that skip a depth need the bitset test (on a weak order, none).
+        depth = [0] * len(self.elements)
+        for v in self._toporder:
+            for c in self._children[v]:
+                depth[c] = max(depth[c], depth[v] + 1)
+        for iu, cs in enumerate(self._children):
+            for il in cs:
+                if depth[il] > depth[iu] + 1 and any(self._leq_idx(il, c) for c in cs if c != il):
+                    u, l = self.elements[iu], self.elements[il]
                     raise ValueError(
                         f"cover ({u!r}, {l!r}) is implied by other covers (not transitively reduced)"
                     )
+
+    def _certify(self) -> list[int]:
+        """Join every two upper covers of each element; return the arrows of
+        each Q(x, dp(x)) as a bitmask, bit a*m + b for the arrow ys[a] -> ys[b]
+        on the m sorted upper covers ys.  With the unique extremes already
+        checked, these joins prove the lattice axioms (module docstring)."""
+        children = self._children
+        qmask = [0] * len(self.elements)
+        for x, ys in enumerate(self._parents):
+            m = len(ys)
+            mask = 0
+            for a in range(m):
+                for b in range(a + 1, m):
+                    ds = children[self._join_idx(ys[a], ys[b])]
+                    if ys[a] not in ds:
+                        mask |= 1 << (a * m + b)
+                    if ys[b] not in ds:
+                        mask |= 1 << (b * m + a)
+            qmask[x] = mask
+        return qmask
 
     def _join_idx(self, i: int, j: int) -> int:
         # Bits sit at topological positions, maxima first, so any element of
@@ -173,13 +192,6 @@ class FiniteLattice:
             f"no meet for ({self.elements[i]}, {self.elements[j]})",
             (self.elements[i], self.elements[j]),
         )
-
-    def _validate_joins_meets(self) -> None:
-        n = len(self.elements)
-        for i in range(n):
-            for j in range(i + 1, n):
-                self._join_idx(i, j)
-                self._meet_idx(i, j)
 
     # -- public API ------------------------------------------------------------
 
@@ -241,52 +253,33 @@ class FiniteLattice:
         return f"FiniteLattice({len(self.elements)} elements, {len(self.covers)} covers)"
 
 
-def from_covers(elements, covers, validate: bool | None = None) -> FiniteLattice:
-    """Build a validated lattice from (upper, lower) cover pairs.
+def from_covers(elements, covers) -> FiniteLattice:
+    """Build a lattice from (upper, lower) cover pairs, certified at any size.
 
-    validate=None runs the full pairwise join/meet validation when the
-    lattice has at most FULL_VALIDATION_MAX elements; True forces it, False
-    keeps only the structural checks (acyclicity, transitive reduction,
-    unique maximum and minimum).
+    Checks that the covers are acyclic and transitively reduced, that there
+    is one maximum and one minimum, and that any two upper covers of an
+    element have a join, which proves the lattice axioms.  A missing join
+    raises LatticeError naming the pair.
     """
-    elements = list(elements)
-    if validate is None:
-        validate = len(elements) <= FULL_VALIDATION_MAX
-    return FiniteLattice(elements, covers, _validate_pairs=validate)
+    return FiniteLattice(list(elements), covers)
 
 
 def opposite(lat: FiniteLattice) -> FiniteLattice:
     """Same elements, reversed covers (the order-dual lattice)."""
-    return FiniteLattice(
-        lat.elements, [(l, u) for u, l in lat.covers], _validate_pairs=False
-    )
-
-
-def _q_adj(lat: FiniteLattice, ys: list[int]) -> np.ndarray:
-    """Adjacency matrix of Q on upper covers ys (indices, declaration order)."""
-    m = len(ys)
-    adj = np.zeros((m, m), dtype=np.int64)
-    for a in range(m):
-        for b in range(a + 1, m):
-            ds = lat._children[lat._join_idx(ys[a], ys[b])]
-            if ys[a] not in ds:
-                adj[a, b] = 1
-            if ys[b] not in ds:
-                adj[b, a] = 1
-    return adj
+    return FiniteLattice(lat.elements, [(l, u) for u, l in lat.covers])
 
 
 def q_of(lat: FiniteLattice, x: str, ys=None) -> Quiver:
     """Quiver on a set of upper covers of x.
 
-    Vertices are the chosen covers Y (all of dp(x) when ys is None); there
-    is one arrow y -> y' exactly when y is not a lower cover of y v y'.
-    Loops never occur and arrows are never multiple.
+    Vertices are the chosen covers Y (all of dp(x) when ys is None), in
+    declaration order; there is one arrow y -> y' exactly when y is not a
+    lower cover of y v y'.  That depends on y and y' only, so Q(x, Y) is the
+    full subquiver of Q(x, dp(x)) on Y, read off the mask the constructor
+    stored.  Loops never occur and arrows are never multiple.
     """
     dp = lat.upper_covers(x)
-    if ys is None:
-        ys = dp
-    ys = [str(y) for y in ys]
+    ys = [str(y) for y in (dp if ys is None else ys)]
     if not ys:
         raise ValueError("Y must be nonempty")
     if len(set(ys)) != len(ys):
@@ -294,8 +287,12 @@ def q_of(lat: FiniteLattice, x: str, ys=None) -> Quiver:
     stray = [y for y in ys if y not in dp]
     if stray:
         raise ValueError(f"{stray[0]!r} is not an upper cover of {x!r}")
-    idx = sorted(lat.index(y) for y in ys)
-    return Quiver([lat.elements[i] for i in idx], _q_adj(lat, idx))
+    ix = lat.index(x)
+    labels = [lat.elements[y] for y in lat._parents[ix]]
+    m, mask = len(labels), lat._qmask[ix]
+    rows = [a for a, y in enumerate(labels) if y in ys]
+    adj = [[(mask >> (a * m + b)) & 1 for b in rows] for a in rows]
+    return Quiver([labels[a] for a in rows], np.array(adj, dtype=np.int64))
 
 
 def fpdim_lattice(lat: FiniteLattice, tol: float = 1e-12) -> tuple[float, str | None]:
@@ -304,26 +301,26 @@ def fpdim_lattice(lat: FiniteLattice, tol: float = 1e-12) -> tuple[float, str | 
     Maximizes rho(Q(x, dp(x))) over all x below the maximum; elements with a
     single upper cover contribute 0 and are skipped.  Ties go to the first
     element in declaration order; a one-element lattice gives (0.0, None).
-    Within one call each distinct adjacency matrix of Q(x, dp(x)) has its
-    spectral radius computed once (the E6 weak order has 99 among 50,567).
+    Each Q(x, dp(x)) is the arrow mask stored by the constructor, so no join
+    is computed here, and within one call each distinct (size, mask) has its
+    quiver built and its spectral radius computed once (the E6 weak order
+    has 99 among 50,567).
     """
     best = 0.0
     witness = None
-    rhos: dict[tuple[int, bytes], float] = {}
-    for x in range(len(lat)):
+    rhos: dict[tuple[int, int], float] = {}
+    for x, ys in enumerate(lat._parents):
         if x == lat._max:
             continue
         if witness is None:
             witness = x
-        ys = sorted(lat._parents[x])
-        if len(ys) <= 1:
+        m = len(ys)
+        if m <= 1:
             continue
-        adj = _q_adj(lat, ys)
-        key = (len(ys), adj.tobytes())
+        key = (m, lat._qmask[x])
         rho = rhos.get(key)
         if rho is None:
-            rho = spectral_radius(Quiver([lat.elements[y] for y in ys], adj), tol=tol)
-            rhos[key] = rho
+            rho = rhos[key] = spectral_radius(q_of(lat, lat.elements[x]), tol=tol)
         if rho > best + tol:
             best = rho
             witness = x
@@ -338,7 +335,7 @@ def lattice_to_dict(lat: FiniteLattice) -> dict:
     }
 
 
-def lattice_from_dict(data: dict, validate: bool | None = None) -> FiniteLattice:
+def lattice_from_dict(data: dict) -> FiniteLattice:
     if not isinstance(data, dict) or "elements" not in data or "covers" not in data:
         raise ValueError('lattice JSON needs "elements" and "covers" keys')
     covers = []
@@ -346,4 +343,4 @@ def lattice_from_dict(data: dict, validate: bool | None = None) -> FiniteLattice
         if len(c) != 2:
             raise ValueError(f"cover {c!r} is not an [upper, lower] pair")
         covers.append((c[0], c[1]))
-    return from_covers(data["elements"], covers, validate=validate)
+    return from_covers(data["elements"], covers)

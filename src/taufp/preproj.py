@@ -27,7 +27,14 @@ __all__ = [
     "tau_tiltp_model",
     "dynkin_rho",
     "bn_family_char_polys",
+    "TABLE_TYPES",
 ]
+
+# the Dynkin types of the FP dimension tables, A1-A6 through G2
+TABLE_TYPES = tuple(
+    [("A", r) for r in range(1, 7)] + [("B", r) for r in (2, 3, 4)]
+    + [("C", r) for r in (2, 3, 4)] + [("D", 4), ("D", 5), ("E", 6), ("F", 4), ("G", 2)]
+)
 
 
 def gabriel_quiver(cartan: CartanData) -> Quiver:
@@ -73,8 +80,7 @@ def tau_tiltp_model(cartan: CartanData, budget: int = DEFAULT_BUDGET) -> FiniteL
     built; its elements and covers are in the order of
     opposite(weak_order(cartan).lattice).
     """
-    # the elements are not kept: they would stay alive while the lattice builds
-    declaration, covers = _weak_order_covers(cartan, budget)[:2]
+    declaration, covers, _ = _weak_order_covers(cartan, budget)
     return from_covers(declaration, [(l, u) for u, l in covers])
 
 

@@ -345,8 +345,8 @@ def spectral_radius(q: Quiver, tol: float = 1e-12, verify: bool = False) -> floa
     exact characteristic-polynomial root isolation and the two must agree
     within 10*tol.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not (tol > 0 and math.isfinite(tol)):
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     if q.n == 0:
         return 0.0
     rho = 0.0

@@ -20,6 +20,8 @@ import itertools
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
+
 from taufp.nakayama import NakayamaAlgebra, Uniserial, make_algebra
 
 
@@ -261,6 +263,50 @@ def sturm_largest_root_reference(coeffs, tol=1e-12):
         else:
             hi = mid
     return float((lo + hi) / 2)
+
+
+# ---------------------------------------------------------------------------
+# Weak-order reference: the plain breadth-first search, one element at a
+# time, with a dict from matrix bytes to name across all levels.
+
+
+def weak_order_reference(cartan):
+    """Right weak order of the Weyl group of an integer Cartan matrix.
+
+    The generator s_i acts on simple-root coordinates by alpha_j ->
+    alpha_j - c_ji alpha_i; i is an ascent of w iff column i of w is
+    nonnegative.  Elements are named by their first-found reduced word
+    ("e" for the identity), declared in the order they are found, and each
+    ascent gives the cover (w s_i, w).  Returns (names, covers, words, mats).
+    """
+    c = np.asarray(cartan, dtype=np.int64)
+    n = len(c)
+    gens = []
+    for i in range(n):
+        g = np.eye(n, dtype=np.int64)
+        g[i, :] -= c[:, i]
+        gens.append(g)
+    names, covers = ["e"], []
+    words, mats = {"e": ()}, {"e": np.eye(n, dtype=np.int64)}
+    by_key = {mats["e"].tobytes(): "e"}
+    head = 0
+    while head < len(names):
+        wname = names[head]
+        head += 1
+        w = mats[wname]
+        for i in range(n):
+            if (w[:, i] < 0).any():
+                continue
+            prod = w @ gens[i]
+            child = by_key.get(prod.tobytes())
+            if child is None:
+                child = ("" if wname == "e" else wname) + str(i + 1)
+                by_key[prod.tobytes()] = child
+                names.append(child)
+                words[child] = words[wname] + (i + 1,)
+                mats[child] = prod
+            covers.append((child, wname))
+    return names, covers, [words[x] for x in names], [mats[x] for x in names]
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,13 @@ from taufp.nakayama import (
     tau_tiltp_lattice,
     tau_tilting_pairs,
 )
-from taufp.preproj import bn_family_char_polys, dynkin_rho, gabriel_quiver, tau_tiltp_model
+from taufp.preproj import (
+    TABLE_TYPES as TABLE_GRID,
+    bn_family_char_polys,
+    dynkin_rho,
+    gabriel_quiver,
+    tau_tiltp_model,
+)
 from taufp.quiver import (
     Quiver,
     build_quiver,
@@ -61,13 +67,6 @@ from helpers import ext_oracle, hom_oracle, nakayama_corpus
 TOL = 1e-9
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 CORPUS = nakayama_corpus(n_max=4, l_max=8)
-
-TABLE_GRID = (
-    [("A", r) for r in range(1, 7)]
-    + [("B", r) for r in (2, 3, 4)]
-    + [("C", r) for r in (2, 3, 4)]
-    + [("D", 4), ("D", 5), ("E", 6), ("F", 4), ("G", 2)]
-)
 
 COXETER_MAIN = [("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("C", 3), ("D", 4), ("G", 2)]
 

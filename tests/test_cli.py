@@ -52,6 +52,16 @@ def test_quiver_verify_tiny_tol_terminates(capsys):
     assert code == 0 and "rho = 1.618033988750" in out
 
 
+@pytest.mark.parametrize("tol", ["inf", "nan"])
+def test_quiver_rho_rejects_non_finite_tol(capsys, tol):
+    # an infinite tol stopped the power iteration after one step and made the
+    # verify check vacuous; a nan tol ran every iteration before failing
+    code, out, err = run(capsys, "quiver", "rho", "--file", FIXTURES / "b2_quiver.json",
+                         "--tol", tol, "--verify")
+    assert code == 2 and out == ""
+    assert "tol must be positive and finite" in err
+
+
 def test_lattice_commands(capsys):
     code, out, _ = run(capsys, "lattice", "fpdim", "--file", FIXTURES / "example31.json")
     assert code == 0 and "fpdim = 2.000000000000" in out and "witness: x" in out

@@ -17,6 +17,9 @@ from taufp.coxeter import (
     weyl_order,
 )
 from taufp.errors import BudgetError
+from taufp.preproj import TABLE_TYPES
+
+from helpers import weak_order_reference
 
 RANK2PLUS = [("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 3), ("D", 4), ("F", 4), ("G", 2)]
 
@@ -196,3 +199,21 @@ def test_length_counts_inverted_positive_roots():
         for name, elem in w.elements.items():
             negated = sum(1 for r in pos if (elem.mat @ r <= 0).all())
             assert negated == elem.length, name
+
+
+REFERENCE_TYPES = [t for t in TABLE_TYPES if t not in (("A", 6), ("E", 6))]
+
+
+@pytest.mark.parametrize("fam, rank", REFERENCE_TYPES)
+def test_weak_order_matches_reference_bfs(fam, rank):
+    # the level-batched BFS keeps the names, declaration order, cover order,
+    # words and matrices of the plain one-element-at-a-time search
+    cd = cartan_matrix(fam, rank)
+    w = weak_order(cd)
+    names, covers, words, mats = weak_order_reference(cd.cartan)
+    assert w.lattice.elements == tuple(names)
+    assert w.lattice.covers == tuple(covers)
+    assert list(w.elements) == names
+    for name, word, mat in zip(names, words, mats):
+        assert w.element(name).word == word, name
+        assert np.array_equal(w.element(name).mat, mat), name

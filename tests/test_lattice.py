@@ -149,16 +149,20 @@ def test_fpdim_invariant_under_relabeling():
 
 def test_random_poset_corpus_rejection():
     # from_covers accepts exactly the lattices, checked against a brute-force
-    # join/meet existence scan over random small posets
+    # join/meet existence scan over random posets with up to 10 elements; on
+    # every accepted one, q_of agrees with cover quivers built from the
+    # brute-force joins
     rng = np.random.default_rng(101)
-    seen_reject = seen_accept = 0
-    for _ in range(300):
-        n = int(rng.integers(2, 7))
+    seen_reject = seen_accept = seen_large = 0
+    for _ in range(600):
+        n = int(rng.integers(2, 11))
         names = [f"p{i}" for i in range(n)]
         rel = np.zeros((n, n), dtype=bool)  # rel[i, j]: i > j, only i < j slots
         for i in range(n):
             for j in range(i + 1, n):
                 rel[i, j] = rng.random() < 0.4
+        if rng.random() < 0.5:  # bounded: the joins of covers decide
+            rel[0, 1:] = rel[:-1, -1] = True
         # transitive closure (declaration order is the linear extension)
         for k in range(n):
             for i in range(n):
@@ -193,16 +197,51 @@ def test_random_poset_corpus_rejection():
                         return False
             return True
 
+        def brute_join(x, y):
+            ubs = [z for z in names if geq[(z, x)] and geq[(z, y)]]
+            (least,) = [m for m in ubs if all(geq[(z, m)] for z in ubs)]
+            return least
+
         expect = brute_is_lattice()
         try:
-            from_covers(names, covers, validate=True)
+            lat = from_covers(names, covers)
             got = True
         except LatticeError:
             got = False
         assert got == expect
         seen_reject += not expect
         seen_accept += expect
-    assert seen_reject > 20 and seen_accept > 20
+        seen_large += expect and n >= 7
+        if not got:
+            continue
+        cover_set = set(covers)
+        for x in names:
+            dp = [u for u in names if (u, x) in cover_set]
+            if not dp:
+                continue
+            want = [[int(y != z and (brute_join(y, z), y) not in cover_set) for z in dp]
+                    for y in dp]
+            q = q_of(lat, x)
+            assert list(q.labels) == dp
+            assert q.adj.tolist() == want
+    assert seen_reject > 20 and seen_accept > 20 and seen_large > 20
+
+
+def test_rejects_non_lattice_above_old_size_limit():
+    # a bowtie between two chains of 400 elements each: bounded, transitively
+    # reduced and 804 elements large, but the two lower covers c, d of the
+    # upper bowtie pair have no join; the pairwise check used to stop at 600
+    top = [f"t{i}" for i in range(400)]
+    bottom = [f"s{i}" for i in range(400)]
+    names = top + ["a", "b", "c", "d"] + bottom
+    covers = list(zip(top, top[1:])) + list(zip(bottom, bottom[1:]))
+    covers += [(top[-1], "a"), (top[-1], "b")]
+    covers += [(u, l) for u in ("a", "b") for l in ("c", "d")]
+    covers += [("c", bottom[0]), ("d", bottom[0])]
+    with pytest.raises(LatticeError) as exc:
+        from_covers(names, covers)
+    assert exc.value.pair == ("c", "d")
+    assert "no join for (c, d)" in str(exc.value)
 
 
 def test_json_roundtrip():

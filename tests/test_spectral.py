@@ -122,8 +122,9 @@ def test_spectral_radius_basics():
     allones = build_quiver(["1", "2"],
                            [("1", "2", 1), ("2", "1", 1), ("1", "1", 1), ("2", "2", 1)])
     assert spectral_radius(allones, verify=True) == pytest.approx(2.0, abs=1e-11)
-    with pytest.raises(ValueError):
-        spectral_radius(allones, tol=0.0)
+    for tol in (0.0, -1e-12, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="positive and finite"):
+            spectral_radius(allones, tol=tol)
 
 
 def _dense_strongly_connected(n, seed):
