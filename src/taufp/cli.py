@@ -12,6 +12,7 @@ nakayama.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -128,25 +129,21 @@ def _cartan_from_args(args) -> coxeter.CartanData:
 def _cmd_coxeter(args, report: Report) -> None:
     cd = _cartan_from_args(args)
     budget = _budget(coxeter.DEFAULT_BUDGET)
-    if args.subcmd == "order":
-        w = coxeter.weak_order(cd, budget=budget)
-        report.value("order", w.order)
-        return
-    w = coxeter.weak_order(cd, budget=budget)
-    if args.subcmd == "lattice":
-        report.value(
-            "lattice",
-            lattice.lattice_to_dict(w.lattice),
-            json.dumps(lattice.lattice_to_dict(w.lattice)),
-        )
-    elif args.subcmd == "longest":
-        w0 = coxeter.longest_element(w)
-        report.value("word", "".join(map(str, w0.word)))
-        report.value("length", w0.length)
-    else:  # fpdim of the opposite weak order (the tau-tilting poset model)
+    if args.subcmd == "fpdim":  # of the opposite weak order (the tau-tilting poset model)
         val, witness = lattice.fpdim_lattice(preproj.tau_tiltp_model(cd, budget=budget))
         report.real("fpdim", val)
         report.value("witness", witness)
+        return
+    w = coxeter.weak_order(cd, budget=budget)
+    if args.subcmd == "order":
+        report.value("order", w.order)
+    elif args.subcmd == "lattice":
+        doc = lattice.lattice_to_dict(w.lattice)
+        report.value("lattice", doc, json.dumps(doc))
+    else:  # longest
+        w0 = coxeter.longest_element(w)
+        report.value("word", "".join(map(str, w0.word)))
+        report.value("length", w0.length)
 
 
 def _cmd_preproj(args, report: Report) -> None:
@@ -243,7 +240,9 @@ def _cmd_nakayama(args, report: Report) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and reused by every main()."""
     top = argparse.ArgumentParser(prog="taufp", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
@@ -284,17 +283,6 @@ def _build_parser() -> argparse.ArgumentParser:
     pn.add_argument("--kupisch", required=True, help="comma-separated Kupisch series")
     add_common(pn)
     return top
-
-
-_PARSER: argparse.ArgumentParser | None = None
-
-
-def _parser() -> argparse.ArgumentParser:
-    """The argument parser, built on first use and reused by every main()."""
-    global _PARSER
-    if _PARSER is None:
-        _PARSER = _build_parser()
-    return _PARSER
 
 
 _DISPATCH = {

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BudgetError
-from .lattice import FiniteLattice, from_covers
+from .lattice import FiniteLattice
 
 __all__ = [
     "CartanData",
@@ -306,12 +306,12 @@ def _weak_order_covers(cartan: CartanData, budget: int, keep_elements: bool = Fa
     Returns the declaration order (BFS order; within a level, the order in
     which the elements are first reached, scanning the previous level in
     order and each element's ascents by generator, which is lex order of
-    the words), the covers (w s_i, w) in the same scan order, and, with
-    keep_elements, the WeylElements by name (None without).
-    An ascent w s_i has length l(w) + 1, so a product can only repeat within
-    its own level: each level is deduplicated on its own by np.unique on the
-    matrix bytes.  Raises BudgetError before any work when the group order
-    exceeds the budget.
+    the words), the covers (w s_i, w) in the same scan order as declaration
+    index arrays upper and lower, and, with keep_elements, the WeylElements
+    by name (None without).  An ascent w s_i has length l(w) + 1, so a
+    product can only repeat within its own level: each level is deduplicated
+    on its own by np.unique on the matrix bytes.  Raises BudgetError before
+    any work when the group order exceeds the budget.
     """
     total = weyl_order(cartan.family, cartan.rank)
     if total > budget:
@@ -322,8 +322,8 @@ def _weak_order_covers(cartan: CartanData, budget: int, keep_elements: bool = Fa
     ident = identity_element(cartan)
     elements = {"e": ident} if keep_elements else None
     declaration = ["e"]
-    covers: list[tuple[str, str]] = []
-    names, prefixes, words = ["e"], [""], [()]  # a child's name extends its prefix
+    upper, lower = [], []
+    prefixes, words = [""], [()]  # a child's name extends its prefix
     mats = ident.mat[None]
     while True:
         # i is an ascent of w iff column i of w is a positive root
@@ -335,22 +335,23 @@ def _weak_order_covers(cartan: CartanData, budget: int, keep_elements: bool = Fa
         _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
         order = np.argsort(first)  # new elements in order of first occurrence
         rank = np.argsort(order)
+        # the previous level fills the last len(prefixes) declaration slots
+        lower.append(parent + len(declaration) - len(prefixes))
+        upper.append(rank[inverse] + len(declaration))
         first = first[order].tolist()
         parent, gen = parent.tolist(), (gen + 1).tolist()
         new = [prefixes[parent[c]] + str(gen[c]) for c in first]
-        covers.extend(zip([new[r] for r in rank[inverse].tolist()],
-                          [names[p] for p in parent]))
         declaration.extend(new)
         mats = prods[first]
         if keep_elements:
             words = [words[parent[c]] + (gen[c],) for c in first]
             elements.update((nm, WeylElement(m, w)) for nm, m, w in zip(new, mats, words))
-        names = prefixes = new
+        prefixes = new
     if len(declaration) != total:
         raise AssertionError(
             f"BFS found {len(declaration)} elements of {cartan.name}, expected {total}"
         )
-    return declaration, covers, elements
+    return declaration, np.concatenate(upper), np.concatenate(lower), elements
 
 
 def weak_order(cartan: CartanData, budget: int = DEFAULT_BUDGET) -> WeakOrder:
@@ -360,8 +361,8 @@ def weak_order(cartan: CartanData, budget: int = DEFAULT_BUDGET) -> WeakOrder:
     ascent i, so upper means longer.  Raises BudgetError up front when the
     group order exceeds the budget.
     """
-    declaration, covers, elements = _weak_order_covers(cartan, budget, keep_elements=True)
-    return WeakOrder(cartan, from_covers(declaration, covers), elements)
+    declaration, upper, lower, elements = _weak_order_covers(cartan, budget, keep_elements=True)
+    return WeakOrder(cartan, FiniteLattice(declaration, upper, lower), elements)
 
 
 def longest_element(order: WeakOrder) -> WeylElement:

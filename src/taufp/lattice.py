@@ -1,9 +1,11 @@
 """Finite lattices from Hasse covers, and their Frobenius-Perron dimension.
 
-A lattice is stored by its Hasse diagram: cover pairs (upper, lower) with
-upper covering lower.  Reachability is kept as ancestor bitsets (one Python
-int per element), which makes joins and meets cheap even on weak orders
-with tens of thousands of elements.
+A lattice is stored by its Hasse diagram: two index arrays over the
+elements, upper[k] covering lower[k].  Names become indices only in
+from_covers; the Weyl BFS and the Nakayama pair order pass index arrays.
+Reachability is kept as ancestor bitsets (one Python int per element),
+which makes joins and meets cheap even on weak orders with tens of
+thousands of elements.
 
 Every lattice is certified at construction, at any size.  A bounded finite
 poset is a lattice as soon as any two upper covers of a common element have
@@ -16,6 +18,8 @@ FP dimension scan reads without computing any join.
 """
 
 from __future__ import annotations
+
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -35,9 +39,10 @@ __all__ = [
 
 
 class FiniteLattice:
-    """Certified finite lattice. Use :func:`from_covers` to build one."""
+    """Certified finite lattice; the covers are two index arrays into
+    elements, upper[k] covering lower[k].  See :func:`from_covers`."""
 
-    def __init__(self, elements, covers):
+    def __init__(self, elements, upper, lower):
         self.elements: tuple[str, ...] = tuple(str(e) for e in elements)
         if not self.elements:
             raise ValueError("a lattice needs at least one element")
@@ -45,22 +50,24 @@ class FiniteLattice:
             raise ValueError("duplicate element names")
         self._index = {e: i for i, e in enumerate(self.elements)}
         n = len(self.elements)
-        self.covers: tuple[tuple[str, str], ...] = tuple((str(u), str(l)) for u, l in covers)
+        up = self._upper = np.array(upper, dtype=np.int64).reshape(-1)
+        lo = self._lower = np.array(lower, dtype=np.int64).reshape(-1)
+        if len(up) != len(lo) or not np.all((0 <= up) & (up < n) & (0 <= lo) & (lo < n)):
+            raise ValueError("covers must be two index arrays of one length into elements")
+        loops = np.flatnonzero(up == lo)
+        if len(loops):
+            e = self.elements[up[loops[0]]]
+            raise ValueError(f"cover ({e!r}, {e!r}) relates an element to itself")
+        _, first = np.unique(up * n + lo, return_index=True)
+        if len(first) != len(up):
+            k = np.setdiff1d(np.arange(len(up)), first)[0]  # earliest repeat
+            u, l = self.elements[up[k]], self.elements[lo[k]]
+            raise ValueError(f"duplicate cover ({u!r}, {l!r})")
         self._parents: list[list[int]] = [[] for _ in range(n)]  # upper covers
         self._children: list[list[int]] = [[] for _ in range(n)]  # lower covers
-        seen = set()
-        for u, l in self.covers:
-            for e in (u, l):
-                if e not in self._index:
-                    raise ValueError(f"cover references unknown element {e!r}")
-            if u == l:
-                raise ValueError(f"cover ({u!r}, {l!r}) relates an element to itself")
-            iu, il = self._index[u], self._index[l]
-            if (iu, il) in seen:
-                raise ValueError(f"duplicate cover ({u!r}, {l!r})")
-            seen.add((iu, il))
-            self._children[iu].append(il)
-            self._parents[il].append(iu)
+        for u, l in zip(up.tolist(), lo.tolist()):
+            self._children[u].append(l)
+            self._parents[l].append(u)
         for ps in self._parents:
             ps.sort()  # the vertex order of Q(x, dp(x))
 
@@ -249,24 +256,60 @@ class FiniteLattice:
             mask ^= low
         return [self.elements[i] for i in sorted(found)]
 
+    @property
+    def covers(self) -> Covers:
+        """The (upper, lower) name pairs in cover order."""
+        return Covers(self.elements, self._upper, self._lower)
+
     def __repr__(self):
-        return f"FiniteLattice({len(self.elements)} elements, {len(self.covers)} covers)"
+        return f"FiniteLattice({len(self.elements)} elements, {len(self._upper)} covers)"
+
+
+class Covers(Sequence):
+    """(upper, lower) name pairs in cover order, viewed through the index
+    arrays (len costs nothing); equal to any sequence of the same pairs."""
+
+    def __init__(self, elements, upper, lower):
+        self._names, self._upper, self._lower = elements, upper, lower
+
+    def __len__(self):
+        return len(self._upper)
+
+    def __getitem__(self, k):
+        return self._names[self._upper[k]], self._names[self._lower[k]]
+
+    def __iter__(self):
+        name = self._names.__getitem__
+        return zip(map(name, self._upper.tolist()), map(name, self._lower.tolist()))
+
+    def __eq__(self, other):
+        return isinstance(other, Sequence) and tuple(self) == tuple(other)
+
+    def __repr__(self):
+        return repr(tuple(self))
 
 
 def from_covers(elements, covers) -> FiniteLattice:
-    """Build a lattice from (upper, lower) cover pairs, certified at any size.
+    """Build a lattice from (upper, lower) name pairs, certified at any size.
 
-    Checks that the covers are acyclic and transitively reduced, that there
+    Maps names to indices (an unknown one raises ValueError); the constructor
+    checks that the covers are acyclic and transitively reduced, that there
     is one maximum and one minimum, and that any two upper covers of an
     element have a join, which proves the lattice axioms.  A missing join
-    raises LatticeError naming the pair.
-    """
-    return FiniteLattice(list(elements), covers)
+    raises LatticeError naming the pair."""
+    elements = [str(e) for e in elements]
+    index = {e: i for i, e in enumerate(elements)}
+    try:
+        ends = [index[str(e)] for u, l in covers for e in (u, l)]
+    except KeyError as exc:
+        raise ValueError(f"cover references unknown element {exc.args[0]!r}") from None
+    ends = np.array(ends, dtype=np.int64).reshape(-1, 2)
+    return FiniteLattice(elements, ends[:, 0], ends[:, 1])
 
 
 def opposite(lat: FiniteLattice) -> FiniteLattice:
     """Same elements, reversed covers (the order-dual lattice)."""
-    return FiniteLattice(lat.elements, [(l, u) for u, l in lat.covers])
+    return FiniteLattice(lat.elements, lat._lower, lat._upper)
 
 
 def q_of(lat: FiniteLattice, x: str, ys=None) -> Quiver:
@@ -336,11 +379,12 @@ def lattice_to_dict(lat: FiniteLattice) -> dict:
 
 
 def lattice_from_dict(data: dict) -> FiniteLattice:
+    """Inverse of lattice_to_dict; element names may also be JSON integers."""
     if not isinstance(data, dict) or "elements" not in data or "covers" not in data:
         raise ValueError('lattice JSON needs "elements" and "covers" keys')
-    covers = []
-    for c in data["covers"]:
-        if len(c) != 2:
-            raise ValueError(f"cover {c!r} is not an [upper, lower] pair")
-        covers.append((c[0], c[1]))
-    return from_covers(data["elements"], covers)
+    elements, covers = data["elements"], data["covers"]
+    if not (isinstance(elements, list) and isinstance(covers, list)
+            and all(isinstance(c, list) and len(c) == 2 for c in covers)):
+        raise ValueError('lattice JSON needs an "elements" array and a "covers" array of '
+                         '[upper, lower] arrays')
+    return from_covers(elements, covers)

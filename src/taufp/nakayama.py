@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import BudgetError, ConsistencyError
-from .lattice import FiniteLattice, from_covers
+from .lattice import FiniteLattice
 from .quiver import Quiver
 from .spectral import spectral_radius
 
@@ -302,13 +302,15 @@ class _Tables:
     def pair_lattice(self) -> FiniteLattice:
         lower = self.pair_lower
         names = [pr.name() for pr, _, _ in self.pairs]
-        covers = []
+        upper, covered = [], []  # the covers (pair i, pair j), as indices
         for i, down in enumerate(lower):
             below = _union(lower, down)
             if below >> i & 1:
                 raise ConsistencyError(f"{self.name}: tau-tilting order not antisymmetric")
-            covers.extend((names[i], names[j]) for j in _bits(down & ~below))
-        lat = from_covers(names, covers)
+            js = list(_bits(down & ~below))
+            upper += [i] * len(js)
+            covered += js
+        lat = FiniteLattice(names, upper, covered)
         top = TauPair(frozenset(self.mods[p] for p in self.proj), frozenset())
         bot = TauPair(frozenset(), frozenset(range(1, self.n + 1)))
         if lat.maximum != top.name() or lat.minimum != bot.name():

@@ -17,7 +17,7 @@ import numpy as np
 
 from .coxeter import _E_COXETER, CartanData, DEFAULT_BUDGET, _check_type_rank, _weak_order_covers
 from .errors import ConsistencyError
-from .lattice import FiniteLattice, from_covers
+from .lattice import FiniteLattice
 from .quiver import Quiver
 from .spectral import ONE, IntPolynomial, char_poly, spectral_radius
 
@@ -80,8 +80,8 @@ def tau_tiltp_model(cartan: CartanData, budget: int = DEFAULT_BUDGET) -> FiniteL
     built; its elements and covers are in the order of
     opposite(weak_order(cartan).lattice).
     """
-    declaration, covers, _ = _weak_order_covers(cartan, budget)
-    return from_covers(declaration, [(l, u) for u, l in covers])
+    declaration, upper, lower, _ = _weak_order_covers(cartan, budget)
+    return FiniteLattice(declaration, lower, upper)
 
 
 def dynkin_rho(family: str, rank: int, minimal: bool = True) -> float:

@@ -67,13 +67,8 @@ class Quiver:
 
     def arrows(self):
         """All arrows as (src_label, dst_label, multiplicity), multiplicity >= 1."""
-        out = []
-        for i in range(self.n):
-            for j in range(self.n):
-                m = int(self.adj[i, j])
-                if m:
-                    out.append((self.labels[i], self.labels[j], m))
-        return out
+        return [(self.labels[i], self.labels[j], int(self.adj[i, j]))
+                for i, j in zip(*np.nonzero(self.adj))]
 
     def __eq__(self, other):
         if not isinstance(other, Quiver):
@@ -87,14 +82,12 @@ class Quiver:
         return f"Quiver(labels={list(self.labels)!r}, adj={self.adj.tolist()!r})"
 
 
-EMPTY_QUIVER = Quiver([], [])
-
-
 def build_quiver(labels, arrows) -> Quiver:
     """Assemble a quiver from vertex labels and (src, dst, mult) triples.
 
     Repeated (src, dst) entries accumulate.  Raises ValueError on unknown
-    labels, duplicate labels or nonpositive multiplicities.
+    labels, duplicate labels, nonpositive multiplicities or an arrow count
+    beyond int64.
     """
     labels = [str(x) for x in labels]
     if len(set(labels)) != len(labels):
@@ -114,6 +107,8 @@ def build_quiver(labels, arrows) -> Quiver:
         mult = int(mult)
         if mult < 1:
             raise ValueError(f"arrow multiplicity must be >= 1, got {mult}")
+        if mult > np.iinfo(np.int64).max - int(adj[idx[src], idx[dst]]):
+            raise ValueError(f"arrow multiplicity {mult} from {src!r} to {dst!r} exceeds int64")
         adj[idx[src], idx[dst]] += mult
     return Quiver(labels, adj)
 
@@ -146,8 +141,6 @@ def connected_components(q: Quiver) -> list[Quiver]:
     inherit the original relative label order.  Isolated vertices count.
     """
     n = q.n
-    if n == 0:
-        return []
     sym = q.adj + q.adj.T
     seen = [False] * n
     comps = []
@@ -338,6 +331,12 @@ def quiver_to_dict(q: Quiver) -> dict:
 
 
 def quiver_from_dict(data: dict) -> Quiver:
+    """Inverse of quiver_to_dict; labels may also be JSON integers."""
     if not isinstance(data, dict) or "vertices" not in data or "arrows" not in data:
         raise ValueError('quiver JSON needs "vertices" and "arrows" keys')
-    return build_quiver(data["vertices"], [tuple(a) for a in data["arrows"]])
+    vertices, arrows = data["vertices"], data["arrows"]
+    if not (isinstance(vertices, list) and isinstance(arrows, list) and all(
+            isinstance(a, list) and len(a) == 3 and type(a[2]) is int for a in arrows)):
+        raise ValueError('quiver JSON needs a "vertices" array and an "arrows" array of '
+                         '[src, dst, integer multiplicity] arrays')
+    return build_quiver(vertices, arrows)

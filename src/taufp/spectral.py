@@ -6,9 +6,9 @@ characteristic polynomials are computed exactly over Python integers and
 their largest real root is isolated by Sturm bisection in integer
 arithmetic (primitive pseudo-remainder chains, homogeneous evaluation at
 each rational midpoint), and definiteness of integer Gram matrices is
-decided by exact congruence elimination over rationals (the
-positive-semidefinite-but-singular cases are knife edges that floating
-point gets wrong).
+decided by one fraction-free symmetric (Bareiss) elimination in integers,
+which also yields the kernel (the positive-semidefinite-but-singular cases
+are knife edges that floating point gets wrong).
 """
 
 from __future__ import annotations
@@ -75,24 +75,15 @@ class IntPolynomial:
         return IntPolynomial(tuple(out))
 
     def __str__(self):
-        if not self.coeffs:
-            return "0"
         terms = []
         for i in range(len(self.coeffs) - 1, -1, -1):
             c = self.coeffs[i]
-            if not c:
-                continue
-            mag = abs(c)
-            if i == 0:
-                body = str(mag)
-            else:
-                x = "x" if i == 1 else f"x^{i}"
-                body = x if mag == 1 else f"{mag}{x}"
-            if not terms:
-                terms.append(body if c > 0 else f"-{body}")
-            else:
-                terms.append(f"{'+' if c > 0 else '-'} {body}")
-        return " ".join(terms)
+            if c:
+                x = "" if i == 0 else "x" if i == 1 else f"x^{i}"
+                body = x if abs(c) == 1 and x else f"{abs(c)}{x}"
+                sign = "-" if c < 0 else "+" if terms else ""
+                terms.append(f"{sign} {body}" if terms else sign + body)
+        return " ".join(terms) or "0"
 
 
 ONE = IntPolynomial((1,))
@@ -376,13 +367,10 @@ class SymIntMatrix:
     def __post_init__(self):
         rows = tuple(tuple(int(x) for x in r) for r in self.rows)
         n = len(rows)
-        for r in rows:
-            if len(r) != n:
-                raise ValueError("matrix is not square")
-        for i in range(n):
-            for j in range(i):
-                if rows[i][j] != rows[j][i]:
-                    raise ValueError("matrix is not symmetric")
+        if any(len(r) != n for r in rows):
+            raise ValueError("matrix is not square")
+        if any(rows[i][j] != rows[j][i] for i in range(n) for j in range(i)):
+            raise ValueError("matrix is not symmetric")
         object.__setattr__(self, "rows", rows)
 
     @property
@@ -443,73 +431,50 @@ def gram_matrix(delta: Quiver) -> SymIntMatrix:
     return SymIntMatrix(tuple(tuple(int(x) for x in row) for row in g))
 
 
-def _nullspace(g: SymIntMatrix) -> tuple[tuple[Fraction, ...], ...]:
-    n = g.n
-    rows = [[Fraction(x) for x in r] for r in g.rows]
-    pivots = []
-    r = 0
-    for c in range(n):
-        pr = next((i for i in range(r, n) if rows[i][c] != 0), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(n):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    free = [c for c in range(n) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * n
-        v[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -rows[i][fc]
-        basis.append(tuple(v))
-    return tuple(basis)
-
-
 def definiteness(g: SymIntMatrix) -> Definiteness:
-    """Exact classification by fraction-free symmetric (congruence) elimination.
+    """Exact classification by one fraction-free symmetric (Bareiss)
+    elimination in integers, pivoting on the diagonal in index order.
 
-    Sylvester's law of inertia justifies reading the signature off the
-    pivots; a zero diagonal with a nonzero off-diagonal entry in the same
-    row witnesses indefiniteness via a 2x2 principal minor.
-    """
+    Each entry is a minor of G, so every division is exact (and checked) and
+    each pivot has the sign of its Schur complement entry (Sylvester).  A
+    negative pivot, or a zero one with a nonzero row (a 2x2 minor -b^2),
+    means indefinite; a zero row marks a kernel index, one whose column
+    lies in the span of the earlier ones.  Each kernel vector is 1 there and
+    0 at the other kernel indices, read off the pivot rows by
+    back-substitution and checked to satisfy G v = 0 exactly."""
     n = g.n
-    m = [[Fraction(x) for x in row] for row in g.rows]
-    active = list(range(n))
-    zero_rows = 0
-    while active:
-        piv = next((i for i in active if m[i][i] > 0), None)
-        if piv is None:
-            if any(m[i][i] < 0 for i in active):
-                return Definiteness("indefinite")
-            # all remaining diagonals are zero
-            for i in active:
-                if any(m[i][j] != 0 for j in active if j != i):
-                    return Definiteness("indefinite")
-            zero_rows += len(active)
-            break
-        active.remove(piv)
-        d = m[piv][piv]
-        for i in active:
-            f = m[i][piv] / d
-            if f == 0:
-                continue
-            # Schur complement on the active block; the pivot row/column are
-            # never read again once piv leaves the active set
-            for j in active:
-                m[i][j] -= f * m[piv][j]
-    if zero_rows == 0:
+    m = [list(row) for row in g.rows]  # upper triangle m[i][j], j >= i, is live
+    prev = 1
+    pivots, free = [], []
+    for c in range(n):
+        d, row = m[c][c], m[c]
+        if d < 0 or (d == 0 and any(row[c + 1 :])):
+            return Definiteness("indefinite")
+        if d == 0:
+            free.append(c)
+            continue
+        pivots.append(c)
+        for i in range(c + 1, n):
+            a, mi = row[i], m[i]
+            qr = [divmod(d * x - a * y, prev) for x, y in zip(mi[i:], row[i:])]
+            if any(r for _, r in qr):
+                raise ConsistencyError(f"Bareiss division by {prev} is not exact")
+            mi[i:] = [q for q, _ in qr]
+        prev = d
+    if not free:
         return Definiteness("positive_definite")
-    kernel = _nullspace(g)
-    if len(kernel) != zero_rows:
-        raise ConsistencyError("kernel dimension disagrees with elimination")
-    for v in kernel:
-        if any(x != 0 for x in g.apply(v)):
+    kernel = []
+    for f in free:
+        w = [0] * n  # the kernel vector is w / w[f], kept integral
+        w[f] = 1
+        for p in reversed([p for p in pivots if p < f]):
+            row = m[p]
+            s = sum(row[j] * w[j] for j in range(p + 1, f + 1) if w[j])
+            k = math.gcd(s, row[p])
+            if k != row[p]:
+                w = [x * (row[p] // k) for x in w]
+            w[p] = -s // k
+        if any(g.apply(w)):
             raise ConsistencyError("kernel vector fails G v = 0")
-    return Definiteness("psd_singular", kernel)
+        kernel.append(tuple(Fraction(x, w[f]) for x in w))
+    return Definiteness("psd_singular", tuple(kernel))

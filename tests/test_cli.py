@@ -87,6 +87,32 @@ def test_invalid_json_exit2(tmp_path, capsys):
     assert code == 2 and "invalid" in err
     code, _, err = run(capsys, "quiver", "rho", "--file", tmp_path / "missing.json")
     assert code == 2
+    # well-formed JSON of the wrong shape is invalid input too, not a traceback
+    for command, text in [
+        ("lattice", '{"elements": ["a"], "covers": [5]}'),
+        ("lattice", '{"elements": ["a"], "covers": 5}'),
+        ("lattice", '{"elements": "ab", "covers": []}'),
+        ("lattice", '{"elements": ["a", "b"], "covers": [["a", "b", "a"]]}'),
+        ("quiver", '{"vertices": ["1"], "arrows": [5]}'),
+        ("quiver", '{"vertices": ["1"], "arrows": 5}'),
+        ("quiver", '{"vertices": "12", "arrows": []}'),
+        ("quiver", '{"vertices": ["1"], "arrows": [["1", "1"]]}'),
+        ("quiver", '{"vertices": ["1"], "arrows": [["1", "1", 1e30]]}'),
+        ("quiver", '{"vertices": ["1"], "arrows": [["1", "1", 1.5]]}'),
+        ("quiver", '{"vertices": ["1"], "arrows": [["1", "1", %d]]}' % 10**30),
+        ("quiver", '{"vertices": ["1"], "arrows": [["1", "1", %d], ["1", "1", %d]]}'
+         % (2**62, 2**62)),
+    ]:
+        bad.write_text(text)
+        sub = "check" if command == "lattice" else "rho"
+        code, _, err = run(capsys, command, sub, "--file", bad)
+        assert code == 2 and "invalid input" in err, text
+    # integer names stay accepted
+    bad.write_text('{"elements": [1, 2], "covers": [[2, 1]]}')
+    assert run(capsys, "lattice", "check", "--file", bad)[0] == 0
+    bad.write_text('{"vertices": [1, 2], "arrows": [[1, 2, 1], [2, 1, 1]]}')
+    code, out, _ = run(capsys, "quiver", "rho", "--file", bad)
+    assert code == 0 and "rho = 1.000000000000" in out
 
 
 def test_coxeter_commands(capsys):

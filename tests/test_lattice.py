@@ -9,6 +9,7 @@ import pytest
 
 from taufp.errors import LatticeError
 from taufp.lattice import (
+    FiniteLattice,
     fpdim_lattice,
     from_covers,
     lattice_from_dict,
@@ -59,10 +60,28 @@ def test_structural_errors():
         from_covers(["a", "b", "c"], [("a", "b"), ("b", "c"), ("a", "c")])
     with pytest.raises(ValueError, match="unknown"):
         from_covers(["a"], [("a", "zz")])
+    with pytest.raises(ValueError, match=r"cover \('a', 'a'\) relates an element to itself"):
+        from_covers(["a", "b"], [("a", "b"), ("a", "a")])
+    with pytest.raises(ValueError, match=r"duplicate cover \('b', 'c'\)"):
+        from_covers(["a", "b", "c"], [("a", "b"), ("b", "c"), ("b", "c"), ("a", "b")])
     with pytest.raises(ValueError, match="duplicate"):
         from_covers(["a", "a"], [])
     with pytest.raises(ValueError):
         from_covers([], [])
+
+
+def test_index_array_constructor():
+    # the constructor takes (upper, lower) index arrays; names come only
+    # from the element tuple, and covers reads them back in cover order
+    lat = FiniteLattice(["top", "a", "b", "bot"], np.array([0, 0, 1, 2]), [1, 2, 3, 3])
+    assert lat.covers == diamond().covers
+    assert list(lat.covers) == [("top", "a"), ("top", "b"), ("a", "bot"), ("b", "bot")]
+    assert len(lat.covers) == 4 and lat.covers[-1] == ("b", "bot")
+    assert opposite(lat).covers == [(lo, up) for up, lo in lat.covers]
+    for upper, lower in [([0, 0, 1], [1, 2, 3, 3]), ([0, 0, 1, 4], [1, 2, 3, 3]),
+                         ([0, 0, 1, -1], [1, 2, 3, 3])]:
+        with pytest.raises(ValueError, match="index arrays"):
+            FiniteLattice(["top", "a", "b", "bot"], upper, lower)
 
 
 def test_join_meet_chain_is_minmax():

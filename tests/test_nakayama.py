@@ -13,7 +13,7 @@ import pytest
 
 from taufp import nakayama
 from taufp.errors import BudgetError, ConsistencyError
-from taufp.lattice import fpdim_lattice, from_covers
+from taufp.lattice import FiniteLattice, fpdim_lattice
 from taufp.nakayama import (
     TauPair,
     Uniserial,
@@ -243,8 +243,8 @@ def test_table_cross_checks_name_algebra_and_stage(monkeypatch, stage, m, n_, va
 
 @pytest.mark.parametrize("stage, target, fake", [
     ("not antisymmetric", (nakayama._Tables, "tau_down"), lambda self, mmask: 0),
-    ("extremes", (nakayama, "from_covers"),
-     lambda names, covers: from_covers(names, [(lo, up) for up, lo in covers])),
+    ("extremes", (nakayama, "FiniteLattice"),
+     lambda names, upper, lower: FiniteLattice(names, lower, upper)),
     ("completion formula", (nakayama, "projective_module"), lambda a, k: module(a, 1, 1)),
 ])
 def test_pair_checks_name_algebra_and_stage(monkeypatch, stage, target, fake):

@@ -291,3 +291,34 @@ def test_definiteness_random_cross_check():
             assert len(res.kernel_basis) == int((np.abs(eig) < 1e-9).sum())
         else:
             assert eig.min() < 1e-9
+
+
+def test_definiteness_kernel_is_sympy_nullspace():
+    # psd B^T B of every rank, symmetrically permuted so that kernel indices
+    # fall anywhere; sympy's nullspace is the reduced-echelon basis with one
+    # free coordinate 1 and the others 0
+    rng = np.random.default_rng(5)
+    singular = 0
+    for _ in range(150):
+        n = int(rng.integers(1, 7))
+        b = rng.integers(-2, 3, size=(int(rng.integers(0, n + 1)), n))
+        p = rng.permutation(n)
+        a = (b.T @ b)[np.ix_(p, p)]
+        res = definiteness(SymIntMatrix(tuple(tuple(int(x) for x in row) for row in a)))
+        want = [tuple(Fraction(int(x.p), int(x.q)) for x in v)
+                for v in sympy.Matrix(a.tolist()).nullspace()]
+        assert list(res.kernel_basis) == want
+        assert res.tag == ("psd_singular" if want else "positive_definite")
+        singular += bool(want)
+    assert singular > 50
+
+
+@pytest.mark.parametrize("sinks", [20, 40, 80, 160])
+def test_definiteness_of_even_cycle_forms(sinks):
+    # the bipartite form of the cycle on 2 * sinks vertices is the affine
+    # Cartan matrix 2I - C of type ~A: psd with kernel spanned by (1, ..., 1)
+    labels = [f"t{i}" for i in range(sinks)] + [f"s{i}" for i in range(sinks)]
+    arrows = [(f"s{i}", f"t{(i + e) % sinks}", 1) for i in range(sinks) for e in (0, 1)]
+    res = definiteness(gram_matrix(build_quiver(labels, arrows)))
+    assert res.is_psd_singular
+    assert res.kernel_basis == ((Fraction(1),) * sinks,)
