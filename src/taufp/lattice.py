@@ -24,7 +24,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from .errors import LatticeError
-from .quiver import Quiver
+from .quiver import Quiver, _check_names
 from .spectral import spectral_radius
 
 __all__ = [
@@ -379,7 +379,7 @@ def lattice_to_dict(lat: FiniteLattice) -> dict:
 
 
 def lattice_from_dict(data: dict) -> FiniteLattice:
-    """Inverse of lattice_to_dict; element names may also be JSON integers."""
+    """Inverse of lattice_to_dict; names are strings or JSON integers."""
     if not isinstance(data, dict) or "elements" not in data or "covers" not in data:
         raise ValueError('lattice JSON needs "elements" and "covers" keys')
     elements, covers = data["elements"], data["covers"]
@@ -387,4 +387,5 @@ def lattice_from_dict(data: dict) -> FiniteLattice:
             and all(isinstance(c, list) and len(c) == 2 for c in covers)):
         raise ValueError('lattice JSON needs an "elements" array and a "covers" array of '
                          '[upper, lower] arrays')
+    _check_names(elements + [e for c in covers for e in c])
     return from_covers(elements, covers)

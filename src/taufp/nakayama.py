@@ -21,10 +21,25 @@ its indecomposables (module index, P(k), tau, syzygy, brick and tau-rigid
 flags), linear in their number, and cross-checks the flags against the Hom
 formula.  Public functions check a module argument with one index lookup
 and then read the tables or evaluate the closed forms, so single queries
-stay cheap at any size.  The quadratic Hom matrix, the bitmasks behind the
-pair order, the tau-tilting pairs, their lattice and the semibricks are
-built only by the budgeted enumerations.  All of it lives on the instance
-and goes away with the algebra.
+stay cheap at any size.  The quadratic Hom and Ext tables, the pairs, their
+order and lattice and the semibricks are built only by the budgeted
+enumerations.  All of it lives on the instance and goes away with the
+algebra.
+
+The enumerations work on bitmasks.  A tau-tilting pair is a module mask over
+the indecomposables and a vertex mask, and its name is read off the masks.
+The pair order is kept transposed, as masks over the pairs: per module, the
+pairs with a summand N such that Hom(N, tau M) != 0, and per vertex, the
+pairs with that vertex in their projective part.  A down-set is then a few
+ands of those masks, not a comparison with every other pair.  The Hasse
+covers are the mutations (Adachi-Iyama-Reiten, Compos. Math. 150 (2014),
+Thm 2.18): the pairs are grouped by their almost complete sub-pairs, every
+group must hold exactly two pairs, and the order decides which of the two
+lies above.  A closure certificate then checks that these covers generate
+exactly the pair order.  The FP dimension reads the Ext blocks of the
+maximal semibricks only, from one Ext table: the spectral radius is
+monotone on principal submatrices, so smaller semibricks cannot exceed
+them.
 """
 
 from __future__ import annotations
@@ -32,6 +47,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
+
+import numpy as np
 
 from .errors import BudgetError, ConsistencyError
 from .lattice import FiniteLattice
@@ -62,7 +79,7 @@ __all__ = [
     "DEFAULT_MAX_N",
 ]
 
-DEFAULT_MAX_N = 5
+DEFAULT_MAX_N = 7
 
 
 @dataclass(frozen=True)
@@ -173,8 +190,16 @@ def _bits(mask: int):
         mask ^= low
 
 
+def _row_masks(matrix) -> list[int]:
+    """Bitmask of the true entries of each row of a boolean matrix."""
+    packed = np.packbits(np.asarray(matrix, dtype=bool), axis=1, bitorder="little")
+    data, size = packed.tobytes(), packed.shape[1]
+    return [int.from_bytes(data[k:k + size], "little") for k in range(0, len(data), size)]
+
+
 def _mask(flags) -> int:
-    return sum(1 << i for i, f in enumerate(flags) if f)
+    """Bitmask of the true entries of a boolean sequence."""
+    return _row_masks([flags])[0]
 
 
 def _union(masks: list[int], select: int) -> int:
@@ -185,12 +210,21 @@ def _union(masks: list[int], select: int) -> int:
     return out
 
 
+def _transpose(masks: list[int], width: int) -> list[int]:
+    """The bit matrix masks (row j = masks[j], bits below width) read by
+    columns: entry b is the mask of the rows j with bit b set."""
+    size = (width + 7) // 8
+    rows = np.frombuffer(b"".join(m.to_bytes(size, "little") for m in masks), dtype=np.uint8)
+    bits = np.unpackbits(rows.reshape(len(masks), size), axis=1, count=width, bitorder="little")
+    return _row_masks(bits.T)
+
+
 class _Tables:
     """Tables over the indecomposables of one algebra, sorted by (socle,
     length).  The linear ones (index, P(k), tau, syzygy, brick and tau-rigid
-    flags) are built and cross-checked at once; the quadratic Hom matrix,
-    the pair-order bitmasks, the pairs, their lattice and the semibricks
-    only when an enumeration kernel first asks for them."""
+    flags) are built and cross-checked at once; the quadratic Hom and Ext
+    tables, the pairs, their order and lattice and the semibricks only when
+    an enumeration kernel first asks for them."""
 
     def __init__(self, a: NakayamaAlgebra):
         self.name = name = str(a)
@@ -241,19 +275,37 @@ class _Tables:
         return val
 
     @cached_property
-    def hom(self) -> list[list[int]]:
-        size = range(len(self.mods))
-        return [[self.h(i, j) for j in size] for i in size]
+    def hom(self) -> np.ndarray:
+        """hom[i, j] = dim Hom(M_i, M_j)."""
+        mods = self.mods
+        return np.array([[_hom(self, m, x) for x in mods] for m in mods], dtype=np.int64)
+
+    @cached_property
+    def ext_table(self) -> np.ndarray:
+        """The Ext formula of :meth:`ext` over all modules at once: row i is
+        hom[K] - hom[P0] + hom[M_i] for non-projective M_i, else zero."""
+        hom = self.hom
+        syz, cover = np.array(self.syzygy), np.array(self.cover)
+        rows = np.flatnonzero(syz >= 0)
+        table = np.zeros_like(hom)
+        table[rows] = hom[syz[rows]] - hom[cover[rows]] + hom[rows]
+        bad = np.argwhere(table < 0)
+        if len(bad):
+            i, j = bad[0]
+            raise ConsistencyError(f"{self.name}: negative Ext: the Ext table went "
+                                   f"negative on ({self.mods[i]}, {self.mods[j]})")
+        return table
 
     @cached_property
     def tau_hom(self) -> list[int]:
         """Per module M: the modules N with Hom(N, tau M) != 0."""
-        return [0 if t < 0 else _mask(row[t] for row in self.hom) for t in self.tau]
+        cols = _row_masks(self.hom.T)
+        return [0 if t < 0 else cols[t] for t in self.tau]
 
     @cached_property
     def proj_hom(self) -> list[int]:
         """Per module M: the vertices k (bit k - 1) with Hom(P(k), M) != 0."""
-        return [_mask(self.hom[p][i] for p in self.proj) for i in range(len(self.mods))]
+        return _row_masks(self.hom[self.proj].T)
 
     def find(self, m: Uniserial) -> int:
         try:
@@ -266,71 +318,153 @@ class _Tables:
         return _union(self.tau_hom, mmask)
 
     @cached_property
-    def pairs(self) -> list[tuple[TauPair, int, int]]:
-        """tau-tilting pairs sorted by name, with their module bitmask (over
-        indecomposables) and vertex bitmask (bit k - 1 for P(k))."""
+    def pairs(self) -> tuple[list[str], list[int], list[int]]:
+        """The tau-tilting pairs sorted by name: their names, module bitmasks
+        (over indecomposables) and vertex bitmasks (bit k - 1 for P(k)).
+        Index order is (socle, length) order, so each name is read straight
+        off the masks."""
         n, tau_hom = self.n, self.tau_hom
         # bad[i]: modules that cannot sit next to M_i in a tau-rigid module
-        bad = [tau_hom[i] | _mask(row >> i & 1 for row in tau_hom) for i in range(len(self.mods))]
-        found: list[tuple[int, int]] = []
+        bad = [row | col for row, col in zip(tau_hom, _transpose(tau_hom, len(tau_hom)))]
+        labels = [str(m) for m in self.mods]
+        found: list[tuple[str, int, int]] = []
 
-        def dfs(chosen: int, count: int, allowed: int, vmask: int) -> None:
+        def dfs(chosen: int, head: str, count: int, allowed: int, vmask: int) -> None:
+            if count + allowed.bit_count() + vmask.bit_count() < n:
+                return  # too few modules and vertices left to complete a pair
             for ks in itertools.combinations(_bits(vmask), n - count):
-                found.append((chosen, _mask(k in ks for k in range(n))))
+                tail = "+".join(f"P({k + 1})" for k in ks) or "0"
+                found.append((f"{head or '0'}|{tail}", chosen, sum(1 << k for k in ks)))
             if count == n:
                 return
             for i in _bits(allowed):
-                dfs(chosen | 1 << i, count + 1, allowed & -(2 << i) & ~bad[i],
-                    vmask & ~self.proj_hom[i])
+                dfs(chosen | 1 << i, f"{head}+{labels[i]}" if head else labels[i], count + 1,
+                    allowed & -(2 << i) & ~bad[i], vmask & ~self.proj_hom[i])
 
-        dfs(0, 0, _mask(self.rigid), (1 << n) - 1)
-        return sorted(((TauPair(frozenset(self.mods[i] for i in _bits(mm)),
-                                frozenset(k + 1 for k in _bits(pm))), mm, pm)
-                       for mm, pm in found), key=lambda r: r[0].name())
+        dfs(0, "", 0, _mask(self.rigid), (1 << n) - 1)
+        found.sort()
+        names, mms, pms = zip(*found)
+        return list(names), list(mms), list(pms)
+
+    @cached_property
+    def tau_pairs(self) -> list[TauPair]:
+        """The pairs as TauPair values, in pair order."""
+        mods = self.mods
+        _, mms, pms = self.pairs
+        return [TauPair(frozenset(mods[i] for i in _bits(mm)), frozenset(k + 1 for k in _bits(pm)))
+                for mm, pm in zip(mms, pms)]
 
     @cached_property
     def pair_lower(self) -> list[int]:
         """Strict down-sets of the pair order as bitmasks over self.pairs:
-        (M, P) >= (N, Q) iff Hom(N, tau M) = 0 and P is a subset of Q."""
-        pairs = [(self.tau_down(mm), mm, pm) for _, mm, pm in self.pairs]
-        return [
-            _mask(j != i and not (dx & my or px & ~py) for j, (_, my, py) in enumerate(pairs))
-            for i, (dx, _, px) in enumerate(pairs)
-        ]
+        (M, P) >= (N, Q) iff Hom(N, tau M) = 0 and P is a subset of Q.
+
+        Over the pairs, free[i] masks those with no summand N such that
+        Hom(N, tau M_i) != 0, and vert[k] those with k + 1 in Q, so the
+        down-set of (M, P) is the and of free over M and of vert over P."""
+        _, mms, pms = self.pairs
+        holds = _transpose(mms, len(self.mods))  # per module, the pairs holding it
+        vert = _transpose(pms, self.n)
+        full = (1 << len(mms)) - 1
+        free = [full & ~_union(holds, self.tau_down(1 << i)) for i in range(len(self.mods))]
+        lower = []
+        for x, (mm, pm) in enumerate(zip(mms, pms)):
+            down = full ^ 1 << x
+            for i in _bits(mm):
+                down &= free[i]
+            for k in _bits(pm):
+                down &= vert[k]
+            lower.append(down)
+        return lower
+
+    def mutations(self) -> tuple[np.ndarray, np.ndarray]:
+        """The Hasse covers of the pair order as two index arrays (upper,
+        lower), sorted.  They are the mutations: the two completions of each
+        almost complete pair, oriented by the order."""
+        names, mms, pms = self.pairs
+        lower = self.pair_lower
+        completions: dict[int, list[int]] = {}
+        for j, (mm, pm) in enumerate(zip(mms, pms)):
+            whole = mm << self.n | pm
+            for b in _bits(whole):
+                completions.setdefault(whole ^ 1 << b, []).append(j)
+        for js in completions.values():
+            if len(js) != 2:
+                raise ConsistencyError(
+                    f"{self.name}: mutation: an almost complete pair has {len(js)} "
+                    f"completions ({', '.join(names[j] for j in js)})")
+        upper, covered = [], []
+        for a, b in completions.values():
+            if (lower[a] >> b & 1) == (lower[b] >> a & 1):
+                raise ConsistencyError(f"{self.name}: tau-tilting order not antisymmetric "
+                                       f"on the exchange pair ({names[a]}, {names[b]})")
+            if lower[b] >> a & 1:
+                a, b = b, a
+            upper.append(a)
+            covered.append(b)
+        order = np.lexsort((covered, upper))
+        return np.array(upper)[order], np.array(covered)[order]
+
+    def certify(self, upper: np.ndarray, covered: np.ndarray) -> None:
+        """Raise unless the closure of the covers is exactly the pair order.
+        Down-sets grow strictly along the order, so in popcount order every
+        lower cover is closed before the pairs above it; one still open (-1)
+        spoils the closure and fails the check.  O(#covers) ors."""
+        names, lower = self.pairs[0], self.pair_lower
+        children: list[list[int]] = [[] for _ in names]
+        for u, c in zip(upper.tolist(), covered.tolist()):
+            children[u].append(c)
+        closed = [-1] * len(names)
+        for x in sorted(range(len(names)), key=lambda x: lower[x].bit_count()):
+            down = 0
+            for c in children[x]:
+                down |= closed[c] | 1 << c
+            if down != lower[x]:
+                raise ConsistencyError(f"{self.name}: pair order certificate: the covers "
+                                       f"below {names[x]} do not close to its down-set")
+            closed[x] = lower[x]
 
     @cached_property
     def pair_lattice(self) -> FiniteLattice:
-        lower = self.pair_lower
-        names = [pr.name() for pr, _, _ in self.pairs]
-        upper, covered = [], []  # the covers (pair i, pair j), as indices
-        for i, down in enumerate(lower):
-            below = _union(lower, down)
-            if below >> i & 1:
-                raise ConsistencyError(f"{self.name}: tau-tilting order not antisymmetric")
-            js = list(_bits(down & ~below))
-            upper += [i] * len(js)
-            covered += js
-        lat = FiniteLattice(names, upper, covered)
+        """The pair lattice on the mutation covers.  Raises ConsistencyError
+        unless every almost complete pair has two completions, every
+        mutation is oriented one way, the extremes are (A, 0) and (0, A),
+        and the covers close to exactly the pair order."""
+        upper, covered = self.mutations()
+        lat = FiniteLattice(self.pairs[0], upper, covered)
         top = TauPair(frozenset(self.mods[p] for p in self.proj), frozenset())
         bot = TauPair(frozenset(), frozenset(range(1, self.n + 1)))
         if lat.maximum != top.name() or lat.minimum != bot.name():
             raise ConsistencyError(f"{self.name}: tau-tilting lattice extremes are wrong")
+        self.certify(upper, covered)
         return lat
 
     @cached_property
-    def semibricks(self) -> list[frozenset[Uniserial]]:
+    def semibrick_masks(self) -> tuple[list[int], list[int]]:
+        """All semibricks in search order, and the maximal ones, as bitmasks
+        over indecomposables."""
         hom = self.hom
-        clash = [_mask(x or y for x, y in zip(hom[i], (row[i] for row in hom)))
-                 for i in range(len(self.mods))]
-        out: list[frozenset[Uniserial]] = []
+        clash = _row_masks((hom != 0) | (hom.T != 0))
+        every: list[int] = []
+        maximal: list[int] = []
 
-        def dfs(chosen: int, allowed: int) -> None:
-            out.append(frozenset(self.mods[i] for i in _bits(chosen)))
+        # free: the bricks Hom-orthogonal to all of chosen (clash[i] holds i),
+        # empty exactly when chosen is maximal
+        def dfs(chosen: int, allowed: int, free: int) -> None:
+            every.append(chosen)
+            if not free:
+                maximal.append(chosen)
             for i in _bits(allowed):
-                dfs(chosen | 1 << i, allowed & -(2 << i) & ~clash[i])
+                dfs(chosen | 1 << i, allowed & -(2 << i) & ~clash[i], free & ~clash[i])
 
-        dfs(0, _mask(self.brick))
-        return out
+        bricks = _mask(self.brick)
+        dfs(0, bricks, bricks)
+        return every, maximal
+
+    @cached_property
+    def semibricks(self) -> list[frozenset[Uniserial]]:
+        mods = self.mods
+        return [frozenset(mods[i] for i in _bits(sb)) for sb in self.semibrick_masks[0]]
 
 
 def module(a: NakayamaAlgebra, socle: int, length: int) -> Uniserial:
@@ -416,7 +550,7 @@ def _check_budget(a: NakayamaAlgebra, max_n: int) -> None:
 def tau_tilting_pairs(a: NakayamaAlgebra, max_n: int = DEFAULT_MAX_N) -> list[TauPair]:
     """All basic tau-tilting pairs: tau-rigid pairs with |M| + |P| = n."""
     _check_budget(a, max_n)
-    return [pr for pr, _, _ in a._tables.pairs]
+    return list(a._tables.tau_pairs)
 
 
 def tau_tiltp_lattice(a: NakayamaAlgebra, max_n: int = DEFAULT_MAX_N) -> FiniteLattice:
@@ -441,10 +575,23 @@ def ext_quiver(a: NakayamaAlgebra, mods) -> Quiver:
 def fpdim_nakayama(
     a: NakayamaAlgebra, tol: float = 1e-12, max_n: int = DEFAULT_MAX_N
 ) -> float:
-    """Brute-force FP dimension: sup of rho over all semibrick Ext-quivers."""
+    """FP dimension: sup of rho over all semibrick Ext-quivers.
+
+    rho is monotone on principal submatrices (Perron-Frobenius), so the
+    maximal semibricks attain it; their Ext blocks are read from one table,
+    and rho is computed once per distinct block (its entries in row-major
+    order, whose count fixes the size)."""
     _check_budget(a, max_n)
-    sbs = a._tables.semibricks
-    return max((spectral_radius(ext_quiver(a, sb), tol=tol) for sb in sbs if sb), default=0.0)
+    t = a._tables
+    table = t.ext_table.tolist()
+    rhos: dict[tuple[int, ...], float] = {}
+    for sb in t.semibrick_masks[1]:
+        idx = list(_bits(sb))
+        block = tuple(table[i][j] for i in idx for j in idx)
+        if block not in rhos:
+            adj = np.array(block, dtype=np.int64).reshape(len(idx), len(idx))
+            rhos[block] = spectral_radius(Quiver([str(t.mods[i]) for i in idx], adj), tol=tol)
+    return max(rhos.values(), default=0.0)
 
 
 def self_ext_bound(a: NakayamaAlgebra) -> int:
@@ -466,13 +613,13 @@ def bongartz_completion(a: NakayamaAlgebra, m: Uniserial, max_n: int = DEFAULT_M
     if not t.rigid[i]:
         raise ValueError(f"{m} is not tau-rigid over {a}")
     _check_budget(a, max_n)
-    containing = _mask(mm >> i & 1 for _, mm, _ in t.pairs)
+    containing = _mask([mm >> i & 1 for mm in t.pairs[1]])
     if not containing:
         raise ConsistencyError(f"{a}: no tau-tilting pair contains {m}")
     maxima = [x for x in _bits(containing) if not containing & ~t.pair_lower[x] & ~(1 << x)]
     if len(maxima) != 1:
         raise ConsistencyError(f"{a}: Bongartz completion of {m} is not unique")
-    found = t.pairs[maxima[0]][0]
+    found = t.tau_pairs[maxima[0]]
     if a.cyclic and t.tau[i] >= 0:
         mods = {m}
         mods.update(module(a, m.socle, j) for j in range(1, m.length))

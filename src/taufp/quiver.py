@@ -8,6 +8,7 @@ construction and safe to share between threads.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 
@@ -36,7 +37,11 @@ class Quiver:
         labels = tuple(str(x) for x in labels)
         if len(set(labels)) != len(labels):
             raise ValueError("duplicate vertex labels")
-        mat = np.array(adj, dtype=np.int64)
+        raw = np.asarray(adj)
+        with np.errstate(invalid="ignore"):  # nan and inf fail the comparison
+            mat = raw.astype(np.int64) if raw.dtype.kind in "biuf" else None
+        if mat is None or (raw.dtype.kind == "f" and not np.array_equal(mat, raw)):
+            raise ValueError("arrow multiplicities must be integers within int64")
         if mat.size == 0:
             mat = mat.reshape((len(labels), len(labels)))
         if mat.shape != (len(labels), len(labels)):
@@ -104,7 +109,12 @@ def build_quiver(labels, arrows) -> Quiver:
             raise ValueError(f"unknown vertex label {src!r}")
         if dst not in idx:
             raise ValueError(f"unknown vertex label {dst!r}")
-        mult = int(mult)
+        if isinstance(mult, (float, np.floating)) and mult.is_integer():
+            mult = int(mult)
+        try:
+            mult = operator.index(mult)
+        except TypeError:
+            raise ValueError(f"arrow multiplicity must be an integer, got {mult!r}") from None
         if mult < 1:
             raise ValueError(f"arrow multiplicity must be >= 1, got {mult}")
         if mult > np.iinfo(np.int64).max - int(adj[idx[src], idx[dst]]):
@@ -331,7 +341,7 @@ def quiver_to_dict(q: Quiver) -> dict:
 
 
 def quiver_from_dict(data: dict) -> Quiver:
-    """Inverse of quiver_to_dict; labels may also be JSON integers."""
+    """Inverse of quiver_to_dict; labels are strings or JSON integers."""
     if not isinstance(data, dict) or "vertices" not in data or "arrows" not in data:
         raise ValueError('quiver JSON needs "vertices" and "arrows" keys')
     vertices, arrows = data["vertices"], data["arrows"]
@@ -339,4 +349,13 @@ def quiver_from_dict(data: dict) -> Quiver:
             isinstance(a, list) and len(a) == 3 and type(a[2]) is int for a in arrows)):
         raise ValueError('quiver JSON needs a "vertices" array and an "arrows" array of '
                          '[src, dst, integer multiplicity] arrays')
+    _check_names(vertices + [e for a in arrows for e in a[:2]])
     return build_quiver(vertices, arrows)
+
+
+def _check_names(names) -> None:
+    """Raise ValueError unless every name read from JSON is a string or an
+    integer (not a boolean); anything else would be silently stringified."""
+    for e in names:
+        if type(e) not in (str, int):
+            raise ValueError(f"names must be strings or integers, got {e!r}")

@@ -1,9 +1,10 @@
 """Acceptance suite: one test per criterion, at the stated tolerances.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see one PASS line per
-criterion.  The end-to-end run of the two largest weak orders (F4, E6)
-and the E6 cover-quiver check live in the stretch marker; everything else
-runs in the default suite.
+criterion.  The end-to-end run of the two largest weak orders (F4, E6),
+the E6 cover-quiver check, the sandwich and bijection checks on every
+Nakayama algebra with n = 5 and on the cyclic [16]*8 live in the stretch
+marker; everything else runs in the default suite.
 
 The oracle-equivalence criterion is defined first because every Hom/Ext
 value used elsewhere rests on it.
@@ -31,10 +32,12 @@ from taufp.coxeter import (
 )
 from taufp.lattice import fpdim_lattice, from_covers, lattice_from_dict, opposite, q_of
 from taufp.nakayama import (
+    DEFAULT_MAX_N,
     ext_dim,
     fpdim_nakayama,
     hom_dim,
     indecomposables,
+    make_algebra,
     self_ext_bound,
     semibricks,
     tau_tiltp_lattice,
@@ -62,7 +65,7 @@ from taufp.spectral import (
     spectral_radius,
 )
 
-from helpers import ext_oracle, hom_oracle, nakayama_corpus
+from helpers import cyclic_series, ext_oracle, hom_oracle, linear_series, nakayama_corpus
 
 TOL = 1e-9
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -251,17 +254,47 @@ def test_criterion04_nakayama_fpdim_dichotomy():
 
 # -- criterion 5 ---------------------------------------------------------------
 
+def _check_sandwich_and_bijection(alg, max_n=DEFAULT_MAX_N):
+    n_sb = len(semibricks(alg, max_n=max_n))
+    n_pairs = len(tau_tilting_pairs(alg, max_n=max_n))
+    assert n_sb == n_pairs, str(alg)
+    flat, _ = fpdim_lattice(tau_tiltp_lattice(alg, max_n=max_n))
+    db = self_ext_bound(alg)
+    fa = fpdim_nakayama(alg, max_n=max_n)
+    assert max(flat, db) <= fa + TOL, (str(alg), flat, db, fa)
+    assert fa <= flat + db + TOL, (str(alg), flat, db, fa)
+    return n_pairs, flat, fa
+
+
 def test_criterion05_sandwich_and_bijection():
     for alg in CORPUS:
-        n_sb = len(semibricks(alg))
-        n_pairs = len(tau_tilting_pairs(alg))
-        assert n_sb == n_pairs, str(alg)
-        flat, _ = fpdim_lattice(tau_tiltp_lattice(alg))
-        db = self_ext_bound(alg)
-        fa = fpdim_nakayama(alg)
-        assert max(flat, db) <= fa + TOL, (str(alg), flat, db, fa)
-        assert fa <= flat + db + TOL, (str(alg), flat, db, fa)
+        _check_sandwich_and_bijection(alg)
     _ok(5, f"({len(CORPUS)} algebras)")
+
+
+@pytest.mark.stretch
+def test_criterion05_stretch_all_n5():
+    # every connected Nakayama algebra with 5 simples, up to the length cap
+    # max(2n, 8) = 10 of the enumeration budget
+    n5 = [make_algebra("linear", s) for s in linear_series(5) if len(s) == 5]
+    n5 += [make_algebra("cyclic", s) for s in cyclic_series(5, 10) if len(s) == 5]
+    assert len(n5) == 888
+    started = time.perf_counter()
+    for alg in n5:
+        _check_sandwich_and_bijection(alg)
+    _ok(5, f"(stretch: all {len(n5)} algebras with n = 5, {time.perf_counter() - started:.1f}s)")
+
+
+@pytest.mark.stretch
+def test_criterion05_stretch_cyclic_n8():
+    alg = make_algebra("cyclic", [16] * 8)
+    started = time.perf_counter()
+    n_pairs, flat, fa = _check_sandwich_and_bijection(alg, max_n=8)
+    elapsed = time.perf_counter() - started
+    assert n_pairs == math.comb(16, 8) == 12870
+    assert len(tau_tiltp_lattice(alg, max_n=8).covers) == 51480
+    assert fa == pytest.approx(1.0, abs=TOL) and flat == pytest.approx(1.0, abs=TOL)
+    _ok(5, f"(stretch: cyclic [16]*8, 12870 pairs and 51480 covers, {elapsed:.1f}s)")
 
 
 # -- criterion 7 ---------------------------------------------------------------

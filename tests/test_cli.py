@@ -102,6 +102,16 @@ def test_invalid_json_exit2(tmp_path, capsys):
         ("quiver", '{"vertices": ["1"], "arrows": [["1", "1", %d]]}' % 10**30),
         ("quiver", '{"vertices": ["1"], "arrows": [["1", "1", %d], ["1", "1", %d]]}'
          % (2**62, 2**62)),
+        # names are strings or integers; nothing else is stringified
+        ("lattice", '{"elements": [null, [1], {"a": 1}], '
+                    '"covers": [[null, [1]], [[1], {"a": 1}]]}'),
+        ("lattice", '{"elements": [true, false], "covers": [[true, false]]}'),
+        ("lattice", '{"elements": ["a", 1.5], "covers": [["a", 1.5]]}'),
+        ("lattice", '{"elements": ["a", "b"], "covers": [["a", null]]}'),
+        ("quiver", '{"vertices": [null, true], "arrows": []}'),
+        ("quiver", '{"vertices": [[1], {"a": 1}], "arrows": []}'),
+        ("quiver", '{"vertices": ["1"], "arrows": [[true, "1", 1]]}'),
+        ("quiver", '{"vertices": ["1"], "arrows": [["1", null, 1]]}'),
     ]:
         bad.write_text(text)
         sub = "check" if command == "lattice" else "rho"
@@ -190,7 +200,7 @@ def test_nakayama_invalid_series_exit2(capsys):
 
 def test_nakayama_budget_exit3(capsys):
     code, _, err = run(capsys, "nakayama", "fpdim", "--shape", "cyclic",
-                       "--kupisch", "2,2,2,2,2,2")
+                       "--kupisch", "2,2,2,2,2,2,2,2")
     assert code == 3
 
 

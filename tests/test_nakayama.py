@@ -7,6 +7,7 @@ suite for the exhaustive sweep).
 
 import gc
 import itertools
+import math
 import weakref
 
 import pytest
@@ -40,12 +41,13 @@ from taufp.lattice import q_of
 from taufp.quiver import loop_removed
 from taufp.spectral import spectral_radius
 
-from helpers import canonical_form, ext_oracle, hom_oracle
+from helpers import canonical_form, ext_oracle, hom_oracle, nakayama_corpus
 
 L12 = make_algebra("linear", [1, 2])
 C222 = make_algebra("cyclic", [2, 2, 2])
 C333 = make_algebra("cyclic", [3, 3, 3])
 C444 = make_algebra("cyclic", [4, 4, 4])
+SMALL = nakayama_corpus(n_max=4, l_max=8)
 
 
 def test_make_algebra_validation():
@@ -201,11 +203,70 @@ def test_fpdim_values():
     assert fpdim_nakayama(make_algebra("cyclic", [6])) == pytest.approx(1.0, abs=1e-12)
 
 
+def _oracle_covers(a):
+    """Hasse covers of the pair order from hom_oracle alone, reduced here:
+    (M, P) >= (N, Q) iff Hom(N, tau M) = 0 and P is a subset of Q."""
+    pairs = tau_tilting_pairs(a)
+    mods = indecomposables(a)
+
+    def tau_of(m):  # socle shift, None on projectives (length = Kupisch length at the top)
+        top = a.vertex(m.socle + m.length - 1)
+        if m.length == a.kupisch[top - 1]:
+            return None
+        return Uniserial(a.vertex(m.socle - 1), m.length)
+
+    hits = {m: {x for x in mods if hom_oracle(a, x, tau_of(m))}
+            for m in mods if tau_of(m) is not None}
+    clash = [set().union(*(hits.get(m, ()) for m in x.mods)) for x in pairs]
+    down = [[j for j, y in enumerate(pairs)
+             if j != i and clash[i].isdisjoint(y.mods) and x.projs <= y.projs]
+            for i, x in enumerate(pairs)]
+    covers = []
+    for i, below in enumerate(down):
+        implied = {k for j in below for k in down[j]}
+        covers += [(pairs[i].name(), pairs[j].name()) for j in below if j not in implied]
+    return [p.name() for p in pairs], covers
+
+
+def test_mutation_covers_equal_the_oracle_pair_order():
+    for a in SMALL:
+        names, covers = _oracle_covers(a)
+        lat = tau_tiltp_lattice(a)
+        assert names == sorted(names), str(a)
+        assert list(lat.elements) == names, str(a)
+        assert list(lat.covers) == covers, str(a)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_cyclic_pair_count_is_central_binomial(n):
+    # Adachi (J. Algebra 452, 2016): C(2n, n) pairs over cyclic [2n]*n; each
+    # pair has n mutations, so n * C(2n, n) / 2 covers
+    a = make_algebra("cyclic", [2 * n] * n)
+    count = math.comb(2 * n, n)
+    assert len(tau_tilting_pairs(a)) == count
+    assert len(tau_tiltp_lattice(a).covers) == n * count // 2
+
+
+def test_fpdim_is_the_maximum_over_all_semibricks():
+    scanned = 0
+    for a in SMALL:
+        sbs = semibricks(a)
+        want = max((spectral_radius(ext_quiver(a, sb)) for sb in sbs if sb), default=0.0)
+        assert fpdim_nakayama(a) == want, str(a)
+        # the kernel scans exactly the semibricks in no larger one
+        mods = a._tables.mods
+        got = {frozenset(m for i, m in enumerate(mods) if sb >> i & 1)
+               for sb in a._tables.semibrick_masks[1]}
+        assert got == {s for s in sbs if not any(s < u for u in sbs)}, str(a)
+        scanned += len(got)
+    assert (scanned, sum(len(semibricks(a)) - 1 for a in SMALL)) == (3659, 13211)  # nonempty
+
+
 def test_budget_guard():
-    big = make_algebra("cyclic", [2] * 6)
+    big = make_algebra("cyclic", [2] * 8)
     with pytest.raises(BudgetError):
         tau_tilting_pairs(big)
-    assert len(tau_tilting_pairs(big, max_n=6)) == len(semibricks(big, max_n=6))
+    assert len(tau_tilting_pairs(big, max_n=8)) == len(semibricks(big, max_n=8))
     with pytest.raises(BudgetError):
         fpdim_nakayama(make_algebra("cyclic", [9]))
 
@@ -241,11 +302,27 @@ def test_table_cross_checks_name_algebra_and_stage(monkeypatch, stage, m, n_, va
     assert str(a) in str(err.value) and stage in str(err.value)
 
 
+_PAIR_LOWER = nakayama._Tables.pair_lower.func
+
+
+def _drop_minimum_below_maximum(tables):
+    """The pair order of tables with the minimum cut from the maximum's down-set."""
+    lower = _PAIR_LOWER(tables)
+    top = max(range(len(lower)), key=lambda x: lower[x].bit_count())
+    bottom = min(range(len(lower)), key=lambda x: lower[x].bit_count())
+    return [d & ~(1 << bottom) if x == top else d for x, d in enumerate(lower)]
+
+
 @pytest.mark.parametrize("stage, target, fake", [
     ("not antisymmetric", (nakayama._Tables, "tau_down"), lambda self, mmask: 0),
     ("extremes", (nakayama, "FiniteLattice"),
      lambda names, upper, lower: FiniteLattice(names, lower, upper)),
     ("completion formula", (nakayama, "projective_module"), lambda a, k: module(a, 1, 1)),
+    # no tau-rigidity constraint: an almost complete pair has many completions
+    ("mutation", (nakayama._Tables, "tau_hom"), property(lambda self: [0] * len(self.mods))),
+    # the maximum loses the minimum from its down-set
+    ("pair order certificate", (nakayama._Tables, "pair_lower"),
+     property(_drop_minimum_below_maximum)),
 ])
 def test_pair_checks_name_algebra_and_stage(monkeypatch, stage, target, fake):
     monkeypatch.setattr(*target, fake)
@@ -254,6 +331,20 @@ def test_pair_checks_name_algebra_and_stage(monkeypatch, stage, target, fake):
         tau_tiltp_lattice(a)
         bongartz_completion(a, module(a, 1, 1))
     assert str(a) in str(err.value) and stage in str(err.value)
+
+
+def test_ext_table_names_algebra_and_stage(monkeypatch):
+    # Hom(P(1), S(1)) = 7 makes the Ext table negative at (S(1), S(1))
+    closed_form = nakayama._hom
+    bad = (Uniserial(2, 3), Uniserial(1, 1))
+    monkeypatch.setattr(
+        nakayama, "_hom", lambda a, x, y: 7 if (x, y) == bad else closed_form(a, x, y)
+    )
+    a = make_algebra("cyclic", [3, 3, 3])
+    with pytest.raises(ConsistencyError) as err:
+        fpdim_nakayama(a)
+    assert str(a) in str(err.value) and "negative Ext" in str(err.value)
+    assert "(M(1;1), M(1;1))" in str(err.value) and "table" in str(err.value)
 
 
 def test_bongartz():

@@ -59,6 +59,21 @@ def test_build_errors():
         build_quiver(["a"], [("a", "a", 0)])
 
 
+@pytest.mark.parametrize("mult", [2.7, 1.5, np.float64(0.5), float("nan"), float("inf"), "2", None])
+def test_non_integral_multiplicities_raise(mult):
+    with pytest.raises(ValueError, match="integer"):
+        build_quiver(["a"], [("a", "a", mult)])
+    with pytest.raises(ValueError):
+        Quiver(["a"], [[mult]])
+
+
+@pytest.mark.parametrize("mult", [2, np.int64(2), 2.0, np.float64(2.0)])
+def test_integral_multiplicities_are_accepted(mult):
+    assert build_quiver(["a"], [("a", "a", mult)]).adj.tolist() == [[2]]
+    assert Quiver(["a"], [[mult]]).adj.tolist() == [[2]]
+    assert Quiver(["a", "b"], np.array([[0, mult], [1, 0]])).adj.tolist() == [[0, 2], [1, 0]]
+
+
 def test_immutability():
     q = build_quiver(["a"], [])
     with pytest.raises(AttributeError):
