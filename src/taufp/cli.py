@@ -187,6 +187,20 @@ def _parse_kupisch(raw: str) -> list[int]:
         raise ValueError(f"--kupisch must be a comma-separated integer list, got {raw!r}") from None
 
 
+def _sandwich(alg, max_n: int, report: Report):
+    """Report FPdim(lattice), d_b, FPdim(A) and the sandwich verdict
+    max(FPdim(lattice), d_b) <= FPdim(A) <= FPdim(lattice) + d_b; return the lattice."""
+    lat = nakayama.tau_tiltp_lattice(alg, max_n=max_n)
+    fl, _ = lattice.fpdim_lattice(lat)
+    db = nakayama.self_ext_bound(alg)
+    fa = nakayama.fpdim_nakayama(alg, max_n=max_n)
+    report.real("fpdim_lattice", fl)
+    report.value("d_b", db)
+    report.real("fpdim", fa)
+    report.verdict("sandwich", max(fl, db) <= fa + 1e-9 and fa <= fl + db + 1e-9)
+    return lat
+
+
 def _cmd_nakayama(args, report: Report) -> None:
     alg = nakayama.make_algebra(args.shape, _parse_kupisch(args.kupisch))
     max_n = _budget(nakayama.DEFAULT_MAX_N)
@@ -201,18 +215,9 @@ def _cmd_nakayama(args, report: Report) -> None:
         report.doc["values"]["pairs"] = [p.name() for p in pairs]
         return
     if args.subcmd == "sandwich":
-        lat = nakayama.tau_tiltp_lattice(alg, max_n=max_n)
-        fl, _ = lattice.fpdim_lattice(lat)
-        db = nakayama.self_ext_bound(alg)
-        fa = nakayama.fpdim_nakayama(alg, max_n=max_n)
-        report.real("fpdim_lattice", fl)
-        report.value("d_b", db)
-        report.real("fpdim", fa)
-        report.verdict(
-            "sandwich", max(fl, db) <= fa + 1e-9 and fa <= fl + db + 1e-9
-        )
+        _sandwich(alg, max_n, report)
         return
-    # report
+    # report; the lattice elements are the tau-tilting pairs
     mods = nakayama.indecomposables(alg)
     report.value("n", alg.n)
     report.value("indecomposables", [str(m) for m in mods], f"indecomposables: {len(mods)}")
@@ -223,18 +228,10 @@ def _cmd_nakayama(args, report: Report) -> None:
     report.value("tau_rigid", [k for k, v in rigid_tab.items() if v],
                  f"tau-rigid: {sum(rigid_tab.values())}")
     sbs = nakayama.semibricks(alg, max_n=max_n)
-    pairs = nakayama.tau_tilting_pairs(alg, max_n=max_n)
+    lat = _sandwich(alg, max_n, report)
     report.value("semibrick_count", len(sbs))
-    report.value("tau_tilting_pair_count", len(pairs))
-    lat = nakayama.tau_tiltp_lattice(alg, max_n=max_n)
-    fl, _ = lattice.fpdim_lattice(lat)
-    db = nakayama.self_ext_bound(alg)
-    fa = nakayama.fpdim_nakayama(alg, max_n=max_n)
-    report.value("d_b", db)
-    report.real("fpdim", fa)
-    report.real("fpdim_lattice", fl)
-    report.verdict("bijection", len(sbs) == len(pairs))
-    report.verdict("sandwich", max(fl, db) <= fa + 1e-9 and fa <= fl + db + 1e-9)
+    report.value("tau_tilting_pair_count", len(lat))
+    report.verdict("bijection", len(sbs) == len(lat))
 
 
 # ---------------------------------------------------------------------------

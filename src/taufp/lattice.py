@@ -3,9 +3,10 @@
 A lattice is stored by its Hasse diagram: two index arrays over the
 elements, upper[k] covering lower[k].  Names become indices only in
 from_covers; the Weyl BFS and the Nakayama pair order pass index arrays.
-Reachability is kept as ancestor bitsets (one Python int per element),
-which makes joins and meets cheap even on weak orders with tens of
-thousands of elements.
+One sweep from the maxima orders the elements, builds their ancestor
+bitsets (one Python int per element, which makes joins and meets cheap
+even on weak orders with tens of thousands of elements) and rejects cycles
+and covers implied by longer paths.
 
 Every lattice is certified at construction, at any size.  A bounded finite
 poset is a lattice as soon as any two upper covers of a common element have
@@ -14,7 +15,7 @@ constructor computes exactly those joins and raises LatticeError on the
 first one missing.  The same joins give the cover quivers: Q(x, dp(x)) has
 vertices the upper covers y of x and an arrow y -> y' exactly when y is not
 a lower cover of y v y'.  Each is kept as one row-major bitmask, which the
-FP dimension scan reads without computing any join.
+FP dimension scan reads by element index without computing any join.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 
 from .errors import LatticeError
 from .quiver import Quiver, _check_names
-from .spectral import spectral_radius
+from .spectral import _check_tol, spectral_radius
 
 __all__ = [
     "FiniteLattice",
@@ -71,16 +72,7 @@ class FiniteLattice:
         for ps in self._parents:
             ps.sort()  # the vertex order of Q(x, dp(x))
 
-        self._toporder = self._topological_order()
-        # Bitsets are indexed by topological POSITION (maxima first), not by
-        # declaration index: the minimum of an intersection of up-sets is
-        # then simply its highest set bit, which makes joins O(|L|/64) with
-        # no descent walk.
-        self._pos = [0] * n
-        for p, v in enumerate(self._toporder):
-            self._pos[v] = p
-        self._up = self._compute_upsets()
-        self._check_reduced()
+        self._sweep()
         self._down: list[int] | None = None
 
         maxima = [i for i in range(n) if not self._parents[i]]
@@ -98,31 +90,45 @@ class FiniteLattice:
 
     # -- construction helpers -------------------------------------------------
 
-    def _topological_order(self) -> list[int]:
-        """Maxima first; raises on a cycle in the cover relation."""
+    def _sweep(self) -> None:
+        """One Kahn sweep from the maxima: each element is reached after all
+        its parents, so its position, up-set and depth are final then, and so
+        is the test of its covers.  A cover (u, v) is implied exactly when u
+        lies above another parent of v, which puts v two or more below u in
+        depth; only covers that skip a depth are tested (on a weak order,
+        none).  A cycle raises before any implied cover.  Bitsets are indexed
+        by POSITION (maxima first), so the minimum of an intersection of
+        up-sets is its highest set bit: joins cost O(|L|/64), no walk.
+        """
         n = len(self.elements)
-        indeg = [len(self._parents[i]) for i in range(n)]
-        order = [i for i in range(n) if indeg[i] == 0]
-        head = 0
-        while head < len(order):
-            v = order[head]
-            head += 1
-            for c in self._children[v]:
+        parents, children = self._parents, self._children
+        indeg = [len(ps) for ps in parents]
+        order = [i for i in range(n) if not indeg[i]]
+        pos, up, depth = [0] * n, [0] * n, [0] * n
+        implied = []  # (u, rank of v among u's lower covers, v); min() is the first
+        for at, v in enumerate(order):  # order grows as elements are reached
+            pos[v] = at
+            ps = parents[v]
+            mask, d = 1 << at, 0
+            for p in ps:
+                mask |= up[p]
+                if depth[p] >= d:
+                    d = depth[p] + 1
+            up[v], depth[v] = mask, d
+            for u in ps:
+                if depth[u] + 1 < d and any(up[p] >> pos[u] & 1 for p in ps if p != u):
+                    implied.append((u, children[u].index(v), v))
+            for c in children[v]:
                 indeg[c] -= 1
-                if indeg[c] == 0:
+                if not indeg[c]:
                     order.append(c)
         if len(order) != n:
             raise ValueError("cycle in covers")
-        return order
-
-    def _compute_upsets(self) -> list[int]:
-        up = [0] * len(self.elements)
-        for v in self._toporder:  # parents precede their children
-            mask = 1 << self._pos[v]
-            for p in self._parents[v]:
-                mask |= up[p]
-            up[v] = mask
-        return up
+        if implied:
+            u, _, l = min(implied)
+            raise ValueError(f"cover ({self.elements[u]!r}, {self.elements[l]!r}) is implied "
+                             "by other covers (not transitively reduced)")
+        self._toporder, self._pos, self._up = order, pos, up
 
     def _downsets(self) -> list[int]:
         if self._down is None:
@@ -134,25 +140,6 @@ class FiniteLattice:
                 down[v] = mask
             self._down = down
         return self._down
-
-    def _leq_idx(self, i: int, j: int) -> bool:
-        return bool((self._up[i] >> self._pos[j]) & 1)
-
-    def _check_reduced(self) -> None:
-        # A cover implied by a longer path u > c > ... >= l puts l at least
-        # two below u in longest-path depth from the maxima, so only covers
-        # that skip a depth need the bitset test (on a weak order, none).
-        depth = [0] * len(self.elements)
-        for v in self._toporder:
-            for c in self._children[v]:
-                depth[c] = max(depth[c], depth[v] + 1)
-        for iu, cs in enumerate(self._children):
-            for il in cs:
-                if depth[il] > depth[iu] + 1 and any(self._leq_idx(il, c) for c in cs if c != il):
-                    u, l = self.elements[iu], self.elements[il]
-                    raise ValueError(
-                        f"cover ({u!r}, {l!r}) is implied by other covers (not transitively reduced)"
-                    )
 
     def _certify(self) -> list[int]:
         """Join every two upper covers of each element; return the arrows of
@@ -221,7 +208,7 @@ class FiniteLattice:
 
     def leq(self, x: str, y: str) -> bool:
         """x <= y in the lattice order."""
-        return self._leq_idx(self.index(x), self.index(y))
+        return bool(self._up[self.index(x)] >> self._pos[self.index(y)] & 1)
 
     def join(self, x: str, y: str) -> str:
         return self.elements[self._join_idx(self.index(x), self.index(y))]
@@ -312,17 +299,27 @@ def opposite(lat: FiniteLattice) -> FiniteLattice:
     return FiniteLattice(lat.elements, lat._lower, lat._upper)
 
 
+def _q_at(lat: FiniteLattice, x: int, rows) -> Quiver:
+    """The full subquiver of Q(x, dp(x)) on the positions rows of x's upper
+    covers (declaration order), read off the mask the constructor stored."""
+    ys, mask = lat._parents[x], lat._qmask[x]
+    m = len(ys)
+    adj = [[mask >> (a * m + b) & 1 for b in rows] for a in rows]
+    return Quiver([lat.elements[ys[a]] for a in rows], np.array(adj, dtype=np.int64))
+
+
 def q_of(lat: FiniteLattice, x: str, ys=None) -> Quiver:
     """Quiver on a set of upper covers of x.
 
     Vertices are the chosen covers Y (all of dp(x) when ys is None), in
     declaration order; there is one arrow y -> y' exactly when y is not a
     lower cover of y v y'.  That depends on y and y' only, so Q(x, Y) is the
-    full subquiver of Q(x, dp(x)) on Y, read off the mask the constructor
-    stored.  Loops never occur and arrows are never multiple.
+    full subquiver of Q(x, dp(x)) on Y.  Loops never occur and arrows are
+    never multiple.
     """
-    dp = lat.upper_covers(x)
-    ys = [str(y) for y in (dp if ys is None else ys)]
+    ix = lat.index(x)
+    dp = [lat.elements[y] for y in lat._parents[ix]]
+    ys = dp if ys is None else [str(y) for y in ys]
     if not ys:
         raise ValueError("Y must be nonempty")
     if len(set(ys)) != len(ys):
@@ -330,12 +327,7 @@ def q_of(lat: FiniteLattice, x: str, ys=None) -> Quiver:
     stray = [y for y in ys if y not in dp]
     if stray:
         raise ValueError(f"{stray[0]!r} is not an upper cover of {x!r}")
-    ix = lat.index(x)
-    labels = [lat.elements[y] for y in lat._parents[ix]]
-    m, mask = len(labels), lat._qmask[ix]
-    rows = [a for a, y in enumerate(labels) if y in ys]
-    adj = [[(mask >> (a * m + b)) & 1 for b in rows] for a in rows]
-    return Quiver([labels[a] for a in rows], np.array(adj, dtype=np.int64))
+    return _q_at(lat, ix, [a for a, y in enumerate(dp) if y in ys])
 
 
 def fpdim_lattice(lat: FiniteLattice, tol: float = 1e-12) -> tuple[float, str | None]:
@@ -344,11 +336,12 @@ def fpdim_lattice(lat: FiniteLattice, tol: float = 1e-12) -> tuple[float, str | 
     Maximizes rho(Q(x, dp(x))) over all x below the maximum; elements with a
     single upper cover contribute 0 and are skipped.  Ties go to the first
     element in declaration order; a one-element lattice gives (0.0, None).
-    Each Q(x, dp(x)) is the arrow mask stored by the constructor, so no join
-    is computed here, and within one call each distinct (size, mask) has its
-    quiver built and its spectral radius computed once (the E6 weak order
-    has 99 among 50,567).
+    Each Q(x, dp(x)) is read by index off the arrow mask stored by the
+    constructor, so no join is computed here, and within one call each
+    distinct (size, mask) has its quiver built and its spectral radius
+    computed once (the E6 weak order has 99 among 50,567).
     """
+    _check_tol(tol)
     best = 0.0
     witness = None
     rhos: dict[tuple[int, int], float] = {}
@@ -363,7 +356,7 @@ def fpdim_lattice(lat: FiniteLattice, tol: float = 1e-12) -> tuple[float, str | 
         key = (m, lat._qmask[x])
         rho = rhos.get(key)
         if rho is None:
-            rho = rhos[key] = spectral_radius(q_of(lat, lat.elements[x]), tol=tol)
+            rho = rhos[key] = spectral_radius(_q_at(lat, x, range(m)), tol=tol)
         if rho > best + tol:
             best = rho
             witness = x

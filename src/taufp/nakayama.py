@@ -52,7 +52,7 @@ import numpy as np
 
 from .errors import BudgetError, ConsistencyError
 from .lattice import FiniteLattice
-from .quiver import Quiver
+from .quiver import Quiver, _integer
 from .spectral import spectral_radius
 
 __all__ = [
@@ -130,7 +130,7 @@ def make_algebra(shape: str, kupisch) -> NakayamaAlgebra:
     """
     if shape not in ("linear", "cyclic"):
         raise ValueError(f"shape must be 'linear' or 'cyclic', got {shape!r}")
-    ls = tuple(int(x) for x in kupisch)
+    ls = tuple(_integer(x, "Kupisch entry") for x in kupisch)
     if not ls:
         raise ValueError("Kupisch series is empty")
     n = len(ls)
@@ -431,10 +431,10 @@ class _Tables:
         mutation is oriented one way, the extremes are (A, 0) and (0, A),
         and the covers close to exactly the pair order."""
         upper, covered = self.mutations()
-        lat = FiniteLattice(self.pairs[0], upper, covered)
-        top = TauPair(frozenset(self.mods[p] for p in self.proj), frozenset())
-        bot = TauPair(frozenset(), frozenset(range(1, self.n + 1)))
-        if lat.maximum != top.name() or lat.minimum != bot.name():
+        names, mms, pms = self.pairs
+        lat = FiniteLattice(names, upper, covered)
+        ends = (mms[lat._max], pms[lat._max], mms[lat._min], pms[lat._min])
+        if ends != (sum(1 << p for p in self.proj), 0, 0, (1 << self.n) - 1):
             raise ConsistencyError(f"{self.name}: tau-tilting lattice extremes are wrong")
         self.certify(upper, covered)
         return lat

@@ -87,6 +87,16 @@ class Quiver:
         return f"Quiver(labels={list(self.labels)!r}, adj={self.adj.tolist()!r})"
 
 
+def _integer(x, what: str) -> int:
+    """x as an int: integers and integral floats pass, anything else raises."""
+    if isinstance(x, (float, np.floating)) and x.is_integer():
+        return int(x)
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {x!r}") from None
+
+
 def build_quiver(labels, arrows) -> Quiver:
     """Assemble a quiver from vertex labels and (src, dst, mult) triples.
 
@@ -109,12 +119,7 @@ def build_quiver(labels, arrows) -> Quiver:
             raise ValueError(f"unknown vertex label {src!r}")
         if dst not in idx:
             raise ValueError(f"unknown vertex label {dst!r}")
-        if isinstance(mult, (float, np.floating)) and mult.is_integer():
-            mult = int(mult)
-        try:
-            mult = operator.index(mult)
-        except TypeError:
-            raise ValueError(f"arrow multiplicity must be an integer, got {mult!r}") from None
+        mult = _integer(mult, "arrow multiplicity")
         if mult < 1:
             raise ValueError(f"arrow multiplicity must be >= 1, got {mult}")
         if mult > np.iinfo(np.int64).max - int(adj[idx[src], idx[dst]]):

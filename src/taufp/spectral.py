@@ -216,6 +216,11 @@ def _sign_variations(chain: list[list[int]], num: int, den: int) -> int:
     return changes
 
 
+def _check_tol(tol: float) -> None:
+    if not (tol > 0 and math.isfinite(tol)):
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+
+
 def largest_real_root(p: IntPolynomial, tol: float = 1e-12) -> float:
     """Largest real root of an integer polynomial, isolated by Sturm bisection.
 
@@ -224,8 +229,7 @@ def largest_real_root(p: IntPolynomial, tol: float = 1e-12) -> float:
     tol/2 wide, with tol rounded to a denominator of at most 10**18 when
     that leaves it positive.
     """
-    if not (tol > 0 and math.isfinite(tol)):
-        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+    _check_tol(tol)
     if p.degree <= 0:
         raise ValueError("constant polynomial has no roots")
     chain = _sturm_chain(_square_free(p))
@@ -336,8 +340,7 @@ def spectral_radius(q: Quiver, tol: float = 1e-12, verify: bool = False) -> floa
     exact characteristic-polynomial root isolation and the two must agree
     within 10*tol.
     """
-    if not (tol > 0 and math.isfinite(tol)):
-        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+    _check_tol(tol)
     if q.n == 0:
         return 0.0
     rho = 0.0

@@ -1,14 +1,18 @@
 """CLI surface: outputs, JSON determinism, exit-code contract."""
 
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
 import taufp.cli as cli
 import taufp.preproj
 
-FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "fixtures"
 
 
 def run(capsys, *argv):
@@ -123,6 +127,24 @@ def test_invalid_json_exit2(tmp_path, capsys):
     bad.write_text('{"vertices": [1, 2], "arrows": [[1, 2, 1], [2, 1, 1]]}')
     code, out, _ = run(capsys, "quiver", "rho", "--file", bad)
     assert code == 0 and "rho = 1.000000000000" in out
+
+
+def test_python_m_taufp_exit_codes(tmp_path):
+    # the module entry point passes main()'s exit code to the shell
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+
+    def taufp(*argv):
+        return subprocess.run([sys.executable, "-m", "taufp", *map(str, argv)], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    done = taufp("lattice", "fpdim", "--file", FIXTURES / "example31.json", "--json")
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["values"] == {"fpdim": 2.0, "witness": "x"}
+    bad = tmp_path / "bad.json"
+    bad.write_text("{nope")
+    done = taufp("lattice", "check", "--file", bad, "--json")
+    assert done.returncode == 2 and "invalid JSON" in done.stderr and not done.stdout
 
 
 def test_coxeter_commands(capsys):

@@ -3,6 +3,7 @@
 import itertools
 import json
 import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -56,8 +57,20 @@ def test_bowtie_rejected_with_pair():
 def test_structural_errors():
     with pytest.raises(ValueError, match="cycle"):
         from_covers(["a", "b"], [("a", "b"), ("b", "a")])
+    # an implied cover (a, c) is met before the cycle d <-> e; the cycle wins
+    with pytest.raises(ValueError, match="cycle"):
+        from_covers(["a", "b", "c", "d", "e"],
+                    [("a", "b"), ("b", "c"), ("a", "c"), ("d", "e"), ("e", "d")])
     with pytest.raises(ValueError, match="reduced"):
         from_covers(["a", "b", "c"], [("a", "b"), ("b", "c"), ("a", "c")])
+    # of several implied covers, the first by upper element, then cover
+    # order, is named, whatever order the sweep meets them in
+    for names, covers, named in [
+        ("qprs", [("p", "q"), ("q", "r"), ("r", "s"), ("q", "s"), ("p", "r")], "('q', 's')"),
+        ("abcd", [("a", "b"), ("b", "c"), ("c", "d"), ("a", "d"), ("a", "c")], "('a', 'd')"),
+    ]:
+        with pytest.raises(ValueError, match=re.escape(f"cover {named} is implied by other")):
+            from_covers(names, covers)
     with pytest.raises(ValueError, match="unknown"):
         from_covers(["a"], [("a", "zz")])
     with pytest.raises(ValueError, match=r"cover \('a', 'a'\) relates an element to itself"):
@@ -142,6 +155,11 @@ def test_chain_fpdim_zero():
     assert fpdim_lattice(load_fixture("chain5.json"))[0] == 0.0
     single = from_covers(["x"], [])
     assert fpdim_lattice(single) == (0.0, None)
+    # tol is checked on entry, also where no cover quiver needs a radius
+    for lat in (load_fixture("chain5.json"), single):
+        for tol in (0, -1, float("nan")):
+            with pytest.raises(ValueError, match="tol must be positive and finite"):
+                fpdim_lattice(lat, tol=tol)
 
 
 def test_opposite():
@@ -170,9 +188,12 @@ def test_random_poset_corpus_rejection():
     # from_covers accepts exactly the lattices, checked against a brute-force
     # join/meet existence scan over random posets with up to 10 elements; on
     # every accepted one, q_of agrees with cover quivers built from the
-    # brute-force joins
+    # brute-force joins.  Some draws also keep one relation that is not a
+    # cover, at a random place among the covers, which must be the cover
+    # named as implied.
     rng = np.random.default_rng(101)
-    seen_reject = seen_accept = seen_large = 0
+    pick = np.random.default_rng(202)  # leaves the draws of rng unchanged
+    seen_reject = seen_accept = seen_large = seen_implied = 0
     for _ in range(600):
         n = int(rng.integers(2, 11))
         names = [f"p{i}" for i in range(n)]
@@ -194,6 +215,16 @@ def test_random_poset_corpus_rejection():
             for j in range(n)
             if rel[i, j] and not any(rel[i, k] and rel[k, j] for k in range(n))
         ]
+        implied = [(names[i], names[j]) for i in range(n) for j in range(n)
+                   if rel[i, j] and (names[i], names[j]) not in covers]
+        if implied and pick.random() < 0.3:
+            extra = implied[int(pick.integers(len(implied)))]
+            spliced = list(covers)
+            spliced.insert(int(pick.integers(len(covers) + 1)), extra)
+            message = f"cover {extra!r} is implied by other covers (not transitively reduced)"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                from_covers(names, spliced)
+            seen_implied += 1
         geq = {
             (names[i], names[j]): bool(rel[i, j]) or i == j
             for i in range(n)
@@ -243,7 +274,7 @@ def test_random_poset_corpus_rejection():
             q = q_of(lat, x)
             assert list(q.labels) == dp
             assert q.adj.tolist() == want
-    assert seen_reject > 20 and seen_accept > 20 and seen_large > 20
+    assert seen_reject > 20 and seen_accept > 20 and seen_large > 20 and seen_implied > 20
 
 
 def test_rejects_non_lattice_above_old_size_limit():

@@ -10,6 +10,7 @@ import itertools
 import math
 import weakref
 
+import numpy as np
 import pytest
 
 from taufp import nakayama
@@ -65,6 +66,13 @@ def test_make_algebra_validation():
         make_algebra("ring", [2])
     with pytest.raises(ValueError):
         make_algebra("cyclic", [])
+    # entries are integers; integral floats pass, nothing is truncated
+    assert make_algebra("cyclic", [2.0, np.int64(2)]).kupisch == (2, 2)
+    for shape, series in [("linear", [1, 2.7]), ("cyclic", [2.9, 2.9]),
+                          ("cyclic", [2, float("nan")]), ("cyclic", [2, float("inf")]),
+                          ("cyclic", [2, "2"]), ("cyclic", [2, None])]:
+        with pytest.raises(ValueError, match="Kupisch entry must be an integer"):
+            make_algebra(shape, series)
 
 
 def test_indecomposables():
