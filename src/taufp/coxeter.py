@@ -2,25 +2,30 @@
 
 Groups are realized through the integer reflection representation on
 simple-root coordinates: the generator s_i sends alpha_j to
-alpha_j - c_{ji} alpha_i.  Elements are deduplicated by their matrix, so
-identities are exact.  The right weak order is generated by breadth-first
-search from the identity along ascents, one length level at a time: the
-level's matrices are stacked, its ascents found in one comparison, the
-products w s_i over those ascents taken in one batched matmul and
-deduplicated in one np.unique on the matrix bytes.  A product over an
-ascent is one longer, so no element can repeat across levels.  The order
-is returned as a FiniteLattice whose element names are lex-minimal
-reduced words.
+alpha_j - c_{ji} alpha_i.  The right weak order is generated by
+breadth-first search from the identity along ascents, one length level at
+a time, with each element w held as the integer vector v = w^{-1} rho in
+fundamental-weight coordinates (rho = (1, ..., 1)).  Since l(w s_i) >
+l(w) iff w(alpha_i) > 0, the ascents of w are the i with v_i > 0, and
+w s_i has the vector v - v_i * (row i of the Cartan matrix), i.e. s_i v
+with alpha_i in weight coordinates.  rho is regular, so distinct elements
+have distinct vectors, and each level is deduplicated in one np.unique on
+the row bytes.  A product over an ascent is one longer, so no element can
+repeat across levels.  The order is returned as a FiniteLattice whose
+element names are lex-minimal reduced words; matrices are built from the
+names only when an element is asked for.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import BudgetError
 from .lattice import FiniteLattice
+from .quiver import _integer
 
 __all__ = [
     "CartanData",
@@ -45,7 +50,9 @@ DEFAULT_BUDGET = 60000
 _E_COXETER = {6: 12, 7: 18, 8: 30}
 
 
-def _check_type_rank(family: str, rank: int) -> None:
+def _check_type_rank(family: str, rank: int) -> int:
+    """The rank as an int; ValueError unless family and rank name a Dynkin type."""
+    rank = _integer(rank, "rank")
     ok = {
         "A": rank >= 1,
         "B": rank >= 2,
@@ -57,6 +64,7 @@ def _check_type_rank(family: str, rank: int) -> None:
     }.get(family)
     if not ok:
         raise ValueError(f"invalid Dynkin type {family}{rank}")
+    return rank
 
 
 _SYMMETRIZER_PATTERN = {
@@ -80,17 +88,17 @@ class CartanData:
     symmetrizer_diag: tuple[int, ...]
     multiplier: int = 1
 
-    def __post_init__(self):
-        # reflection matrices of the generators, cached once per instance:
-        # column j of S_i is the image alpha_j - c_{ji} alpha_i
+    @cached_property
+    def _gens(self) -> tuple[np.ndarray, ...]:
+        # reflection matrices of the generators, built on first use: column j
+        # of S_i is the image alpha_j - c_{ji} alpha_i
         gens = []
         for i in range(self.rank):
             m = np.eye(self.rank, dtype=np.int64)
-            for j in range(self.rank):
-                m[i, j] -= int(self.cartan[j, i])
+            m[i] -= self.cartan[:, i]
             m.flags.writeable = False
             gens.append(m)
-        object.__setattr__(self, "_gens", tuple(gens))
+        return tuple(gens)
 
     @property
     def minimal(self) -> bool:
@@ -143,7 +151,8 @@ def cartan_matrix(family: str, rank: int, multiplier: int = 1) -> CartanData:
 
     multiplier=1 gives the minimal symmetrizer.
     """
-    _check_type_rank(family, rank)
+    rank = _check_type_rank(family, rank)
+    multiplier = _integer(multiplier, "symmetrizer multiplier")
     if multiplier < 1:
         raise ValueError("symmetrizer multiplier must be >= 1")
     c = 2 * np.eye(rank, dtype=np.int64)
@@ -168,8 +177,7 @@ def coxeter_exponent(cartan: CartanData, i: int, j: int) -> int:
 
 def weyl_order(family: str, rank: int) -> int:
     """Order of the Weyl group, by the classical product formulas."""
-    _check_type_rank(family, rank)
-    n = rank
+    n = _check_type_rank(family, rank)
     fact = 1
     for k in range(2, n + 1):
         fact *= k
@@ -231,138 +239,129 @@ def is_ascent(w: WeylElement, i: int) -> bool:
     return bool((col >= 0).all())
 
 
-def _word_matrix(gens: list[np.ndarray], word, n: int) -> np.ndarray:
-    m = np.eye(n, dtype=np.int64)
-    for i in word:
-        m = m @ gens[i - 1]
-    return m
+def _generator(cartan: CartanData, i) -> int:
+    i = _integer(i, "generator index")
+    if not 1 <= i <= cartan.rank:
+        raise ValueError(f"generator index {i} out of range")
+    return i
 
 
-def _reduced_word_after_descent(cartan: CartanData, w: WeylElement, i: int, target: np.ndarray):
-    """Exchange property: drop one letter of w's word to get a word for w s_i."""
-    gens = cartan._gens
-    word = w.word
-    k = len(word)
-    n = cartan.rank
-    prefixes = [np.eye(n, dtype=np.int64)]
-    for letter in word:
-        prefixes.append(prefixes[-1] @ gens[letter - 1])
-    suffixes = [np.eye(n, dtype=np.int64)]
-    for letter in reversed(word):
-        suffixes.append(gens[letter - 1] @ suffixes[-1])
-    suffixes.reverse()
-    for j in range(k):
-        cand = prefixes[j] @ suffixes[j + 1]
-        if np.array_equal(cand, target):
-            return word[:j] + word[j + 1 :]
-    raise AssertionError("exchange property failed to produce a word")
+def _read_word(cartan: CartanData, mat: np.ndarray) -> WeylElement:
+    """mat as a WeylElement, with a reduced word read by stripping right
+    descents (columns with a negative entry) down to the identity."""
+    gens, m, word = cartan._gens, mat, []
+    while (descents := np.flatnonzero((m < 0).any(axis=0))).size:
+        word.append(int(descents[0]) + 1)
+        m = m @ gens[descents[0]]
+    return WeylElement(mat, tuple(reversed(word)))
 
 
 def apply_generator(cartan: CartanData, w: WeylElement, i: int) -> WeylElement:
     """Right multiplication w * s_i; the length moves by exactly one."""
-    if not 1 <= i <= cartan.rank:
-        raise ValueError(f"generator index {i} out of range")
-    gens = cartan._gens
-    mat = w.mat @ gens[i - 1]
+    i = _generator(cartan, i)
+    mat = w.mat @ cartan._gens[i - 1]
     if is_ascent(w, i):
         return WeylElement(mat, w.word + (i,))
-    return WeylElement(mat, _reduced_word_after_descent(cartan, w, i, mat))
+    return _read_word(cartan, mat)
 
 
 def multiply(cartan: CartanData, a: WeylElement, b: WeylElement) -> WeylElement:
     """Group product a * b with a valid reduced word on the result."""
-    out = a
-    for i in b.word:
-        out = apply_generator(cartan, out, i)
-    return out
+    return _read_word(cartan, a.mat @ b.mat)
 
 
 def inverse(cartan: CartanData, w: WeylElement) -> WeylElement:
     """Inverse; the reversed word is reduced since generators are involutions."""
-    gens = cartan._gens
     word = tuple(reversed(w.word))
-    return WeylElement(_word_matrix(gens, word, cartan.rank), word)
+    mat = np.eye(cartan.rank, dtype=np.int64)
+    for i in word:
+        mat = mat @ cartan._gens[i - 1]
+    return WeylElement(mat, word)
 
 
 @dataclass
 class WeakOrder:
-    """Right weak order of a Weyl group, as a lattice plus element lookup."""
+    """Right weak order of a Weyl group, as a lattice plus element lookup.
+
+    Each element name is its lex-minimal reduced word, one digit per
+    generator, so names are unambiguous up to rank 9; the smallest rank-10
+    Weyl group, A10, has 39,916,800 elements, far beyond any lattice built
+    here.
+    """
 
     cartan: CartanData
     lattice: FiniteLattice
-    elements: dict[str, WeylElement] = field(repr=False)
 
     @property
     def order(self) -> int:
         return len(self.lattice)
 
+    @cached_property
+    def elements(self) -> dict[str, WeylElement]:
+        """WeylElements by name, in declaration order, built on first use:
+        a name's matrix is its prefix's matrix times one generator."""
+        gens = self.cartan._gens
+        out = {"e": identity_element(self.cartan)}
+        for name in self.lattice.elements[1:]:
+            prefix, i = out[name[:-1] or "e"], int(name[-1])
+            out[name] = WeylElement(prefix.mat @ gens[i - 1], prefix.word + (i,))
+        return out
+
     def element(self, name: str) -> WeylElement:
         return self.elements[name]
 
 
-def _weak_order_covers(cartan: CartanData, budget: int, keep_elements: bool = False):
+def _weak_order_covers(cartan: CartanData, budget: int):
     """Level-batched BFS of (W, <=_R) from the identity along ascents.
 
     Returns the declaration order (BFS order; within a level, the order in
     which the elements are first reached, scanning the previous level in
     order and each element's ascents by generator, which is lex order of
-    the words), the covers (w s_i, w) in the same scan order as declaration
-    index arrays upper and lower, and, with keep_elements, the WeylElements
-    by name (None without).  An ascent w s_i has length l(w) + 1, so a
-    product can only repeat within its own level: each level is deduplicated
-    on its own by np.unique on the matrix bytes.  Raises BudgetError before
-    any work when the group order exceeds the budget.
+    the words) and the covers (w s_i, w) in the same scan order as
+    declaration index arrays upper and lower.  Each element is its vector
+    w^{-1} rho (see the module docstring).  Raises BudgetError before any
+    work when the group order exceeds the budget.
     """
     total = weyl_order(cartan.family, cartan.rank)
     if total > budget:
         raise BudgetError(
             f"weak order of {cartan.name} needs {total} elements, budget is {budget}"
         )
-    gens = np.stack(cartan._gens)
-    ident = identity_element(cartan)
-    elements = {"e": ident} if keep_elements else None
     declaration = ["e"]
     upper, lower = [], []
-    prefixes, words = [""], [()]  # a child's name extends its prefix
-    mats = ident.mat[None]
+    prefixes = [""]  # a child's name extends its prefix
+    vecs = np.ones((1, cartan.rank), dtype=np.int64)
     while True:
-        # i is an ascent of w iff column i of w is a positive root
-        parent, gen = np.nonzero((mats >= 0).all(axis=1))
+        parent, gen = np.nonzero(vecs > 0)
         if not len(parent):
             break
-        prods = mats[parent] @ gens[gen]
-        keys = prods.reshape(len(prods), -1).view(f"V{prods[0].nbytes}").ravel()
+        prods = vecs[parent] - vecs[parent, gen][:, None] * cartan.cartan[gen]
+        keys = prods.view(f"V{prods.itemsize * cartan.rank}").ravel()
         _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
         order = np.argsort(first)  # new elements in order of first occurrence
         rank = np.argsort(order)
         # the previous level fills the last len(prefixes) declaration slots
         lower.append(parent + len(declaration) - len(prefixes))
         upper.append(rank[inverse] + len(declaration))
-        first = first[order].tolist()
+        first = first[order]
+        vecs = prods[first]
         parent, gen = parent.tolist(), (gen + 1).tolist()
-        new = [prefixes[parent[c]] + str(gen[c]) for c in first]
-        declaration.extend(new)
-        mats = prods[first]
-        if keep_elements:
-            words = [words[parent[c]] + (gen[c],) for c in first]
-            elements.update((nm, WeylElement(m, w)) for nm, m, w in zip(new, mats, words))
-        prefixes = new
+        prefixes = [prefixes[parent[c]] + str(gen[c]) for c in first.tolist()]
+        declaration.extend(prefixes)
     if len(declaration) != total:
         raise AssertionError(
             f"BFS found {len(declaration)} elements of {cartan.name}, expected {total}"
         )
-    return declaration, np.concatenate(upper), np.concatenate(lower), elements
+    return declaration, np.concatenate(upper), np.concatenate(lower)
 
 
 def weak_order(cartan: CartanData, budget: int = DEFAULT_BUDGET) -> WeakOrder:
     """BFS generation of (W, <=_R) as a FiniteLattice.
 
-    Elements are deduplicated by matrix; covers are (w s_i, w) for each
-    ascent i, so upper means longer.  Raises BudgetError up front when the
-    group order exceeds the budget.
+    Covers are (w s_i, w) for each ascent i, so upper means longer.  Raises
+    BudgetError up front when the group order exceeds the budget.
     """
-    declaration, upper, lower, elements = _weak_order_covers(cartan, budget, keep_elements=True)
-    return WeakOrder(cartan, FiniteLattice(declaration, upper, lower), elements)
+    return WeakOrder(cartan, FiniteLattice(*_weak_order_covers(cartan, budget)))
 
 
 def longest_element(order: WeakOrder) -> WeylElement:
@@ -372,11 +371,8 @@ def longest_element(order: WeakOrder) -> WeylElement:
 
 def parabolic_longest(order: WeakOrder, js) -> WeylElement:
     """w0(J): the join of the generators s_j, j in J."""
-    js = sorted(set(int(j) for j in js))
+    js = sorted(set(_generator(order.cartan, j) for j in js))
     if not js:
         raise ValueError("J must be nonempty")
-    for j in js:
-        if not 1 <= j <= order.cartan.rank:
-            raise ValueError(f"generator index {j} out of range")
     name = order.lattice.join_all([str(j) for j in js])
     return order.element(name)

@@ -80,7 +80,7 @@ def tau_tiltp_model(cartan: CartanData, budget: int = DEFAULT_BUDGET) -> FiniteL
     built; its elements and covers are in the order of
     opposite(weak_order(cartan).lattice).
     """
-    declaration, upper, lower, _ = _weak_order_covers(cartan, budget)
+    declaration, upper, lower = _weak_order_covers(cartan, budget)
     return FiniteLattice(declaration, lower, upper)
 
 
@@ -90,8 +90,7 @@ def dynkin_rho(family: str, rank: int, minimal: bool = True) -> float:
     minimal=True is the c = 1 symmetrizer column; otherwise every vertex
     carries a loop and the radius shifts accordingly.
     """
-    _check_type_rank(family, rank)
-    n = rank
+    n = _check_type_rank(family, rank)
     if minimal:
         if family == "A":
             return 2 * math.cos(math.pi / (n + 1))

@@ -17,7 +17,7 @@ from taufp.coxeter import (
     weyl_order,
 )
 from taufp.errors import BudgetError
-from taufp.preproj import TABLE_TYPES
+from taufp.preproj import TABLE_TYPES, fpdim_preproj, tau_tiltp_model
 
 from helpers import weak_order_reference
 
@@ -87,15 +87,22 @@ def test_apply_generator_basics():
         apply_generator(cd, e, 3)
 
 
-def test_descent_produces_reduced_word():
-    cd = cartan_matrix("B", 3)
+def _lengths(cd):
+    # true length of each element, keyed by matrix
+    return {e.key(): e.length for e in weak_order(cd).elements.values()}
+
+
+@pytest.mark.parametrize("fam, rank", RANK2PLUS)
+def test_descent_produces_reduced_word(fam, rank):
+    cd = cartan_matrix(fam, rank)
+    lengths = _lengths(cd)
     w = identity_element(cd)
     rng = np.random.default_rng(2)
     for _ in range(200):
-        i = int(rng.integers(1, 4))
+        i = int(rng.integers(1, rank + 1))
         w2 = apply_generator(cd, w, i)
         assert abs(w2.length - w.length) == 1
-        assert len(w2.word) == w2.length
+        assert len(w2.word) == w2.length == lengths[w2.key()]
         # the stored word really multiplies out to the matrix
         acc = identity_element(cd)
         for k in w2.word:
@@ -167,9 +174,11 @@ def test_b_and_c_give_the_same_weak_order():
     assert set(wb2.lattice.covers) == set(wc2.lattice.covers)
 
 
-def test_multiply_and_inverse():
-    cd = cartan_matrix("B", 3)
+@pytest.mark.parametrize("fam, rank", RANK2PLUS)
+def test_multiply_and_inverse(fam, rank):
+    cd = cartan_matrix(fam, rank)
     w = weak_order(cd)
+    lengths = _lengths(cd)
     rng = np.random.default_rng(8)
     names = list(w.elements)
     for _ in range(50):
@@ -177,7 +186,11 @@ def test_multiply_and_inverse():
         b = w.element(names[int(rng.integers(0, len(names)))])
         ab = multiply(cd, a, b)
         assert np.array_equal(ab.mat, a.mat @ b.mat)
-        assert len(ab.word) == ab.length
+        assert len(ab.word) == ab.length == lengths[ab.key()]
+        acc = identity_element(cd)
+        for k in ab.word:
+            acc = apply_generator(cd, acc, k)
+        assert acc == ab
         ai = inverse(cd, a)
         assert multiply(cd, a, ai) == identity_element(cd)
 
@@ -201,7 +214,10 @@ def test_length_counts_inverted_positive_roots():
             assert negated == elem.length, name
 
 
-REFERENCE_TYPES = [t for t in TABLE_TYPES if t not in (("A", 6), ("E", 6))]
+# the E6 reference search takes about 2 s, so it runs under stretch
+REFERENCE_TYPES = [t for t in TABLE_TYPES if t != ("E", 6)] + [
+    pytest.param("E", 6, marks=pytest.mark.stretch)
+]
 
 
 @pytest.mark.parametrize("fam, rank", REFERENCE_TYPES)
@@ -217,3 +233,40 @@ def test_weak_order_matches_reference_bfs(fam, rank):
     for name, word, mat in zip(names, words, mats):
         assert w.element(name).word == word, name
         assert np.array_equal(w.element(name).mat, mat), name
+
+
+def test_integral_arguments():
+    # integral floats pass as their int; anything else is a ValueError
+    e6 = cartan_matrix("E", 6.0)
+    assert type(e6.rank) is int and e6.name == "E6"
+    assert cartan_matrix("A", 3, multiplier=2.0).symmetrizer_diag == (2, 2, 2)
+    assert weyl_order("A", 3.0) == 24
+    for bad in (2.5, float("nan"), "3", None):
+        with pytest.raises(ValueError, match="rank must be an integer"):
+            cartan_matrix("A", bad)
+        with pytest.raises(ValueError, match="rank must be an integer"):
+            weyl_order("A", bad)
+    with pytest.raises(ValueError, match="multiplier must be an integer"):
+        cartan_matrix("A", 3, multiplier=1.5)
+    cd = cartan_matrix("A", 3)
+    e = identity_element(cd)
+    assert apply_generator(cd, e, 1.0) == apply_generator(cd, e, 1)
+    with pytest.raises(ValueError, match="generator index must be an integer"):
+        apply_generator(cd, e, 1.5)
+    wa3 = weak_order(cd)
+    assert parabolic_longest(wa3, [1.0, 3]).length == 2
+    with pytest.raises(ValueError, match="generator index must be an integer"):
+        parabolic_longest(wa3, [1.7])
+    with pytest.raises(ValueError, match="out of range"):
+        parabolic_longest(wa3, [4])
+
+
+def test_lattice_callers_build_no_generator_matrices():
+    cd = cartan_matrix("D", 4)
+    tau_tiltp_model(cd)
+    fpdim_preproj(cd)
+    w = weak_order(cd)
+    assert w.lattice.maximum == "121321421324"
+    assert "_gens" not in vars(cd) and "elements" not in vars(w)
+    assert longest_element(w).word == (1, 2, 1, 3, 2, 1, 4, 2, 1, 3, 2, 4)
+    assert "_gens" in vars(cd) and "elements" in vars(w)

@@ -7,7 +7,7 @@ import pytest
 
 from taufp.coxeter import cartan_matrix
 from taufp.lattice import fpdim_lattice
-from taufp.preproj import fpdim_preproj, gabriel_quiver, tau_tiltp_model
+from taufp.preproj import dynkin_rho, fpdim_preproj, gabriel_quiver, tau_tiltp_model
 from taufp.quiver import loop_removed
 from taufp.spectral import spectral_radius
 
@@ -82,3 +82,15 @@ def test_model_fpdim_equals_loopless_radius_smoke():
         got, _ = fpdim_lattice(tau_tiltp_model(cd))
         want = spectral_radius(loop_removed(gabriel_quiver(cd)))
         assert got == pytest.approx(want, abs=1e-9)
+
+
+def test_non_integral_rank_and_multiplier_are_value_errors():
+    assert dynkin_rho("A", 2.0) == dynkin_rho("A", 2)
+    with pytest.raises(ValueError, match="rank must be an integer"):
+        dynkin_rho("A", 2.5)
+    with pytest.raises(ValueError, match="rank must be an integer"):
+        dynkin_rho("E", "6")
+    # a bad input, not an internal ConsistencyError inside fpdim_preproj
+    with pytest.raises(ValueError, match="multiplier must be an integer"):
+        cartan_matrix("A", 3, multiplier=1.5)
+    assert fpdim_preproj(cartan_matrix("A", 3, multiplier=2.0)) == pytest.approx(1 + math.sqrt(2))
