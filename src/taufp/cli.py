@@ -130,7 +130,8 @@ def _cmd_coxeter(args, report: Report) -> None:
     cd = _cartan_from_args(args)
     budget = _budget(coxeter.DEFAULT_BUDGET)
     if args.subcmd == "fpdim":  # of the opposite weak order (the tau-tilting poset model)
-        val, witness = lattice.fpdim_lattice(preproj.tau_tiltp_model(cd, budget=budget))
+        model = preproj.tau_tiltp_model(cd, budget=budget)
+        val, witness = lattice.fpdim_lattice(model, tol=args.tol)
         report.real("fpdim", val)
         report.value("witness", witness)
         return
@@ -152,7 +153,7 @@ def _cmd_preproj(args, report: Report) -> None:
         for fam, rank in preproj.TABLE_TYPES:
             for mult in (1, 2):
                 cd = coxeter.cartan_matrix(fam, rank, multiplier=mult)
-                computed = spectral.spectral_radius(preproj.gabriel_quiver(cd))
+                computed = spectral.spectral_radius(preproj.gabriel_quiver(cd), tol=args.tol)
                 closed = preproj.dynkin_rho(fam, rank, minimal=(mult == 1))
                 ok = abs(computed - closed) <= 1e-9
                 all_ok &= ok
@@ -187,13 +188,13 @@ def _parse_kupisch(raw: str) -> list[int]:
         raise ValueError(f"--kupisch must be a comma-separated integer list, got {raw!r}") from None
 
 
-def _sandwich(alg, max_n: int, report: Report):
+def _sandwich(alg, max_n: int, tol: float, report: Report):
     """Report FPdim(lattice), d_b, FPdim(A) and the sandwich verdict
     max(FPdim(lattice), d_b) <= FPdim(A) <= FPdim(lattice) + d_b; return the lattice."""
     lat = nakayama.tau_tiltp_lattice(alg, max_n=max_n)
-    fl, _ = lattice.fpdim_lattice(lat)
+    fl, _ = lattice.fpdim_lattice(lat, tol=tol)
     db = nakayama.self_ext_bound(alg)
-    fa = nakayama.fpdim_nakayama(alg, max_n=max_n)
+    fa = nakayama.fpdim_nakayama(alg, tol=tol, max_n=max_n)
     report.real("fpdim_lattice", fl)
     report.value("d_b", db)
     report.real("fpdim", fa)
@@ -205,7 +206,7 @@ def _cmd_nakayama(args, report: Report) -> None:
     alg = nakayama.make_algebra(args.shape, _parse_kupisch(args.kupisch))
     max_n = _budget(nakayama.DEFAULT_MAX_N)
     if args.subcmd == "fpdim":
-        report.real("fpdim", nakayama.fpdim_nakayama(alg, max_n=max_n))
+        report.real("fpdim", nakayama.fpdim_nakayama(alg, tol=args.tol, max_n=max_n))
         return
     if args.subcmd == "pairs":
         pairs = nakayama.tau_tilting_pairs(alg, max_n=max_n)
@@ -215,7 +216,7 @@ def _cmd_nakayama(args, report: Report) -> None:
         report.doc["values"]["pairs"] = [p.name() for p in pairs]
         return
     if args.subcmd == "sandwich":
-        _sandwich(alg, max_n, report)
+        _sandwich(alg, max_n, args.tol, report)
         return
     # report; the lattice elements are the tau-tilting pairs
     mods = nakayama.indecomposables(alg)
@@ -228,7 +229,7 @@ def _cmd_nakayama(args, report: Report) -> None:
     report.value("tau_rigid", [k for k, v in rigid_tab.items() if v],
                  f"tau-rigid: {sum(rigid_tab.values())}")
     sbs = nakayama.semibricks(alg, max_n=max_n)
-    lat = _sandwich(alg, max_n, report)
+    lat = _sandwich(alg, max_n, args.tol, report)
     report.value("semibrick_count", len(sbs))
     report.value("tau_tilting_pair_count", len(lat))
     report.verdict("bijection", len(sbs) == len(lat))

@@ -169,6 +169,7 @@ def cartan_matrix(family: str, rank: int, multiplier: int = 1) -> CartanData:
 
 def coxeter_exponent(cartan: CartanData, i: int, j: int) -> int:
     """Order m_ij of s_i s_j, read off the Cartan entries."""
+    i, j = _generator(cartan.rank, i), _generator(cartan.rank, j)
     if i == j:
         return 1
     prod = int(cartan.cartan[i - 1, j - 1]) * int(cartan.cartan[j - 1, i - 1])
@@ -235,13 +236,13 @@ def identity_element(cartan: CartanData) -> WeylElement:
 
 def is_ascent(w: WeylElement, i: int) -> bool:
     """True iff l(w s_i) = l(w) + 1, i.e. w(alpha_i) is a positive root."""
-    col = w.mat[:, i - 1]
+    col = w.mat[:, _generator(w.mat.shape[0], i) - 1]
     return bool((col >= 0).all())
 
 
-def _generator(cartan: CartanData, i) -> int:
+def _generator(rank: int, i) -> int:
     i = _integer(i, "generator index")
-    if not 1 <= i <= cartan.rank:
+    if not 1 <= i <= rank:
         raise ValueError(f"generator index {i} out of range")
     return i
 
@@ -258,7 +259,7 @@ def _read_word(cartan: CartanData, mat: np.ndarray) -> WeylElement:
 
 def apply_generator(cartan: CartanData, w: WeylElement, i: int) -> WeylElement:
     """Right multiplication w * s_i; the length moves by exactly one."""
-    i = _generator(cartan, i)
+    i = _generator(cartan.rank, i)
     mat = w.mat @ cartan._gens[i - 1]
     if is_ascent(w, i):
         return WeylElement(mat, w.word + (i,))
@@ -272,7 +273,11 @@ def multiply(cartan: CartanData, a: WeylElement, b: WeylElement) -> WeylElement:
 
 def inverse(cartan: CartanData, w: WeylElement) -> WeylElement:
     """Inverse; the reversed word is reduced since generators are involutions."""
-    word = tuple(reversed(w.word))
+    return _from_word(cartan, tuple(reversed(w.word)))
+
+
+def _from_word(cartan: CartanData, word: tuple[int, ...]) -> WeylElement:
+    """The product of the generators in a reduced word."""
     mat = np.eye(cartan.rank, dtype=np.int64)
     for i in word:
         mat = mat @ cartan._gens[i - 1]
@@ -365,14 +370,14 @@ def weak_order(cartan: CartanData, budget: int = DEFAULT_BUDGET) -> WeakOrder:
 
 
 def longest_element(order: WeakOrder) -> WeylElement:
-    """The maximum of the weak order."""
-    return order.element(order.lattice.maximum)
+    """The maximum of the weak order, built from its name alone."""
+    return _from_word(order.cartan, tuple(map(int, order.lattice.maximum)))
 
 
 def parabolic_longest(order: WeakOrder, js) -> WeylElement:
     """w0(J): the join of the generators s_j, j in J."""
-    js = sorted(set(_generator(order.cartan, j) for j in js))
+    js = sorted(set(_generator(order.cartan.rank, j) for j in js))
     if not js:
         raise ValueError("J must be nonempty")
     name = order.lattice.join_all([str(j) for j in js])
-    return order.element(name)
+    return _from_word(order.cartan, tuple(map(int, name)))

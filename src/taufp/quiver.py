@@ -3,7 +3,11 @@
 A quiver is a finite directed multigraph; ``adj[i][j]`` counts the arrows
 from vertex ``i`` to vertex ``j``, so loops sit on the diagonal.  The empty
 quiver (no vertices) is a legal value.  Instances are immutable after
-construction and safe to share between threads.
+construction and safe to share between threads.  Graph components are
+found in one place, ``_components`` (iterative Tarjan): strongly connected
+blocks for ``spectral.spectral_radius``, and weak components, the strong
+ones of ``adj + adj.T``, for ``connected_components`` and
+``classify_underlying_graph``.
 """
 
 from __future__ import annotations
@@ -149,33 +153,61 @@ def separated_quiver(q: Quiver) -> Quiver:
     return Quiver(labels, adj)
 
 
+def _components(adj: np.ndarray) -> list[list[int]]:
+    """Strongly connected components of the digraph with an arrow i -> j
+    wherever adj[i, j] != 0, by iterative Tarjan.
+
+    Roots are taken in index order and successors in increasing order; each
+    component lists its vertices in the order they leave the stack.  For a
+    symmetric adj these are the weak components.
+    """
+    n = adj.shape[0]
+    succ = [np.nonzero(row)[0].tolist() for row in adj]
+    index, low, onstack = [-1] * n, [0] * n, [False] * n
+    stack: list[int] = []
+    comps: list[list[int]] = []
+    counter = 0
+    for root in range(n):
+        if index[root] != -1:
+            continue
+        work = [(root, 0)]
+        while work:
+            v, pi = work[-1]
+            if pi == 0:
+                index[v] = low[v] = counter
+                counter += 1
+                stack.append(v)
+                onstack[v] = True
+            for k in range(pi, len(succ[v])):
+                w = succ[v][k]
+                if index[w] == -1:
+                    work[-1] = (v, k + 1)
+                    work.append((w, 0))
+                    break
+                if onstack[w]:
+                    low[v] = min(low[v], index[w])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[v])
+                if low[v] == index[v]:
+                    at = stack.index(v)
+                    comps.append(stack[at:][::-1])
+                    for w in stack[at:]:
+                        onstack[w] = False
+                    del stack[at:]
+    return comps
+
+
 def connected_components(q: Quiver) -> list[Quiver]:
     """Weak (underlying-graph) components, each as an induced subquiver.
 
     Components are ordered by their first vertex in declaration order and
     inherit the original relative label order.  Isolated vertices count.
     """
-    n = q.n
-    sym = q.adj + q.adj.T
-    seen = [False] * n
-    comps = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        stack = [start]
-        seen[start] = True
-        comp = []
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for w in np.nonzero(sym[v])[0]:
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(int(w))
-        comp.sort()
-        sub = q.adj[np.ix_(comp, comp)]
-        comps.append(Quiver([q.labels[i] for i in comp], sub))
-    return comps
+    comps = sorted(sorted(c) for c in _components(q.adj + q.adj.T))
+    return [Quiver([q.labels[i] for i in c], q.adj[np.ix_(c, c)]) for c in comps]
 
 
 @dataclass(frozen=True)
@@ -256,11 +288,11 @@ def classify_underlying_graph(q: Quiver) -> DynkinClass:
     n = q.n
     if n == 0:
         raise ValueError("cannot classify the empty quiver")
-    if len(connected_components(q)) != 1:
+    mult = q.adj + q.adj.T  # undirected edge multiplicities, i != j
+    if len(_components(mult)) != 1:
         raise ValueError("classify_underlying_graph requires a connected quiver")
     if np.diagonal(q.adj).any():
         return OTHER
-    mult = q.adj + q.adj.T  # undirected edge multiplicities, i != j
     heavy = [(i, j) for i in range(n) for j in range(i + 1, n) if mult[i, j] >= 2]
     if heavy:
         # the double edge on two vertices is the A~_1 diagram; anything else

@@ -1,14 +1,16 @@
 """Spectral radii of quivers and exact integer linear algebra around them.
 
 Everything here is deterministic: spectral radii come from shifted power
-iteration with Collatz-Wielandt bracketing on strongly connected blocks,
-characteristic polynomials are computed exactly over Python integers and
-their largest real root is isolated by Sturm bisection in integer
-arithmetic (primitive pseudo-remainder chains, homogeneous evaluation at
-each rational midpoint), and definiteness of integer Gram matrices is
-decided by one fraction-free symmetric (Bareiss) elimination in integers,
-which also yields the kernel (the positive-semidefinite-but-singular cases
-are knife edges that floating point gets wrong).
+iteration with Collatz-Wielandt bracketing on strongly connected blocks
+(found by ``quiver._components``, the one component routine; this module
+holds linear algebra only), characteristic polynomials are computed
+exactly over Python integers held in numpy object arrays and their largest
+real root is isolated by Sturm bisection in integer arithmetic (primitive
+pseudo-remainder chains, homogeneous evaluation at each rational
+midpoint), and definiteness of integer Gram matrices is decided by one
+fraction-free symmetric (Bareiss) elimination in integers, which also
+yields the kernel (the positive-semidefinite-but-singular cases are knife
+edges that floating point gets wrong).
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ConsistencyError
-from .quiver import Quiver
+from .quiver import Quiver, _components
 
 __all__ = [
     "IntPolynomial",
@@ -92,27 +94,17 @@ ONE = IntPolynomial((1,))
 def char_poly(q: Quiver) -> IntPolynomial:
     """det(xI - M(Q)) over exact integers via Faddeev-LeVerrier.
 
-    The empty quiver gives the constant polynomial 1.
+    The products are taken on numpy object arrays of Python ints, so they
+    stay exact at any size.  The empty quiver gives the constant polynomial 1.
     """
     n = q.n
-    if n == 0:
-        return ONE
-    a = [[int(x) for x in row] for row in q.adj.tolist()]
-    m = [row[:] for row in a]
-    coeffs = [0] * (n + 1)
-    coeffs[n] = 1
+    a = m = q.adj.astype(object)
+    coeffs = [0] * n + [1]
     c = 1
     for k in range(1, n + 1):
         if k > 1:
-            # m <- a @ (m + c I)
-            for i in range(n):
-                m[i][i] += c
-            m = [
-                [sum(a[i][t] * m[t][j] for t in range(n)) for j in range(n)]
-                for i in range(n)
-            ]
-        tr = sum(m[i][i] for i in range(n))
-        c, rem = divmod(-tr, k)
+            m = a @ m + c * a  # a @ (m + c I)
+        c, rem = divmod(-m.trace(), k)
         if rem:
             raise ConsistencyError("Faddeev-LeVerrier trace not divisible, nonintegral input?")
         coeffs[n - k] = c
@@ -263,55 +255,6 @@ def largest_real_root(p: IntPolynomial, tol: float = 1e-12) -> float:
     return (lo + hi) / (2 * den)
 
 
-def _tarjan_scc(adj: np.ndarray) -> list[list[int]]:
-    """Strongly connected components, iterative Tarjan."""
-    n = adj.shape[0]
-    succ = [np.nonzero(adj[i])[0].tolist() for i in range(n)]
-    index = [-1] * n
-    low = [0] * n
-    onstack = [False] * n
-    stack: list[int] = []
-    comps: list[list[int]] = []
-    counter = 0
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                onstack[v] = True
-            advanced = False
-            for k in range(pi, len(succ[v])):
-                w = succ[v][k]
-                if index[w] == -1:
-                    work[-1] = (v, k + 1)
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if onstack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    onstack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                comps.append(comp)
-    return comps
-
-
 def _power_radius(block: np.ndarray, tol: float, max_iter: int = 200000) -> float:
     """rho of a strongly connected nonnegative integer block.
 
@@ -321,13 +264,16 @@ def _power_radius(block: np.ndarray, tol: float, max_iter: int = 200000) -> floa
     """
     b = block.astype(np.float64) + np.eye(block.shape[0])
     x = np.ones(block.shape[0], dtype=np.float64)
-    for _ in range(max_iter):
+    for step in range(1, max_iter + 1):
         y = b @ x
         ratios = y / x
         lo, hi = float(ratios.min()), float(ratios.max())
         if hi - lo < tol:
             return (lo + hi) / 2.0 - 1.0
         x = y / y.max()
+        if not x.all():  # a ratio would be inf or nan, so the bracket never closes
+            raise ConsistencyError(f"power iteration on a {len(x)}-vertex block: "
+                                   f"the iterate underflowed to 0 after {step} steps")
     raise ConsistencyError("power iteration failed to converge")
 
 
@@ -344,7 +290,7 @@ def spectral_radius(q: Quiver, tol: float = 1e-12, verify: bool = False) -> floa
     if q.n == 0:
         return 0.0
     rho = 0.0
-    for comp in _tarjan_scc(q.adj):
+    for comp in _components(q.adj):
         if len(comp) == 1:
             v = comp[0]
             rho = max(rho, float(q.adj[v, v]))
@@ -446,23 +392,22 @@ def definiteness(g: SymIntMatrix) -> Definiteness:
     0 at the other kernel indices, read off the pivot rows by
     back-substitution and checked to satisfy G v = 0 exactly."""
     n = g.n
-    m = [list(row) for row in g.rows]  # upper triangle m[i][j], j >= i, is live
+    m = np.array(g.rows, dtype=object).reshape(n, n)  # Python ints, exact
     prev = 1
     pivots, free = [], []
     for c in range(n):
-        d, row = m[c][c], m[c]
-        if d < 0 or (d == 0 and any(row[c + 1 :])):
+        d, r = m[c, c], m[c, c + 1 :]
+        if d < 0 or (d == 0 and r.any()):
             return Definiteness("indefinite")
         if d == 0:
             free.append(c)
             continue
         pivots.append(c)
-        for i in range(c + 1, n):
-            a, mi = row[i], m[i]
-            qr = [divmod(d * x - a * y, prev) for x, y in zip(mi[i:], row[i:])]
-            if any(r for _, r in qr):
-                raise ConsistencyError(f"Bareiss division by {prev} is not exact")
-            mi[i:] = [q for q, _ in qr]
+        num = d * m[c + 1 :, c + 1 :] - np.outer(r, r)
+        block = num // prev
+        if (block * prev != num).any():
+            raise ConsistencyError(f"Bareiss division by {prev} is not exact")
+        m[c + 1 :, c + 1 :] = block  # row c keeps the entries read back below
         prev = d
     if not free:
         return Definiteness("positive_definite")

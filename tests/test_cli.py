@@ -66,6 +66,20 @@ def test_quiver_rho_rejects_non_finite_tol(capsys, tol):
     assert "tol must be positive and finite" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("coxeter", "fpdim", "--type", "A", "--rank", 2),
+    ("nakayama", "fpdim", "--shape", "cyclic", "--kupisch", "2,2"),
+    ("nakayama", "sandwich", "--shape", "cyclic", "--kupisch", "2,2"),
+    ("nakayama", "report", "--shape", "cyclic", "--kupisch", "2,2"),
+    ("preproj", "table"),
+])
+def test_fpdim_subcommands_reject_zero_tol(capsys, argv):
+    # each of these echoes tol in its JSON inputs, so it must also compute with it
+    code, out, err = run(capsys, *argv, "--tol", 0, "--json")
+    assert code == 2 and out == ""
+    assert "tol must be positive and finite" in err
+
+
 def test_lattice_commands(capsys):
     code, out, _ = run(capsys, "lattice", "fpdim", "--file", FIXTURES / "example31.json")
     assert code == 0 and "fpdim = 2.000000000000" in out and "witness: x" in out

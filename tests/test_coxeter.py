@@ -269,4 +269,26 @@ def test_lattice_callers_build_no_generator_matrices():
     assert w.lattice.maximum == "121321421324"
     assert "_gens" not in vars(cd) and "elements" not in vars(w)
     assert longest_element(w).word == (1, 2, 1, 3, 2, 1, 4, 2, 1, 3, 2, 4)
-    assert "_gens" in vars(cd) and "elements" in vars(w)
+    assert "_gens" in vars(cd) and "elements" not in vars(w)
+    assert parabolic_longest(w, [1, 2, 3]).word == (1, 2, 1, 3, 2, 1)
+    assert "elements" not in vars(w)
+    assert longest_element(w) == w.element(w.lattice.maximum)
+
+
+def test_index_checks_of_is_ascent_and_coxeter_exponent():
+    # index 0 once read the last column or row through numpy's negative indexing
+    cd = cartan_matrix("A", 3)
+    e = identity_element(cd)
+    assert is_ascent(e, 1.0) and coxeter_exponent(cd, 1.0, 2) == 3
+    for bad in (0, 4, -1):
+        with pytest.raises(ValueError, match="out of range"):
+            is_ascent(apply_generator(cd, e, 3), bad)
+        with pytest.raises(ValueError, match="out of range"):
+            coxeter_exponent(cd, bad, 1)
+        with pytest.raises(ValueError, match="out of range"):
+            coxeter_exponent(cd, 1, bad)
+    for bad in (1.5, "1", None):
+        with pytest.raises(ValueError, match="generator index must be an integer"):
+            is_ascent(e, bad)
+        with pytest.raises(ValueError, match="generator index must be an integer"):
+            coxeter_exponent(cd, bad, 1)

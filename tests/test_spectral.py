@@ -1,6 +1,7 @@
 """Spectral radii, exact characteristic polynomials, Gram forms."""
 
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -139,7 +140,7 @@ def _dense_strongly_connected(n, seed):
 
 @pytest.mark.parametrize("n", [24, 32, pytest.param(48, marks=pytest.mark.stretch)])
 def test_verify_dense_size_ceiling(n):
-    # exact char-poly and Sturm route on dense quivers; ~0.1 s, 0.25 s, 1.3 s
+    # exact char-poly and Sturm route on dense quivers; ~0.04 s, 0.16 s, 0.93 s
     q = _dense_strongly_connected(n, seed=n)
     want = float(np.abs(np.linalg.eigvals(q.adj.astype(float))).max())
     assert spectral_radius(q, verify=True) == pytest.approx(want, abs=1e-9)
@@ -190,6 +191,31 @@ def test_integer_gap():
         q = random_quiver(rng)
         rho = spectral_radius(q)
         assert rho < 1e-9 or rho >= 1 - 1e-9
+
+
+def test_char_poly_is_exact_beyond_int64():
+    rng = np.random.default_rng(17)
+    adj = rng.integers(0, 10**9, size=(12, 12)) * (rng.random((12, 12)) < 0.6)
+    q = Quiver([f"v{i}" for i in range(12)], adj)
+    want = sympy.Matrix(adj.tolist()).charpoly().all_coeffs()[::-1]
+    got = char_poly(q).coeffs
+    assert list(got) == [int(c) for c in want]
+    assert max(abs(c) for c in got).bit_length() > 64
+
+
+def test_power_iteration_fails_fast_on_underflow():
+    # a double path with multiplicity 1000 one way and 1 back: the Perron
+    # vector spans hundreds of decades, so the normalized iterate underflows
+    # (rho = 2 sqrt(1000) cos(pi / 301)).  Once an entry is 0 the bracket can
+    # never close, so this must raise at once instead of running every step.
+    n = 300
+    adj = np.zeros((n, n), dtype=np.int64)
+    adj[np.arange(n - 1), np.arange(1, n)] = 1000
+    adj[np.arange(1, n), np.arange(n - 1)] = 1
+    started = time.perf_counter()
+    with pytest.raises(ConsistencyError, match="power iteration on a 300-vertex block"):
+        spectral_radius(Quiver([str(i) for i in range(n)], adj))
+    assert time.perf_counter() - started < 1.0
 
 
 def test_dynkin_rho_values():
