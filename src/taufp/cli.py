@@ -228,11 +228,12 @@ def _cmd_nakayama(args, report: Report) -> None:
                  f"bricks: {sum(brick_tab.values())}")
     report.value("tau_rigid", [k for k, v in rigid_tab.items() if v],
                  f"tau-rigid: {sum(rigid_tab.values())}")
-    sbs = nakayama.semibricks(alg, max_n=max_n)
     lat = _sandwich(alg, max_n, args.tol, report)
-    report.value("semibrick_count", len(sbs))
+    # counted off the semibrick search, independently of the pair lattice
+    semibrick_count = len(alg._tables.semibrick_masks[0])
+    report.value("semibrick_count", semibrick_count)
     report.value("tau_tilting_pair_count", len(lat))
-    report.verdict("bijection", len(sbs) == len(lat))
+    report.verdict("bijection", semibrick_count == len(lat))
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +284,11 @@ def _parser() -> argparse.ArgumentParser:
     return top
 
 
+# the subcommands that compute with --tol, which is checked before any work
+_TOL_READERS = {("quiver", "rho"), ("lattice", "fpdim"), ("coxeter", "fpdim"),
+                ("preproj", "rho"), ("preproj", "table"), ("nakayama", "fpdim"),
+                ("nakayama", "sandwich"), ("nakayama", "report")}
+
 _DISPATCH = {
     "quiver": _cmd_quiver,
     "lattice": _cmd_lattice,
@@ -306,6 +312,8 @@ def main(argv=None) -> int:
     }
     report = Report(f"{args.command} {args.subcmd}", inputs)
     try:
+        if (args.command, args.subcmd) in _TOL_READERS:
+            spectral._check_tol(args.tol)
         _DISPATCH[args.command](args, report)
     except BudgetError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)

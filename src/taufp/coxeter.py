@@ -14,16 +14,24 @@ the row bytes.  A product over an ascent is one longer, so no element can
 repeat across levels.  The order is returned as a FiniteLattice whose
 element names are lex-minimal reduced words; matrices are built from the
 names only when an element is asked for.
+
+Each cover keeps the generator s_i it multiplies by.  Every rank-2
+interval of the weak order is a coset x W_ij, a 2 m_ij-gon (Bjorner-Brenti,
+GTM 231, 3.2), and a face certificate checks exactly that on the labelled
+covers; the cover quiver Q(x, dp(x)) is then the Coxeter graph (m_ij >= 3)
+induced on the labels of the covers of x, so the lattice reads its arrows
+off the labels and computes no join.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import BudgetError
+from .errors import BudgetError, ConsistencyError
 from .lattice import FiniteLattice
 from .quiver import _integer
 
@@ -167,13 +175,19 @@ def cartan_matrix(family: str, rank: int, multiplier: int = 1) -> CartanData:
     return CartanData(family, rank, c, diag, multiplier)
 
 
+# m_ij indexed by c_ij * c_ji: 0, 1, 2, 3 off the diagonal, 4 on it
+_ORDER_OF_PRODUCT = np.array([2, 3, 4, 6, 1])
+
+
+def _coxeter_matrix(cartan: CartanData) -> np.ndarray:
+    """The orders m_ij of s_i s_j (0-based), read off the Cartan entries."""
+    return _ORDER_OF_PRODUCT[cartan.cartan * cartan.cartan.T]
+
+
 def coxeter_exponent(cartan: CartanData, i: int, j: int) -> int:
     """Order m_ij of s_i s_j, read off the Cartan entries."""
     i, j = _generator(cartan.rank, i), _generator(cartan.rank, j)
-    if i == j:
-        return 1
-    prod = int(cartan.cartan[i - 1, j - 1]) * int(cartan.cartan[j - 1, i - 1])
-    return {0: 2, 1: 3, 2: 4, 3: 6}[prod]
+    return int(_coxeter_matrix(cartan)[i - 1, j - 1])
 
 
 def weyl_order(family: str, rank: int) -> int:
@@ -323,9 +337,11 @@ def _weak_order_covers(cartan: CartanData, budget: int):
     which the elements are first reached, scanning the previous level in
     order and each element's ascents by generator, which is lex order of
     the words) and the covers (w s_i, w) in the same scan order as
-    declaration index arrays upper and lower.  Each element is its vector
-    w^{-1} rho (see the module docstring).  Raises BudgetError before any
-    work when the group order exceeds the budget.
+    declaration index arrays upper and lower, with the 0-based generator i
+    of each cover as label.  Each element is its vector w^{-1} rho (see the
+    module docstring).  Raises BudgetError before any work when the group
+    order exceeds the budget; the element count and the rank-2 faces
+    (_check_faces) are certified before the covers are returned.
     """
     total = weyl_order(cartan.family, cartan.rank)
     if total > budget:
@@ -333,7 +349,7 @@ def _weak_order_covers(cartan: CartanData, budget: int):
             f"weak order of {cartan.name} needs {total} elements, budget is {budget}"
         )
     declaration = ["e"]
-    upper, lower = [], []
+    upper, lower, label = [], [], []
     prefixes = [""]  # a child's name extends its prefix
     vecs = np.ones((1, cartan.rank), dtype=np.int64)
     while True:
@@ -348,6 +364,7 @@ def _weak_order_covers(cartan: CartanData, budget: int):
         # the previous level fills the last len(prefixes) declaration slots
         lower.append(parent + len(declaration) - len(prefixes))
         upper.append(rank[inverse] + len(declaration))
+        label.append(gen)
         first = first[order]
         vecs = prods[first]
         parent, gen = parent.tolist(), (gen + 1).tolist()
@@ -357,7 +374,53 @@ def _weak_order_covers(cartan: CartanData, budget: int):
         raise AssertionError(
             f"BFS found {len(declaration)} elements of {cartan.name}, expected {total}"
         )
-    return declaration, np.concatenate(upper), np.concatenate(lower)
+    upper, lower, label = np.concatenate(upper), np.concatenate(lower), np.concatenate(label)
+    _check_faces(cartan, declaration, _down_table(cartan, total, upper, lower, label))
+    return declaration, upper, lower, label
+
+
+def _down_table(cartan: CartanData, n: int, upper, lower, label) -> np.ndarray:
+    """The table of right descents from the labelled covers (x, x s_i): row
+    x holds x s_i where i is a descent of x, else -1.  One more row of -1
+    follows the n elements, so a walk that steps onto -1 stays there."""
+    down = np.full((n + 1, cartan.rank), -1, dtype=np.int64)
+    down[upper, label] = lower
+    if np.count_nonzero(down >= 0) != len(upper):
+        raise ConsistencyError(f"{cartan.name}: two covers below one element share a label")
+    return down
+
+
+def _check_faces(cartan: CartanData, names, down: np.ndarray) -> None:
+    """Face certificate of a weak order from its descent table: for every
+    element x and descents i < j of x, the alternating words s_i s_j ... and
+    s_j s_i ... of length m_ij step down at every letter and end at one
+    element, so the rank-2 interval below x is the 2 m_ij-gon x W_ij.  All
+    elements are walked at once per pair; a failure raises ConsistencyError
+    naming the type, the element and the pair (1-based)."""
+    m = _coxeter_matrix(cartan)
+    for i, j in itertools.combinations(range(cartan.rank), 2):
+        start = np.flatnonzero((down[:, i] >= 0) & (down[:, j] >= 0))
+        a, b = start, start
+        for step in range(m[i, j]):
+            a = down[a, (i, j)[step % 2]]
+            b = down[b, (j, i)[step % 2]]
+        bad = np.flatnonzero((a < 0) | (a != b))
+        if len(bad):
+            raise ConsistencyError(
+                f"{cartan.name}: the ({i + 1}, {j + 1}) face below {names[start[bad[0]]]!r} "
+                f"is not a {2 * m[i, j]}-gon"
+            )
+
+
+def _weak_order_lattice(cartan: CartanData, budget: int, dual: bool) -> FiniteLattice:
+    """The weak order (dual=False) or its opposite through the face route:
+    the covers of each element carry their generators, and two of them span
+    an arrow of Q(x, dp(x)) exactly when m_ij >= 3 (module docstring)."""
+    declaration, upper, lower, label = _weak_order_covers(cartan, budget)
+    if dual:
+        upper, lower = lower, upper
+    return FiniteLattice._from_faces(declaration, upper, lower, label,
+                                     _coxeter_matrix(cartan) >= 3)
 
 
 def weak_order(cartan: CartanData, budget: int = DEFAULT_BUDGET) -> WeakOrder:
@@ -366,7 +429,7 @@ def weak_order(cartan: CartanData, budget: int = DEFAULT_BUDGET) -> WeakOrder:
     Covers are (w s_i, w) for each ascent i, so upper means longer.  Raises
     BudgetError up front when the group order exceeds the budget.
     """
-    return WeakOrder(cartan, FiniteLattice(*_weak_order_covers(cartan, budget)))
+    return WeakOrder(cartan, _weak_order_lattice(cartan, budget, dual=False))
 
 
 def longest_element(order: WeakOrder) -> WeylElement:

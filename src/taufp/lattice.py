@@ -8,18 +8,26 @@ bitsets (one Python int per element, which makes joins and meets cheap
 even on weak orders with tens of thousands of elements) and rejects cycles
 and covers implied by longer paths.
 
-Every lattice is certified at construction, at any size.  A bounded finite
-poset is a lattice as soon as any two upper covers of a common element have
-a join (Bjorner-Edelman-Ziegler, DCG 5 (1990), Lemma 2.1), so the
-constructor computes exactly those joins and raises LatticeError on the
-first one missing.  The same joins give the cover quivers: Q(x, dp(x)) has
-vertices the upper covers y of x and an arrow y -> y' exactly when y is not
-a lower cover of y v y'.  Each is kept as one row-major bitmask, which the
-FP dimension scan reads by element index without computing any join.
+Every lattice is certified at construction, at any size, by one of two
+certificates.  The constructor, and so from_covers, JSON input, opposite
+and the Nakayama pair lattices, uses the generic one: a bounded finite
+poset is a lattice as soon as any two upper covers of a common element
+have a join (Bjorner-Edelman-Ziegler, DCG 5 (1990), Lemma 2.1), so it
+computes exactly those joins and raises LatticeError on the first one
+missing.  The same joins give the cover quivers: Q(x, dp(x)) has vertices
+the upper covers y of x and an arrow y -> y' exactly when y is not a lower
+cover of y v y'.  Weyl weak orders and their opposites are certified by
+their rank-2 faces instead (coxeter checks that each is the 2 m_ij-gon
+x W_ij on the generator labels of the covers), and their cover quivers are
+read off those labels by _from_faces with no join and no bitset; their
+sweep waits for the first order query.  Either way each Q(x, dp(x)) is
+kept as one row-major bitmask, which the FP dimension scan reads by
+element index.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Sequence
 
 import numpy as np
@@ -44,6 +52,41 @@ class FiniteLattice:
     elements, upper[k] covering lower[k].  See :func:`from_covers`."""
 
     def __init__(self, elements, upper, lower):
+        self._set_covers(elements, upper, lower)
+        self._sweep()
+        self._set_extremes()
+        self._qmask = self._certify()
+
+    @classmethod
+    def _from_faces(cls, elements, upper, lower, label, arrow) -> FiniteLattice:
+        """A lattice whose cover quivers are read off labelled rank-2 faces.
+
+        label is an integer array, label[k] the label of cover k; covers
+        labelled s and t above one element span the arrow s -> t of its
+        cover quiver exactly when the boolean array arrow has arrow[s, t].
+        The caller certifies that the covers form a lattice with those faces
+        (the Weyl face certificate in coxeter); here every structural check
+        of the constructor runs but the sweep, which waits for the first
+        order query (leq, join, meet, join_all, interval)."""
+        lat = cls.__new__(cls)
+        lat._set_covers(elements, upper, lower)
+        lat._set_extremes()
+        lat._qmask = _face_masks(len(lat.elements), lat._upper, lat._lower, label, arrow)
+        return lat
+
+    def __getattr__(self, name):
+        # only reached for missing attributes: a face-built lattice sweeps on
+        # the first read of the order, its positions or its up-sets
+        if name in ("_toporder", "_pos", "_up"):
+            self._sweep()
+            return self.__dict__[name]
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+
+    # -- construction helpers -------------------------------------------------
+
+    def _set_covers(self, elements, upper, lower) -> None:
+        """Names, the two cover index arrays and the cover lists, after
+        checking names, index ranges, loops and repeated covers."""
         self.elements: tuple[str, ...] = tuple(str(e) for e in elements)
         if not self.elements:
             raise ValueError("a lattice needs at least one element")
@@ -71,10 +114,10 @@ class FiniteLattice:
             self._parents[l].append(u)
         for ps in self._parents:
             ps.sort()  # the vertex order of Q(x, dp(x))
-
-        self._sweep()
         self._down: list[int] | None = None
 
+    def _set_extremes(self) -> None:
+        n = len(self.elements)
         maxima = [i for i in range(n) if not self._parents[i]]
         minima = [i for i in range(n) if not self._children[i]]
         # acyclic and nonempty, so there is at least one of each
@@ -86,9 +129,6 @@ class FiniteLattice:
             raise LatticeError(f"no meet for ({a}, {b})", (a, b))
         self._max = maxima[0]
         self._min = minima[0]
-        self._qmask = self._certify()
-
-    # -- construction helpers -------------------------------------------------
 
     def _sweep(self) -> None:
         """One Kahn sweep from the maxima: each element is reached after all
@@ -274,6 +314,25 @@ class Covers(Sequence):
 
     def __repr__(self):
         return repr(tuple(self))
+
+
+def _face_masks(n: int, upper, lower, label, arrow) -> list[int]:
+    """The arrow masks of _certify's layout read off cover labels: bit
+    a*m + b is set for the arrow ys[a] -> ys[b] on the m sorted upper covers
+    ys of x when arrow[label of (ys[a], x), label of (ys[b], x)].  Masks are
+    uint64 while every m is at most 8 (m*m bits fit), Python ints above."""
+    order = np.lexsort((upper, lower))  # by element, then by upper cover
+    xs = lower[order]
+    m = np.bincount(xs, minlength=n)
+    labels = np.zeros((n, int(m.max(initial=0))), dtype=np.int64)
+    labels[xs, np.arange(len(xs)) - (np.cumsum(m) - m)[xs]] = label[order]
+    dtype = np.uint64 if labels.shape[1] <= 8 else object
+    one = np.array(1, dtype=dtype)
+    masks = np.zeros(n, dtype=dtype)
+    for a, b in itertools.permutations(range(labels.shape[1]), 2):
+        hit = (m > max(a, b)) & arrow[labels[:, a], labels[:, b]]
+        masks[hit] |= one << (a * m[hit] + b).astype(dtype)
+    return masks.tolist()
 
 
 def from_covers(elements, covers) -> FiniteLattice:

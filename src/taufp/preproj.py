@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .coxeter import _E_COXETER, CartanData, DEFAULT_BUDGET, _check_type_rank, _weak_order_covers
+from .coxeter import _E_COXETER, CartanData, DEFAULT_BUDGET, _check_type_rank, _weak_order_lattice
 from .errors import ConsistencyError
 from .lattice import FiniteLattice
 from .quiver import Quiver
@@ -78,10 +78,10 @@ def tau_tiltp_model(cartan: CartanData, budget: int = DEFAULT_BUDGET) -> FiniteL
     identity of W, i.e. the pair (A, 0).  The lattice is built straight from
     the weak-order BFS with each cover reversed, so only one lattice is
     built; its elements and covers are in the order of
-    opposite(weak_order(cartan).lattice).
+    opposite(weak_order(cartan).lattice), and its cover quivers are read off
+    the certified rank-2 faces (coxeter module docstring).
     """
-    declaration, upper, lower = _weak_order_covers(cartan, budget)
-    return FiniteLattice(declaration, lower, upper)
+    return _weak_order_lattice(cartan, budget, dual=True)
 
 
 def dynkin_rho(family: str, rank: int, minimal: bool = True) -> float:

@@ -274,7 +274,8 @@ def _power_radius(block: np.ndarray, tol: float, max_iter: int = 200000) -> floa
         if not x.all():  # a ratio would be inf or nan, so the bracket never closes
             raise ConsistencyError(f"power iteration on a {len(x)}-vertex block: "
                                    f"the iterate underflowed to 0 after {step} steps")
-    raise ConsistencyError("power iteration failed to converge")
+    raise ConsistencyError(f"power iteration on a {len(x)}-vertex block failed to converge "
+                           f"after {max_iter} steps")
 
 
 def spectral_radius(q: Quiver, tol: float = 1e-12, verify: bool = False) -> float:

@@ -9,6 +9,7 @@ import sys
 import pytest
 
 import taufp.cli as cli
+import taufp.nakayama
 import taufp.preproj
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -78,6 +79,31 @@ def test_fpdim_subcommands_reject_zero_tol(capsys, argv):
     code, out, err = run(capsys, *argv, "--tol", 0, "--json")
     assert code == 2 and out == ""
     assert "tol must be positive and finite" in err
+
+
+def test_fpdim_tol_is_checked_before_any_work(capsys, monkeypatch):
+    def build(*args, **kwargs):
+        raise AssertionError("the E6 model was built before --tol was checked")
+
+    monkeypatch.setattr(taufp.preproj, "tau_tiltp_model", build)
+    code, out, err = run(capsys, "coxeter", "fpdim", "--type", "E", "--rank", 6, "--tol", 0)
+    assert code == 2 and out == ""
+    assert "tol must be positive and finite" in err
+
+
+def test_e6_fpdim_peak_rss(tmp_path):
+    # the face route keeps E6 well below the 241 MB its join certificate needed
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    out = tmp_path / "out.json"
+    with open(out, "w") as fh:
+        proc = subprocess.Popen([sys.executable, "-m", "taufp", "coxeter", "fpdim", "--type", "E",
+                                 "--rank", "6", "--json"], env=env, stdout=fh)
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+    assert proc.returncode == 0
+    assert json.loads(out.read_text())["values"]["fpdim"] == pytest.approx(1.9318516525781364)
+    assert usage.ru_maxrss < 150 * 1024  # kilobytes on Linux
 
 
 def test_lattice_commands(capsys):
@@ -223,6 +249,21 @@ def test_nakayama_commands(capsys):
     code, out, _ = run(capsys, "nakayama", "report", "--shape", "cyclic",
                        "--kupisch", "2,2")
     assert code == 0 and "bijection: PASS" in out
+
+
+def test_nakayama_report_counts_semibricks_without_building_them(capsys, monkeypatch):
+    alg = taufp.nakayama.make_algebra("cyclic", [3, 3, 2])
+    want = len(taufp.nakayama.semibricks(alg))
+
+    def build(*args, **kwargs):
+        raise AssertionError("report built the semibricks")
+
+    monkeypatch.setattr(taufp.nakayama, "semibricks", build)
+    code, out, _ = run(capsys, "nakayama", "report", "--shape", "cyclic", "--kupisch", "3,3,2",
+                       "--json")
+    doc = json.loads(out)
+    assert code == 0 and doc["verdicts"]["bijection"] is True
+    assert doc["values"]["semibrick_count"] == doc["values"]["tau_tilting_pair_count"] == want
 
 
 def test_nakayama_invalid_series_exit2(capsys):

@@ -1,9 +1,14 @@
 """Cartan matrices, reflection representation, weak order lattices."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from taufp.coxeter import (
+    _check_faces,
+    _down_table,
+    _weak_order_covers,
     apply_generator,
     cartan_matrix,
     coxeter_exponent,
@@ -16,7 +21,8 @@ from taufp.coxeter import (
     weak_order,
     weyl_order,
 )
-from taufp.errors import BudgetError
+from taufp.errors import BudgetError, ConsistencyError
+from taufp.lattice import FiniteLattice, fpdim_lattice
 from taufp.preproj import TABLE_TYPES, fpdim_preproj, tau_tiltp_model
 
 from helpers import weak_order_reference
@@ -292,3 +298,63 @@ def test_index_checks_of_is_ascent_and_coxeter_exponent():
             is_ascent(e, bad)
         with pytest.raises(ValueError, match="generator index must be an integer"):
             coxeter_exponent(cd, bad, 1)
+
+
+# the E6 join route builds 172 MB of up-sets in about a second, so it runs under stretch
+FACE_TYPES = [t for t in TABLE_TYPES if t != ("E", 6)] + [
+    pytest.param("E", 6, marks=pytest.mark.stretch)
+]
+
+
+@pytest.mark.parametrize("fam, rank", FACE_TYPES)
+def test_face_masks_equal_join_masks(fam, rank):
+    # the cover quivers read off the labelled faces are the ones the generic
+    # constructor computes from joins (Bjorner-Edelman-Ziegler), both ways up
+    cd = cartan_matrix(fam, rank)
+    for lat in (tau_tiltp_model(cd), weak_order(cd).lattice):
+        joined = FiniteLattice(lat.elements, lat._upper, lat._lower)
+        assert lat._parents == joined._parents
+        assert lat._qmask == joined._qmask
+        assert (lat._max, lat._min) == (joined._max, joined._min)
+
+
+def test_face_certificate_names_a_broken_face():
+    cd = cartan_matrix("A", 3)
+    names, upper, lower, label = _weak_order_covers(cd, 100)
+    down = _down_table(cd, len(names), upper, lower, label)
+    _check_faces(cd, names, down)
+    top = len(names) - 1  # w0, where every generator is a descent
+    down[top, [0, 1]] = down[top, [1, 0]]
+    with pytest.raises(ConsistencyError, match=r"A3: the \(1, 2\) face below '121321' "
+                                               r"is not a 6-gon"):
+        _check_faces(cd, names, down)
+    # every step still goes down, but 121 -> 12 -> 1 -> 2 ends apart from 121 -> 21 -> 2 -> e
+    a2 = cartan_matrix("A", 2)
+    names2, *covers2 = _weak_order_covers(a2, 100)
+    down = _down_table(a2, len(names2), *covers2)
+    down[names2.index("1"), 0] = names2.index("2")
+    with pytest.raises(ConsistencyError, match=r"A2: the \(1, 2\) face below '121'"):
+        _check_faces(a2, names2, down)
+    label = label.copy()
+    label[-1] = label[-2]  # two covers of one element under one generator
+    with pytest.raises(ConsistencyError, match="share a label"):
+        _down_table(cd, len(names), upper, lower, label)
+
+
+@pytest.mark.parametrize("fam, rank", [("A", 3), ("D", 4)])
+def test_face_built_order_queries_equal_generic(fam, rank):
+    lat = weak_order(cartan_matrix(fam, rank)).lattice
+    generic = FiniteLattice(lat.elements, lat._upper, lat._lower)
+    for x, y in itertools.product(lat.elements, repeat=2):
+        assert lat.leq(x, y) == generic.leq(x, y)
+        assert lat.join(x, y) == generic.join(x, y)
+        assert lat.meet(x, y) == generic.meet(x, y)
+        assert lat.interval(x, y) == generic.interval(x, y)
+
+
+def test_model_fpdim_builds_no_upsets():
+    model = tau_tiltp_model(cartan_matrix("D", 5))
+    fpdim_lattice(model)
+    assert not {"_up", "_pos", "_toporder"} & set(vars(model)) and model._down is None
+    assert model.leq(model.minimum, model.maximum)
+    assert {"_up", "_pos", "_toporder"} <= set(vars(model))

@@ -11,6 +11,7 @@ import pytest
 from taufp.errors import LatticeError
 from taufp.lattice import (
     FiniteLattice,
+    _face_masks,
     fpdim_lattice,
     from_covers,
     lattice_from_dict,
@@ -312,3 +313,28 @@ def test_example_fixture_shapes():
     q3 = q_of(lat, "x''")
     assert q3.adj.tolist() == [[0, 0], [0, 0]]
     assert fpdim_lattice(lat) == (2.0, "x")
+
+
+def test_face_masks_beyond_64_bits():
+    # nine labelled upper covers put bits up to 9 * 8 + 7 = 79 in the mask of
+    # the bottom, past any uint64; the labels are a path s1 - s2 - ... - s9
+    rng = np.random.default_rng(9)
+    label = rng.permutation(9)
+    arrow = np.abs(np.subtract.outer(np.arange(9), np.arange(9))) == 1
+    shuffle = rng.permutation(9)
+    upper = np.arange(1, 10)[shuffle]
+    masks = _face_masks(10, upper, np.zeros(9, dtype=np.int64), label[shuffle], arrow)
+    want = sum(1 << (a * 9 + b) for a in range(9) for b in range(9)
+               if abs(int(label[a]) - int(label[b])) == 1)
+    assert masks == [want] + [0] * 9 and want.bit_length() > 64
+    # the same element read through a lattice: the bottom, nine atoms, the top
+    names = [str(i) for i in range(11)]
+    up = np.concatenate([upper, np.full(9, 10)])
+    lo = np.concatenate([np.zeros(9, dtype=np.int64), np.arange(1, 10)])
+    lat = FiniteLattice._from_faces(names, up, lo, np.concatenate([label[shuffle], label]),
+                                    arrow)
+    assert lat._qmask[0] == want
+    assert q_of(lat, "0").adj.tolist() == arrow[np.ix_(label, label)].astype(int).tolist()
+    assert _face_masks(9, np.arange(1, 9), np.zeros(8, dtype=np.int64), np.arange(8),
+                       arrow)[0] == sum(1 << (a * 8 + b) for a in range(8) for b in range(8)
+                                        if abs(a - b) == 1)

@@ -13,6 +13,7 @@ from taufp.errors import ConsistencyError
 from taufp.preproj import bn_family_char_polys, dynkin_rho
 from taufp.quiver import Quiver, build_quiver, connected_components
 from taufp.spectral import (
+    _power_radius,
     IntPolynomial,
     SymIntMatrix,
     char_poly,
@@ -216,6 +217,19 @@ def test_power_iteration_fails_fast_on_underflow():
     with pytest.raises(ConsistencyError, match="power iteration on a 300-vertex block"):
         spectral_radius(Quiver([str(i) for i in range(n)], adj))
     assert time.perf_counter() - started < 1.0
+
+
+def test_power_iteration_failure_names_block_and_steps():
+    # a directed 40-cycle with one double arrow (rho = 2^(1/40)) needs far
+    # more than 50 steps, so the step budget runs out first
+    n = 40
+    adj = np.zeros((n, n), dtype=np.int64)
+    adj[np.arange(n), (np.arange(n) + 1) % n] = 1
+    adj[0, 1] = 2
+    with pytest.raises(ConsistencyError, match="power iteration on a 40-vertex block "
+                                               "failed to converge after 50 steps"):
+        _power_radius(adj, 1e-12, max_iter=50)
+    assert _power_radius(adj, 1e-12) == pytest.approx(2 ** (1 / n), abs=1e-9)
 
 
 def test_dynkin_rho_values():
