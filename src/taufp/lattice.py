@@ -3,10 +3,15 @@
 A lattice is stored by its Hasse diagram: two index arrays over the
 elements, upper[k] covering lower[k].  Names become indices only in
 from_covers; the Weyl BFS and the Nakayama pair order pass index arrays.
-One sweep from the maxima orders the elements, builds their ancestor
-bitsets (one Python int per element, which makes joins and meets cheap
-even on weak orders with tens of thousands of elements) and rejects cycles
-and covers implied by longer paths.
+One lexsort turns the covers into a sorted cover index: the upper covers
+dp(x) of every element x, sorted, in one array with per-element offsets,
+and the upper- and lower-cover counts.  It finds repeated covers and the
+extremes, and q_of, upper_covers and the FP dimension scan read it.  The
+order itself comes from one sweep from the maxima, which builds ancestor
+bitsets (one Python int per element, which makes joins and meets cheap even
+on weak orders with tens of thousands of elements) and rejects cycles and
+covers implied by longer paths; it walks per-element cover lists, built
+from the index when first needed, as is the name-to-index dict.
 
 Every lattice is certified at construction, at any size, by one of two
 certificates.  The constructor, and so from_covers, JSON input, opposite
@@ -19,10 +24,10 @@ the upper covers y of x and an arrow y -> y' exactly when y is not a lower
 cover of y v y'.  Weyl weak orders and their opposites are certified by
 their rank-2 faces instead (coxeter checks that each is the 2 m_ij-gon
 x W_ij on the generator labels of the covers), and their cover quivers are
-read off those labels by _from_faces with no join and no bitset; their
-sweep waits for the first order query.  Either way each Q(x, dp(x)) is
-kept as one row-major bitmask, which the FP dimension scan reads by
-element index.
+read off those labels by _from_faces with no join, no bitset and no
+per-element list; their sweep waits for the first order query.  Either way
+each Q(x, dp(x)) is one row-major bitmask over the sorted dp(x), which the
+FP dimension scan reads by element index.
 """
 
 from __future__ import annotations
@@ -69,30 +74,39 @@ class FiniteLattice:
         of the constructor runs but the sweep, which waits for the first
         order query (leq, join, meet, join_all, interval)."""
         lat = cls.__new__(cls)
-        lat._set_covers(elements, upper, lower)
+        order = lat._set_covers(elements, upper, lower)
         lat._set_extremes()
-        lat._qmask = _face_masks(len(lat.elements), lat._upper, lat._lower, label, arrow)
+        lat._qmask = _face_masks(lat._n_dp, np.asarray(label)[order], arrow)
         return lat
 
     def __getattr__(self, name):
-        # only reached for missing attributes: a face-built lattice sweeps on
-        # the first read of the order, its positions or its up-sets
-        if name in ("_toporder", "_pos", "_up"):
+        # only reached for missing attributes: the per-element cover lists,
+        # the name index and (on a face-built lattice) the order, its
+        # positions and its up-sets are built on their first read
+        if name in ("_parents", "_children"):
+            self._cover_lists()
+        elif name == "_index":
+            self._index = {e: i for i, e in enumerate(self.elements)}
+        elif name in ("_toporder", "_pos", "_up"):
             self._sweep()
-            return self.__dict__[name]
-        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        else:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        return self.__dict__[name]
 
     # -- construction helpers -------------------------------------------------
 
-    def _set_covers(self, elements, upper, lower) -> None:
-        """Names, the two cover index arrays and the cover lists, after
-        checking names, index ranges, loops and repeated covers."""
+    def _set_covers(self, elements, upper, lower) -> np.ndarray:
+        """Names and the two cover index arrays, after checking names, index
+        ranges, loops and repeated covers, and the sorted cover index: one
+        lexsort by (lower, upper) groups the upper covers of each element x,
+        sorted (the vertex order of Q(x, dp(x))), into _dp[_dp_at[x]:
+        _dp_at[x + 1]]; _n_dp and _n_ds count upper and lower covers.
+        Returns the sort permutation, cover order to index order."""
         self.elements: tuple[str, ...] = tuple(str(e) for e in elements)
         if not self.elements:
             raise ValueError("a lattice needs at least one element")
         if len(set(self.elements)) != len(self.elements):
             raise ValueError("duplicate element names")
-        self._index = {e: i for i, e in enumerate(self.elements)}
         n = len(self.elements)
         up = self._upper = np.array(upper, dtype=np.int64).reshape(-1)
         lo = self._lower = np.array(lower, dtype=np.int64).reshape(-1)
@@ -102,24 +116,38 @@ class FiniteLattice:
         if len(loops):
             e = self.elements[up[loops[0]]]
             raise ValueError(f"cover ({e!r}, {e!r}) relates an element to itself")
-        _, first = np.unique(up * n + lo, return_index=True)
-        if len(first) != len(up):
-            k = np.setdiff1d(np.arange(len(up)), first)[0]  # earliest repeat
-            u, l = self.elements[up[k]], self.elements[lo[k]]
-            raise ValueError(f"duplicate cover ({u!r}, {l!r})")
-        self._parents: list[list[int]] = [[] for _ in range(n)]  # upper covers
-        self._children: list[list[int]] = [[] for _ in range(n)]  # lower covers
-        for u, l in zip(up.tolist(), lo.tolist()):
-            self._children[u].append(l)
-            self._parents[l].append(u)
-        for ps in self._parents:
-            ps.sort()  # the vertex order of Q(x, dp(x))
+        order = np.lexsort((up, lo))  # stable: a repeat sorts after its first
+        dp, xs = up[order], lo[order]
+        repeat = np.flatnonzero((dp[1:] == dp[:-1]) & (xs[1:] == xs[:-1]))
+        if len(repeat):
+            k = order[repeat + 1].min()  # the earliest repeat in cover order
+            raise ValueError(f"duplicate cover ({self.elements[up[k]]!r}, "
+                             f"{self.elements[lo[k]]!r})")
+        self._dp = dp
+        self._n_dp = np.bincount(lo, minlength=n)
+        self._n_ds = np.bincount(up, minlength=n)
+        self._dp_at = np.concatenate(([0], np.cumsum(self._n_dp)))
         self._down: list[int] | None = None
+        return order
+
+    def _cover_lists(self) -> None:
+        """The per-element lists that the sweep, the join certificate and the
+        down-sets walk: _parents[x] the sorted upper covers of x, as in the
+        index, and _children[x] the lower covers of x in cover order."""
+        dp, at = self._dp.tolist(), self._dp_at.tolist()
+        self._parents: list[list[int]] = [dp[at[x]:at[x + 1]] for x in range(len(self.elements))]
+        ds = self._lower[np.argsort(self._upper, kind="stable")].tolist()
+        at = np.concatenate(([0], np.cumsum(self._n_ds))).tolist()
+        self._children: list[list[int]] = [ds[at[x]:at[x + 1]]
+                                           for x in range(len(self.elements))]
+
+    def _dp_of(self, x: int) -> np.ndarray:
+        """The sorted upper covers of element x, a view into the index."""
+        return self._dp[self._dp_at[x]:self._dp_at[x + 1]]
 
     def _set_extremes(self) -> None:
-        n = len(self.elements)
-        maxima = [i for i in range(n) if not self._parents[i]]
-        minima = [i for i in range(n) if not self._children[i]]
+        maxima = np.flatnonzero(self._n_dp == 0).tolist()
+        minima = np.flatnonzero(self._n_ds == 0).tolist()
         # acyclic and nonempty, so there is at least one of each
         if len(maxima) != 1:
             a, b = sorted(self.elements[i] for i in maxima)[:2]
@@ -267,11 +295,12 @@ class FiniteLattice:
 
     def upper_covers(self, x: str) -> set[str]:
         """dp(x): the elements covering x."""
-        return {self.elements[p] for p in self._parents[self.index(x)]}
+        return {self.elements[p] for p in self._dp_of(self.index(x)).tolist()}
 
     def lower_covers(self, x: str) -> set[str]:
         """ds(x): the elements covered by x."""
-        return {self.elements[c] for c in self._children[self.index(x)]}
+        ds = self._lower[self._upper == self.index(x)]
+        return {self.elements[c] for c in ds.tolist()}
 
     def interval(self, x: str, y: str) -> list[str]:
         """Elements z with x <= z <= y, in declaration order."""
@@ -303,6 +332,8 @@ class Covers(Sequence):
         return len(self._upper)
 
     def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(Covers(self._names, self._upper[k], self._lower[k]))
         return self._names[self._upper[k]], self._names[self._lower[k]]
 
     def __iter__(self):
@@ -316,22 +347,24 @@ class Covers(Sequence):
         return repr(tuple(self))
 
 
-def _face_masks(n: int, upper, lower, label, arrow) -> list[int]:
-    """The arrow masks of _certify's layout read off cover labels: bit
-    a*m + b is set for the arrow ys[a] -> ys[b] on the m sorted upper covers
-    ys of x when arrow[label of (ys[a], x), label of (ys[b], x)].  Masks are
-    uint64 while every m is at most 8 (m*m bits fit), Python ints above."""
-    order = np.lexsort((upper, lower))  # by element, then by upper cover
-    xs = lower[order]
-    m = np.bincount(xs, minlength=n)
-    labels = np.zeros((n, int(m.max(initial=0))), dtype=np.int64)
-    labels[xs, np.arange(len(xs)) - (np.cumsum(m) - m)[xs]] = label[order]
-    dtype = np.uint64 if labels.shape[1] <= 8 else object
+def _face_masks(n_dp, labels, arrow) -> list[int]:
+    """The arrow masks of _certify's layout read off cover labels: n_dp[x]
+    is the number m of upper covers ys of x and labels their labels in the
+    order of the sorted cover index (x by x, each ys sorted); bit a*m + b is
+    set for the arrow ys[a] -> ys[b] when arrow[labels of ys[a], ys[b]].
+    Masks are uint64 while every m is at most 8 (m*m bits fit), Python ints
+    above."""
+    n = len(n_dp)
+    xs = np.repeat(np.arange(n), n_dp)
+    slot = np.arange(len(xs)) - (np.cumsum(n_dp) - n_dp)[xs]
+    table = np.zeros((n, int(n_dp.max(initial=0))), dtype=np.int64)
+    table[xs, slot] = labels
+    dtype = np.uint64 if table.shape[1] <= 8 else object
     one = np.array(1, dtype=dtype)
     masks = np.zeros(n, dtype=dtype)
-    for a, b in itertools.permutations(range(labels.shape[1]), 2):
-        hit = (m > max(a, b)) & arrow[labels[:, a], labels[:, b]]
-        masks[hit] |= one << (a * m[hit] + b).astype(dtype)
+    for a, b in itertools.permutations(range(table.shape[1]), 2):
+        hit = (n_dp > max(a, b)) & arrow[table[:, a], table[:, b]]
+        masks[hit] |= one << (a * n_dp[hit] + b).astype(dtype)
     return masks.tolist()
 
 
@@ -361,7 +394,7 @@ def opposite(lat: FiniteLattice) -> FiniteLattice:
 def _q_at(lat: FiniteLattice, x: int, rows) -> Quiver:
     """The full subquiver of Q(x, dp(x)) on the positions rows of x's upper
     covers (declaration order), read off the mask the constructor stored."""
-    ys, mask = lat._parents[x], lat._qmask[x]
+    ys, mask = lat._dp_of(x).tolist(), lat._qmask[x]
     m = len(ys)
     adj = [[mask >> (a * m + b) & 1 for b in rows] for a in rows]
     return Quiver([lat.elements[ys[a]] for a in rows], np.array(adj, dtype=np.int64))
@@ -377,7 +410,7 @@ def q_of(lat: FiniteLattice, x: str, ys=None) -> Quiver:
     never multiple.
     """
     ix = lat.index(x)
-    dp = [lat.elements[y] for y in lat._parents[ix]]
+    dp = [lat.elements[y] for y in lat._dp_of(ix).tolist()]
     ys = dp if ys is None else [str(y) for y in ys]
     if not ys:
         raise ValueError("Y must be nonempty")
@@ -396,30 +429,29 @@ def fpdim_lattice(lat: FiniteLattice, tol: float = 1e-12) -> tuple[float, str | 
     single upper cover contribute 0 and are skipped.  Ties go to the first
     element in declaration order; a one-element lattice gives (0.0, None).
     Each Q(x, dp(x)) is read by index off the arrow mask stored by the
-    constructor, so no join is computed here, and within one call each
-    distinct (size, mask) has its quiver built and its spectral radius
-    computed once (the E6 weak order has 99 among 50,567).
+    constructor, so no join is computed here.  Equal (size, mask) give equal
+    quivers, and only the first element with a given (size, mask) can raise
+    the maximum, so the scan computes one spectral radius per distinct key,
+    at its first element in declaration order (the E6 weak order has 99 keys
+    among 50,567 elements).
     """
     _check_tol(tol)
+    n = len(lat.elements)
+    if n == 1:
+        return 0.0, None
+    keys = list(zip(lat._n_dp.tolist(), lat._qmask))
+    first = dict(zip(reversed(keys), range(n - 1, -1, -1)))  # the earliest index wins
     best = 0.0
-    witness = None
-    rhos: dict[tuple[int, int], float] = {}
-    for x, ys in enumerate(lat._parents):
-        if x == lat._max:
-            continue
-        if witness is None:
-            witness = x
-        m = len(ys)
+    witness = 1 if lat._max == 0 else 0  # the first element below the maximum
+    for x in sorted(first.values()):
+        m = keys[x][0]
         if m <= 1:
             continue
-        key = (m, lat._qmask[x])
-        rho = rhos.get(key)
-        if rho is None:
-            rho = rhos[key] = spectral_radius(_q_at(lat, x, range(m)), tol=tol)
+        rho = spectral_radius(_q_at(lat, x, range(m)), tol=tol)
         if rho > best + tol:
             best = rho
             witness = x
-    return best, (None if witness is None else lat.elements[witness])
+    return best, lat.elements[witness]
 
 
 def lattice_to_dict(lat: FiniteLattice) -> dict:

@@ -309,6 +309,53 @@ def weak_order_reference(cartan):
     return names, covers, [words[x] for x in names], [mats[x] for x in names]
 
 
+def fpdim_reference(names, covers, tol, radius=None):
+    """FP dimension of a finite lattice by the defining scan, element by
+    element.  The order is the reflexive-transitive closure of the (upper,
+    lower) name pairs covers; Q(x, dp(x)) has an arrow y -> z exactly when y
+    is not a lower cover of the least common upper bound of y and z, and its
+    radius is radius(adjacency matrix), by default the largest eigenvalue
+    modulus numpy finds.  Every x below the
+    maximum is visited in declaration order, and x becomes the witness when
+    its radius exceeds the best so far by more than tol; the first x below
+    the maximum is the witness to begin with.  Returns (value, witness,
+    kept): kept counts the elements whose radius beats the best so far by
+    more than 1e-9 but not by more than tol, so the earlier witness stays.
+    """
+    n = len(names)
+    at = {e: i for i, e in enumerate(names)}
+    cover = {(at[u], at[l]) for u, l in covers}
+    geq = np.eye(n, dtype=bool)
+    for u, l in cover:
+        geq[u, l] = True
+    for k in range(n):  # Warshall
+        geq |= np.outer(geq[:, k], geq[k, :])
+    best, witness, kept = 0.0, None, 0
+    for x in range(n):
+        dp = [u for u in range(n) if (u, x) in cover]
+        if not dp:  # the maximum
+            continue
+        if witness is None:
+            witness = x
+        if len(dp) == 1:
+            continue
+        adj = np.zeros((len(dp), len(dp)), dtype=np.int64)
+        for a, y in enumerate(dp):
+            for b, z in enumerate(dp):
+                ubs = np.flatnonzero(geq[:, y] & geq[:, z])
+                (join,) = [u for u in ubs if geq[ubs, u].all()]
+                adj[a, b] = y != z and (join, y) not in cover
+        if radius is None:
+            rho = float(np.max(np.abs(np.linalg.eigvals(adj.astype(np.float64)))))
+        else:
+            rho = radius(adj)
+        if rho > best + tol:
+            best, witness = rho, x
+        elif rho > best + 1e-9:
+            kept += 1
+    return best, (None if witness is None else names[witness]), kept
+
+
 # ---------------------------------------------------------------------------
 # corpora
 

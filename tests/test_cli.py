@@ -1,6 +1,9 @@
 """CLI surface: outputs, JSON determinism, exit-code contract."""
 
+import contextlib
+import io
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -307,3 +310,67 @@ def test_json_schema_content(capsys):
     assert doc["values"]["semibrick_count"] == 20
     assert doc["values"]["tau_tilting_pair_count"] == 20
     assert doc["verdicts"] == {"bijection": True, "sandwich": True}
+
+
+# Golden reports: the witness and value paths of every FP-dimension report,
+# written once from a known-good tree.  Regenerate with
+#     PYTHONPATH=src python tests/test_cli.py
+# and review the diff: a changed name, witness, count or verdict is a change
+# of behaviour, not of rounding.
+GOLDEN = ROOT / "tests" / "golden" / "reports.json"
+LATTICE_FIXTURES = ("bowtie", "chain5", "example31", "hexagon")
+GOLDEN_ALGEBRAS = [("linear", "1,2"), ("linear", "1,2,2"), ("linear", "1,2,3"),
+                   ("linear", "1,2,2,3"), ("linear", "1,2,3,3"), ("cyclic", "2,2"),
+                   ("cyclic", "3,3"), ("cyclic", "2,3,3"), ("cyclic", "3,3,3"),
+                   ("cyclic", "4,4,4,4")]
+GOLDEN_CASES = (
+    [["coxeter", "fpdim", "--type", fam, "--rank", str(rank), "--json"]
+     for fam, rank in taufp.preproj.TABLE_TYPES]
+    + [["lattice", sub, "--file", f"fixtures/{name}.json", "--json"]
+       for name in LATTICE_FIXTURES for sub in ("fpdim", "check")]
+    + [["nakayama", "report", "--shape", shape, "--kupisch", kupisch, "--json"]
+       for shape, kupisch in GOLDEN_ALGEBRAS]
+)
+
+
+def _golden_run(argv):
+    """Exit code, stderr and the parsed JSON report (None when stdout is
+    empty) of one in-process CLI run from the repository root."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    text = out.getvalue()
+    return {"exit": code, "stderr": err.getvalue(), "report": json.loads(text) if text else None}
+
+
+def _same_report(got, want, where):
+    """Exact equality except for floats, which agree within 1e-12 relative
+    (BLAS may sum in another order on another machine)."""
+    if isinstance(want, float) and isinstance(got, float):
+        assert math.isclose(got, want, rel_tol=1e-12), f"{where}: {got!r} != {want!r}"
+    elif isinstance(want, dict) and isinstance(got, dict):
+        assert got.keys() == want.keys(), f"{where}: keys {sorted(got)} != {sorted(want)}"
+        for key in want:
+            _same_report(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list) and isinstance(got, list):
+        assert len(got) == len(want), f"{where}: length {len(got)} != {len(want)}"
+        for k, (g, w) in enumerate(zip(got, want)):
+            _same_report(g, w, f"{where}[{k}]")
+    else:
+        assert type(got) is type(want) and got == want, f"{where}: {got!r} != {want!r}"
+
+
+def test_reports_match_golden(monkeypatch):
+    golden = json.loads(GOLDEN.read_text())
+    assert sorted(golden) == sorted(" ".join(argv) for argv in GOLDEN_CASES)
+    monkeypatch.chdir(ROOT)
+    for argv in GOLDEN_CASES:
+        key = " ".join(argv)
+        _same_report(_golden_run(argv), golden[key], key)
+
+
+if __name__ == "__main__":
+    os.chdir(ROOT)
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(json.dumps({" ".join(argv): _golden_run(argv) for argv in GOLDEN_CASES},
+                                 indent=1, sort_keys=True) + "\n")

@@ -22,7 +22,7 @@ from taufp.coxeter import (
     weyl_order,
 )
 from taufp.errors import BudgetError, ConsistencyError
-from taufp.lattice import FiniteLattice, fpdim_lattice
+from taufp.lattice import FiniteLattice, fpdim_lattice, q_of
 from taufp.preproj import TABLE_TYPES, fpdim_preproj, tau_tiltp_model
 
 from helpers import weak_order_reference
@@ -313,7 +313,8 @@ def test_face_masks_equal_join_masks(fam, rank):
     cd = cartan_matrix(fam, rank)
     for lat in (tau_tiltp_model(cd), weak_order(cd).lattice):
         joined = FiniteLattice(lat.elements, lat._upper, lat._lower)
-        assert lat._parents == joined._parents
+        for index in ("_dp", "_dp_at", "_n_dp", "_n_ds"):
+            assert np.array_equal(getattr(lat, index), getattr(joined, index)), index
         assert lat._qmask == joined._qmask
         assert (lat._max, lat._min) == (joined._max, joined._min)
 
@@ -350,11 +351,19 @@ def test_face_built_order_queries_equal_generic(fam, rank):
         assert lat.join(x, y) == generic.join(x, y)
         assert lat.meet(x, y) == generic.meet(x, y)
         assert lat.interval(x, y) == generic.interval(x, y)
+    for x in lat.elements:
+        assert lat.upper_covers(x) == generic.upper_covers(x)
+        assert lat.lower_covers(x) == generic.lower_covers(x)
+        if x != lat.maximum:
+            assert q_of(lat, x) == q_of(generic, x)
 
 
 def test_model_fpdim_builds_no_upsets():
     model = tau_tiltp_model(cartan_matrix("D", 5))
     fpdim_lattice(model)
     assert not {"_up", "_pos", "_toporder"} & set(vars(model)) and model._down is None
+    # nor any per-element list or the name index: the scan reads the cover index
+    assert not {"_parents", "_children", "_index"} & set(vars(model))
     assert model.leq(model.minimum, model.maximum)
     assert {"_up", "_pos", "_toporder"} <= set(vars(model))
+

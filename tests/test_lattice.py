@@ -8,6 +8,7 @@ import re
 import numpy as np
 import pytest
 
+from taufp.coxeter import cartan_matrix, weak_order
 from taufp.errors import LatticeError
 from taufp.lattice import (
     FiniteLattice,
@@ -19,7 +20,11 @@ from taufp.lattice import (
     opposite,
     q_of,
 )
+from taufp.preproj import tau_tiltp_model
+from taufp.quiver import Quiver
 from taufp.spectral import spectral_radius
+
+from helpers import fpdim_reference
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -78,6 +83,8 @@ def test_structural_errors():
         from_covers(["a", "b"], [("a", "b"), ("a", "a")])
     with pytest.raises(ValueError, match=r"duplicate cover \('b', 'c'\)"):
         from_covers(["a", "b", "c"], [("a", "b"), ("b", "c"), ("b", "c"), ("a", "b")])
+    with pytest.raises(ValueError, match=r"duplicate cover \('a', 'b'\)"):
+        from_covers(["a", "b", "c"], [("a", "b"), ("b", "c"), ("a", "b"), ("b", "c")])
     with pytest.raises(ValueError, match="duplicate"):
         from_covers(["a", "a"], [])
     with pytest.raises(ValueError):
@@ -91,6 +98,8 @@ def test_index_array_constructor():
     assert lat.covers == diamond().covers
     assert list(lat.covers) == [("top", "a"), ("top", "b"), ("a", "bot"), ("b", "bot")]
     assert len(lat.covers) == 4 and lat.covers[-1] == ("b", "bot")
+    assert lat.covers[:2] == (("top", "a"), ("top", "b"))
+    assert lat.covers[::-2] == (("b", "bot"), ("top", "b")) and lat.covers[4:] == ()
     assert opposite(lat).covers == [(lo, up) for up, lo in lat.covers]
     for upper, lower in [([0, 0, 1], [1, 2, 3, 3]), ([0, 0, 1, 4], [1, 2, 3, 3]),
                          ([0, 0, 1, -1], [1, 2, 3, 3])]:
@@ -185,13 +194,21 @@ def test_fpdim_invariant_under_relabeling():
     assert val == pytest.approx(val2, abs=1e-12)
 
 
+def coarse_radius(adj):
+    # the tol of fpdim_lattice is also the tolerance of its power iteration,
+    # so at tol 0.5 its radii are only within 0.25 of exact: the reference
+    # scan reads the same radii, of the quivers it builds itself
+    return spectral_radius(Quiver([str(i) for i in range(len(adj))], adj), tol=0.5)
+
+
 def test_random_poset_corpus_rejection():
     # from_covers accepts exactly the lattices, checked against a brute-force
     # join/meet existence scan over random posets with up to 10 elements; on
     # every accepted one, q_of agrees with cover quivers built from the
     # brute-force joins.  Some draws also keep one relation that is not a
     # cover, at a random place among the covers, which must be the cover
-    # named as implied.
+    # named as implied.  On every accepted one, fpdim_lattice gives the value
+    # and witness of the element-by-element scan, at tol 1e-12 and 0.5.
     rng = np.random.default_rng(101)
     pick = np.random.default_rng(202)  # leaves the draws of rng unchanged
     seen_reject = seen_accept = seen_large = seen_implied = 0
@@ -275,7 +292,25 @@ def test_random_poset_corpus_rejection():
             q = q_of(lat, x)
             assert list(q.labels) == dp
             assert q.adj.tolist() == want
+        for tol, radius in ((1e-12, None), (0.5, coarse_radius)):
+            value, witness, _ = fpdim_reference(names, covers, tol, radius)
+            assert fpdim_lattice(lat, tol=tol) == (pytest.approx(value, abs=1e-9), witness)
     assert seen_reject > 20 and seen_accept > 20 and seen_large > 20 and seen_implied > 20
+
+
+@pytest.mark.parametrize("fam, rank", [("A", 3), ("A", 4), ("B", 3), ("D", 4), ("G", 2)])
+def test_fpdim_keeps_the_first_witness(fam, rank):
+    # one radius per distinct cover quiver gives the value and witness of the
+    # element-by-element scan, both ways up; at tol 0.5 some larger radius
+    # comes after a witness it does not replace (G2 has one quiver)
+    cd = cartan_matrix(fam, rank)
+    kept = 0
+    for lat in (tau_tiltp_model(cd), weak_order(cd).lattice):
+        for tol, radius in ((1e-12, None), (0.5, coarse_radius)):
+            value, witness, k = fpdim_reference(lat.elements, list(lat.covers), tol, radius)
+            assert fpdim_lattice(lat, tol=tol) == (pytest.approx(value, abs=1e-9), witness)
+            kept += k
+    assert kept or (fam, rank) == ("G", 2)
 
 
 def test_rejects_non_lattice_above_old_size_limit():
@@ -322,19 +357,20 @@ def test_face_masks_beyond_64_bits():
     label = rng.permutation(9)
     arrow = np.abs(np.subtract.outer(np.arange(9), np.arange(9))) == 1
     shuffle = rng.permutation(9)
-    upper = np.arange(1, 10)[shuffle]
-    masks = _face_masks(10, upper, np.zeros(9, dtype=np.int64), label[shuffle], arrow)
+    # element 0 has the nine upper covers 1..9, labelled in index order
+    masks = _face_masks(np.array([9] + [0] * 9), label, arrow)
     want = sum(1 << (a * 9 + b) for a in range(9) for b in range(9)
                if abs(int(label[a]) - int(label[b])) == 1)
     assert masks == [want] + [0] * 9 and want.bit_length() > 64
-    # the same element read through a lattice: the bottom, nine atoms, the top
+    # the same element read through a lattice (the bottom, nine atoms, the
+    # top) whose covers come shuffled: the cover index sorts them back
     names = [str(i) for i in range(11)]
-    up = np.concatenate([upper, np.full(9, 10)])
+    up = np.concatenate([np.arange(1, 10)[shuffle], np.full(9, 10)])
     lo = np.concatenate([np.zeros(9, dtype=np.int64), np.arange(1, 10)])
     lat = FiniteLattice._from_faces(names, up, lo, np.concatenate([label[shuffle], label]),
                                     arrow)
     assert lat._qmask[0] == want
     assert q_of(lat, "0").adj.tolist() == arrow[np.ix_(label, label)].astype(int).tolist()
-    assert _face_masks(9, np.arange(1, 9), np.zeros(8, dtype=np.int64), np.arange(8),
+    assert _face_masks(np.array([8] + [0] * 8), np.arange(8),
                        arrow)[0] == sum(1 << (a * 8 + b) for a in range(8) for b in range(8)
                                         if abs(a - b) == 1)
