@@ -1,12 +1,15 @@
 """Command-line frontend: quiver / lattice / coxeter / preproj / nakayama.
 
-Exit codes: 0 success, 1 failed verdict or internal consistency error,
-2 invalid input, 3 enumeration budget exceeded.  With --json the report is
-a deterministic JSON document (schema 1, sorted keys, no timing field) so
-repeated runs are byte-identical; the human-readable form prints elapsed
-time as well.  TAUFP_BUDGET overrides the enumeration budgets: the maximum
-Weyl-group order for coxeter/preproj and the maximum number of simples for
-nakayama.
+Each subcommand takes exactly the options it reads, after the subcommand;
+any other option is a usage error.  --tol exists only where a spectral
+radius is computed, and is checked before any work.  Exit codes: 0 success,
+1 failed verdict or internal consistency error, 2 invalid input, 3
+enumeration budget exceeded.  With --json the report is a deterministic JSON
+document (schema 1, sorted keys, no timing field) whose inputs echo the
+subcommand's own options, so repeated runs are byte-identical; the
+human-readable form prints elapsed time as well.  TAUFP_BUDGET overrides the
+enumeration budgets: the maximum Weyl-group order for coxeter/preproj and
+the maximum number of simples for nakayama.
 """
 
 from __future__ import annotations
@@ -115,8 +118,6 @@ def _cmd_lattice(args, report: Report) -> None:
         report.real("fpdim", val)
         report.value("witness", witness)
     else:  # qu
-        if not args.element:
-            raise ValueError("qu needs --element")
         qu = lattice.q_of(lat, args.element)
         report.value("quiver", quiver.quiver_to_dict(qu), json.dumps(quiver.quiver_to_dict(qu)))
 
@@ -183,7 +184,7 @@ def _cmd_preproj(args, report: Report) -> None:
 
 def _parse_kupisch(raw: str) -> list[int]:
     try:
-        return [int(x) for x in raw.split(",") if x.strip() != ""]
+        return [int(x) for x in raw.split(",")]
     except ValueError:
         raise ValueError(f"--kupisch must be a comma-separated integer list, got {raw!r}") from None
 
@@ -239,82 +240,63 @@ def _cmd_nakayama(args, report: Report) -> None:
 # ---------------------------------------------------------------------------
 
 
+# every option a subcommand may take; each leaf parser gets only the ones it reads
+_OPTIONS = {
+    "file": {"required": True, "help": "input JSON file"},
+    "tol": {"type": float, "default": 1e-12, "help": "iteration tolerance"},
+    "verify": {"action": "store_true", "help": "cross-check rho against exact root isolation"},
+    "element": {"required": True, "help": "the element x of Q(x, dp(x))"},
+    "type": {"required": True, "choices": list("ABCDEFG")},
+    "rank": {"required": True, "type": int},
+    "multiplier": {"type": int, "default": 1, "help": "symmetrizer multiplier c"},
+    "dot": {"action": "store_true", "help": "also emit DOT"},
+    "shape": {"required": True, "choices": ["linear", "cyclic"]},
+    "kupisch": {"required": True, "help": "comma-separated Kupisch series"},
+}
+
+# command -> (handler, help, options of all its subcommands, {subcommand: its own options})
+_COMMANDS = {
+    "quiver": (_cmd_quiver, "spectral radius, char poly, separation, classification", ("file",),
+               {"rho": ("tol", "verify"), "charpoly": (), "separated": (), "classify": (),
+                "dot": ()}),
+    "lattice": (_cmd_lattice, "FP dimension of a finite lattice", ("file",),
+                {"fpdim": ("tol",), "qu": ("element",), "check": ()}),
+    "coxeter": (_cmd_coxeter, "weak order of a Weyl group", ("type", "rank"),
+                {"order": (), "lattice": (), "longest": (), "fpdim": ("tol",)}),
+    "preproj": (_cmd_preproj, "Gabriel quivers of preprojective algebras", (),
+                {"quiver": ("type", "rank", "multiplier", "dot"),
+                 "rho": ("type", "rank", "multiplier", "tol"), "table": ("tol",)}),
+    "nakayama": (_cmd_nakayama, "Nakayama algebra module calculus", ("shape", "kupisch"),
+                 {"report": ("tol",), "fpdim": ("tol",), "pairs": (), "sandwich": ("tol",)}),
+}
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and reused by every main()."""
     top = argparse.ArgumentParser(prog="taufp", description=__doc__)
-    sub = top.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("--json", action="store_true", help="emit a JSON report")
-        p.add_argument("--tol", type=float, default=1e-12, help="iteration tolerance")
-
-    pq = sub.add_parser("quiver", help="spectral radius, char poly, separation, classification")
-    pq.add_argument("subcmd", choices=["rho", "charpoly", "separated", "classify", "dot"])
-    pq.add_argument("--file", required=True, help="quiver JSON file")
-    pq.add_argument("--verify", action="store_true",
-                    help="cross-check rho against exact root isolation")
-    add_common(pq)
-
-    pl = sub.add_parser("lattice", help="FP dimension of a finite lattice")
-    pl.add_argument("subcmd", choices=["fpdim", "qu", "check"])
-    pl.add_argument("--file", required=True, help="lattice JSON file")
-    pl.add_argument("--element", help="element x for the qu subcommand")
-    add_common(pl)
-
-    pc = sub.add_parser("coxeter", help="weak order of a Weyl group")
-    pc.add_argument("subcmd", choices=["order", "lattice", "longest", "fpdim"])
-    pc.add_argument("--type", required=True, choices=list("ABCDEFG"))
-    pc.add_argument("--rank", required=True, type=int)
-    add_common(pc)
-
-    pp = sub.add_parser("preproj", help="Gabriel quivers of preprojective algebras")
-    pp.add_argument("subcmd", choices=["quiver", "rho", "table"])
-    pp.add_argument("--type", choices=list("ABCDEFG"))
-    pp.add_argument("--rank", type=int)
-    pp.add_argument("--multiplier", type=int, default=1, help="symmetrizer multiplier c")
-    pp.add_argument("--dot", action="store_true", help="also emit DOT for the quiver subcommand")
-    add_common(pp)
-
-    pn = sub.add_parser("nakayama", help="Nakayama algebra module calculus")
-    pn.add_argument("subcmd", choices=["report", "fpdim", "pairs", "sandwich"])
-    pn.add_argument("--shape", required=True, choices=["linear", "cyclic"])
-    pn.add_argument("--kupisch", required=True, help="comma-separated Kupisch series")
-    add_common(pn)
+    commands = top.add_subparsers(dest="command", required=True)
+    for command, (_, help_text, shared, subcommands) in _COMMANDS.items():
+        leaves = commands.add_parser(command, help=help_text).add_subparsers(
+            dest="subcmd", required=True)
+        for subcmd, own in subcommands.items():
+            leaf = leaves.add_parser(subcmd)
+            for name in shared + own:
+                leaf.add_argument(f"--{name}", **_OPTIONS[name])
+            leaf.add_argument("--json", action="store_true", help="emit a JSON report")
     return top
-
-
-# the subcommands that compute with --tol, which is checked before any work
-_TOL_READERS = {("quiver", "rho"), ("lattice", "fpdim"), ("coxeter", "fpdim"),
-                ("preproj", "rho"), ("preproj", "table"), ("nakayama", "fpdim"),
-                ("nakayama", "sandwich"), ("nakayama", "report")}
-
-_DISPATCH = {
-    "quiver": _cmd_quiver,
-    "lattice": _cmd_lattice,
-    "coxeter": _cmd_coxeter,
-    "preproj": _cmd_preproj,
-    "nakayama": _cmd_nakayama,
-}
 
 
 def main(argv=None) -> int:
     started = time.perf_counter()
-    parser = _parser()
-    args = parser.parse_args(argv)
-    if args.command == "preproj" and args.subcmd != "table":
-        if args.type is None or args.rank is None:
-            parser.error("preproj quiver/rho need --type and --rank")
-    inputs = {
-        k: v
-        for k, v in vars(args).items()
-        if k not in ("json",) and v is not None and not isinstance(v, bool)
-    }
+    args = _parser().parse_args(argv)
+    # every option is required or has a default, so only the flags are left out
+    inputs = {k: v for k, v in vars(args).items() if not isinstance(v, bool)}
     report = Report(f"{args.command} {args.subcmd}", inputs)
     try:
-        if (args.command, args.subcmd) in _TOL_READERS:
+        if "tol" in inputs:
             spectral._check_tol(args.tol)
-        _DISPATCH[args.command](args, report)
+        _COMMANDS[args.command][0](args, report)
     except BudgetError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 3
@@ -325,7 +307,6 @@ def main(argv=None) -> int:
         print(f"consistency failure: {exc}", file=sys.stderr)
         return 1
     return report.emit(args.json, started)
-
 
 if __name__ == "__main__":
     raise SystemExit(main())

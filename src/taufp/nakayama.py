@@ -53,7 +53,7 @@ import numpy as np
 from .errors import BudgetError, ConsistencyError
 from .lattice import FiniteLattice
 from .quiver import Quiver, _integer
-from .spectral import spectral_radius
+from .spectral import _check_tol, spectral_radius
 
 __all__ = [
     "NakayamaAlgebra",
@@ -581,6 +581,7 @@ def fpdim_nakayama(
     maximal semibricks attain it; their Ext blocks are read from one table,
     and rho is computed once per distinct block (its entries in row-major
     order, whose count fixes the size)."""
+    _check_tol(tol)
     _check_budget(a, max_n)
     t = a._tables
     table = t.ext_table.tolist()

@@ -19,7 +19,7 @@ from .coxeter import _E_COXETER, CartanData, DEFAULT_BUDGET, _check_type_rank, _
 from .errors import ConsistencyError
 from .lattice import FiniteLattice
 from .quiver import Quiver
-from .spectral import ONE, IntPolynomial, char_poly, spectral_radius
+from .spectral import ONE, IntPolynomial, _check_tol, char_poly, spectral_radius
 
 __all__ = [
     "gabriel_quiver",
@@ -129,6 +129,7 @@ def bn_family_char_polys(n_max: int, tol: float = 1e-9) -> list[IntPolynomial]:
     (anchored at f_0 = 1) and that the real roots of f_n are
     1 + 2 cos(2k pi / (2n+1)), k = 1..n, within tol.
     """
+    _check_tol(tol)
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
     polys = [char_poly(_bn_quiver(n)) for n in range(1, n_max + 1)]

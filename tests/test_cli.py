@@ -1,5 +1,6 @@
 """CLI surface: outputs, JSON determinism, exit-code contract."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -71,7 +72,10 @@ def test_quiver_rho_rejects_non_finite_tol(capsys, tol):
 
 
 @pytest.mark.parametrize("argv", [
+    ("quiver", "rho", "--file", FIXTURES / "b2_quiver.json"),
+    ("lattice", "fpdim", "--file", FIXTURES / "example31.json"),
     ("coxeter", "fpdim", "--type", "A", "--rank", 2),
+    ("preproj", "rho", "--type", "B", "--rank", 3),
     ("nakayama", "fpdim", "--shape", "cyclic", "--kupisch", "2,2"),
     ("nakayama", "sandwich", "--shape", "cyclic", "--kupisch", "2,2"),
     ("nakayama", "report", "--shape", "cyclic", "--kupisch", "2,2"),
@@ -82,6 +86,65 @@ def test_fpdim_subcommands_reject_zero_tol(capsys, argv):
     code, out, err = run(capsys, *argv, "--tol", 0, "--json")
     assert code == 2 and out == ""
     assert "tol must be positive and finite" in err
+
+
+# The options each subcommand reads, written out independently of cli._COMMANDS;
+# every subcommand also takes --json.
+SURFACE = {
+    ("quiver", "rho"): {"--file", "--tol", "--verify"},
+    ("quiver", "charpoly"): {"--file"},
+    ("quiver", "separated"): {"--file"},
+    ("quiver", "classify"): {"--file"},
+    ("quiver", "dot"): {"--file"},
+    ("lattice", "fpdim"): {"--file", "--tol"},
+    ("lattice", "qu"): {"--file", "--element"},
+    ("lattice", "check"): {"--file"},
+    ("coxeter", "order"): {"--type", "--rank"},
+    ("coxeter", "lattice"): {"--type", "--rank"},
+    ("coxeter", "longest"): {"--type", "--rank"},
+    ("coxeter", "fpdim"): {"--type", "--rank", "--tol"},
+    ("preproj", "quiver"): {"--type", "--rank", "--multiplier", "--dot"},
+    ("preproj", "rho"): {"--type", "--rank", "--multiplier", "--tol"},
+    ("preproj", "table"): {"--tol"},
+    ("nakayama", "report"): {"--shape", "--kupisch", "--tol"},
+    ("nakayama", "fpdim"): {"--shape", "--kupisch", "--tol"},
+    ("nakayama", "pairs"): {"--shape", "--kupisch"},
+    ("nakayama", "sandwich"): {"--shape", "--kupisch", "--tol"},
+}
+REQUIRED = {"--file", "--element", "--type", "--rank", "--shape", "--kupisch"}
+
+
+def _subparsers(parser):
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def test_one_leaf_parser_per_subcommand():
+    leaves = {(c, s) for c, group in _subparsers(cli._parser()).items() for s in _subparsers(group)}
+    assert leaves == set(SURFACE)
+    assert sum(len(opts) + 1 for opts in SURFACE.values()) == 60  # option slots, --json included
+
+
+@pytest.mark.parametrize("command, subcmd", list(SURFACE))
+def test_each_subcommand_takes_exactly_the_options_it_reads(command, subcmd):
+    leaf = _subparsers(_subparsers(cli._parser())[command])[subcmd]
+    required = {opt: action.required for action in leaf._actions
+                for opt in action.option_strings if opt.startswith("--")}
+    assert required.keys() == SURFACE[command, subcmd] | {"--help", "--json"}
+    assert {opt for opt, req in required.items() if req} == SURFACE[command, subcmd] & REQUIRED
+
+
+@pytest.mark.parametrize("argv", [
+    ("coxeter", "order", "--type", "A", "--rank", 3, "--tol", "1e-9"),
+    ("preproj", "table", "--multiplier", 2),
+    ("lattice", "fpdim", "--file", FIXTURES / "example31.json", "--element", "x"),
+    ("quiver", "charpoly", "--file", FIXTURES / "b2_quiver.json", "--verify"),
+    ("lattice", "qu", "--file", FIXTURES / "hexagon.json"),
+    ("preproj", "rho", "--rank", 3),
+])
+def test_unread_or_missing_options_exit2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([str(a) for a in argv] + ["--json"])
+    assert exc.value.code == 2 and capsys.readouterr().out == ""
 
 
 def test_fpdim_tol_is_checked_before_any_work(capsys, monkeypatch):
@@ -278,21 +341,45 @@ def test_nakayama_invalid_series_exit2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("kupisch", ["2,,3", "2,3,", ",2,3", "2, ,3", ""])
+def test_kupisch_rejects_empty_entries(capsys, kupisch):
+    code, out, err = run(capsys, "nakayama", "fpdim", "--shape", "cyclic", "--kupisch", kupisch)
+    assert code == 2 and out == ""
+    assert f"got {kupisch!r}" in err
+
+
+def test_kupisch_accepts_whitespace_around_entries(capsys):
+    code, out, _ = run(capsys, "nakayama", "fpdim", "--shape", "cyclic", "--kupisch", " 2 , 2 ")
+    assert code == 0 and "fpdim = 1.000000000000" in out
+
+
 def test_nakayama_budget_exit3(capsys):
     code, _, err = run(capsys, "nakayama", "fpdim", "--shape", "cyclic",
                        "--kupisch", "2,2,2,2,2,2,2,2")
     assert code == 3
 
 
-def test_json_reports_are_byte_identical(capsys):
-    argsets = [
-        ("quiver", "rho", "--file", str(FIXTURES / "allones2.json"), "--json"),
-        ("lattice", "fpdim", "--file", str(FIXTURES / "example31.json"), "--json"),
-        ("coxeter", "fpdim", "--type", "B", "--rank", "2", "--json"),
-        ("preproj", "rho", "--type", "G", "--rank", "2", "--json"),
-        ("nakayama", "sandwich", "--shape", "cyclic", "--kupisch", "3,3,3", "--json"),
-    ]
-    for argv in argsets:
+# One invocation of every subcommand, run from the repository root.
+EVERY_SUBCOMMAND = (
+    [["quiver", sub, "--file", "fixtures/b2_quiver.json", "--json"]
+     for sub in ("rho", "charpoly", "separated", "classify", "dot")]
+    + [["lattice", "fpdim", "--file", "fixtures/example31.json", "--json"],
+       ["lattice", "qu", "--file", "fixtures/hexagon.json", "--element", "e", "--json"],
+       ["lattice", "check", "--file", "fixtures/hexagon.json", "--json"]]
+    + [["coxeter", sub, "--type", "A", "--rank", "2", "--json"]
+       for sub in ("order", "lattice", "longest", "fpdim")]
+    + [["preproj", "quiver", "--type", "G", "--rank", "2", "--json"],
+       ["preproj", "rho", "--type", "B", "--rank", "3", "--json"],
+       ["preproj", "table", "--json"]]
+    + [["nakayama", sub, "--shape", "cyclic", "--kupisch", "2,3,3", "--json"]
+       for sub in ("report", "fpdim", "pairs", "sandwich")]
+)
+
+
+def test_json_reports_are_byte_identical(capsys, monkeypatch):
+    assert {tuple(argv[:2]) for argv in EVERY_SUBCOMMAND} == set(SURFACE)
+    monkeypatch.chdir(ROOT)
+    for argv in EVERY_SUBCOMMAND:
         code1, out1, _ = run(capsys, *argv)
         code2, out2, _ = run(capsys, *argv)
         assert code1 == code2 == 0
@@ -313,7 +400,8 @@ def test_json_schema_content(capsys):
 
 
 # Golden reports: the witness and value paths of every FP-dimension report,
-# written once from a known-good tree.  Regenerate with
+# and one report of every other subcommand, written once from a known-good
+# tree.  Regenerate with
 #     PYTHONPATH=src python tests/test_cli.py
 # and review the diff: a changed name, witness, count or verdict is a change
 # of behaviour, not of rounding.
@@ -331,6 +419,7 @@ GOLDEN_CASES = (
     + [["nakayama", "report", "--shape", shape, "--kupisch", kupisch, "--json"]
        for shape, kupisch in GOLDEN_ALGEBRAS]
 )
+GOLDEN_CASES += [argv for argv in EVERY_SUBCOMMAND if argv not in GOLDEN_CASES]
 
 
 def _golden_run(argv):

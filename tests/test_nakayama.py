@@ -279,6 +279,17 @@ def test_budget_guard():
         fpdim_nakayama(make_algebra("cyclic", [9]))
 
 
+@pytest.mark.parametrize("tol", [0, -1.0, float("nan"), float("inf")])
+def test_fpdim_nakayama_checks_tol_before_any_work(monkeypatch, tol):
+    def build(self):
+        raise AssertionError("the Ext table or the semibricks were built before tol was checked")
+
+    monkeypatch.setattr(nakayama._Tables, "ext_table", property(build))
+    monkeypatch.setattr(nakayama._Tables, "semibrick_masks", property(build))
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        fpdim_nakayama(make_algebra("cyclic", [3, 3, 3]), tol=tol)
+
+
 def test_algebra_is_freed_with_its_results():
     a = make_algebra("cyclic", [3, 3, 3])
     tau_tilting_pairs(a)

@@ -260,6 +260,14 @@ def test_bn_family():
         bn_family_char_polys(1)
 
 
+@pytest.mark.parametrize("tol", [float("nan"), -1.0])
+def test_bn_family_rejects_invalid_tol(tol):
+    # a nan tol would pass the closed-form root check vacuously, and -1 would
+    # fail it as a ConsistencyError although the input is what is wrong
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        bn_family_char_polys(4, tol=tol)
+
+
 def test_poly_arithmetic():
     p = IntPolynomial((1, 2))  # 1 + 2x
     q = IntPolynomial((0, 1))  # x
