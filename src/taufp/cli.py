@@ -244,7 +244,8 @@ def _cmd_nakayama(args, report: Report) -> None:
 _OPTIONS = {
     "file": {"required": True, "help": "input JSON file"},
     "tol": {"type": float, "default": 1e-12, "help": "iteration tolerance"},
-    "verify": {"action": "store_true", "help": "cross-check rho against exact root isolation"},
+    "verify": {"action": "store_true",
+               "help": "certify rho by Sturm counts of the exact characteristic polynomial"},
     "element": {"required": True, "help": "the element x of Q(x, dp(x))"},
     "type": {"required": True, "choices": list("ABCDEFG")},
     "rank": {"required": True, "type": int},
@@ -272,24 +273,31 @@ _COMMANDS = {
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The argument parser, built on first use and reused by every main()."""
+def _parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The argument parser and its {(command, subcmd): leaf parser} table,
+    built on first use and reused by every main()."""
     top = argparse.ArgumentParser(prog="taufp", description=__doc__)
     commands = top.add_subparsers(dest="command", required=True)
+    leaf_of = {}
     for command, (_, help_text, shared, subcommands) in _COMMANDS.items():
         leaves = commands.add_parser(command, help=help_text).add_subparsers(
             dest="subcmd", required=True)
         for subcmd, own in subcommands.items():
-            leaf = leaves.add_parser(subcmd)
+            leaf = leaf_of[command, subcmd] = leaves.add_parser(subcmd)
             for name in shared + own:
                 leaf.add_argument(f"--{name}", **_OPTIONS[name])
             leaf.add_argument("--json", action="store_true", help="emit a JSON report")
-    return top
+    return top, leaf_of
 
 
 def main(argv=None) -> int:
     started = time.perf_counter()
-    args = _parser().parse_args(argv)
+    top, leaf_of = _parser()
+    # argparse hands a subcommand's unknown options up to the top parser;
+    # report them with the usage of the subcommand that was given them
+    args, unknown = top.parse_known_args(argv)
+    if unknown:
+        leaf_of[args.command, args.subcmd].error(f"unrecognized arguments: {' '.join(unknown)}")
     # every option is required or has a default, so only the flags are left out
     inputs = {k: v for k, v in vars(args).items() if not isinstance(v, bool)}
     report = Report(f"{args.command} {args.subcmd}", inputs)

@@ -4,13 +4,16 @@ Everything here is deterministic: spectral radii come from shifted power
 iteration with Collatz-Wielandt bracketing on strongly connected blocks
 (found by ``quiver._components``, the one component routine; this module
 holds linear algebra only), characteristic polynomials are computed
-exactly over Python integers held in numpy object arrays and their largest
-real root is isolated by Sturm bisection in integer arithmetic (primitive
-pseudo-remainder chains, homogeneous evaluation at each rational
-midpoint), and definiteness of integer Gram matrices is decided by one
-fraction-free symmetric (Bareiss) elimination in integers, which also
-yields the kernel (the positive-semidefinite-but-singular cases are knife
-edges that floating point gets wrong).
+exactly by Faddeev-LeVerrier, in int64 while a bound proves the entries
+fit and over Python integers held in numpy object arrays beyond it, and
+the power-iteration value is certified against them by two exact Sturm
+counts at the ends of an interval around it (primitive pseudo-remainder
+chains, homogeneous evaluation over a power-of-two denominator).  Where
+the certificate fails, the largest real root is isolated by Sturm
+bisection in the same integer arithmetic.  Definiteness of integer Gram
+matrices is decided by one fraction-free symmetric (Bareiss) elimination
+in integers, which also yields the kernel (the positive-semidefinite-but-
+singular cases are knife edges that floating point gets wrong).
 """
 
 from __future__ import annotations
@@ -94,20 +97,29 @@ ONE = IntPolynomial((1,))
 def char_poly(q: Quiver) -> IntPolynomial:
     """det(xI - M(Q)) over exact integers via Faddeev-LeVerrier.
 
-    The products are taken on numpy object arrays of Python ints, so they
-    stay exact at any size.  The empty quiver gives the constant polynomial 1.
+    The products are taken on the int64 adjacency matrix while a bound
+    proves they fit, and on numpy object arrays of Python ints from the
+    first step where it does not, so the coefficients are exact at any
+    size.  The empty quiver gives the constant polynomial 1.
     """
     n = q.n
-    a = m = q.adj.astype(object)
+    a = m = q.adj
+    amax = int(a.max(initial=0))
     coeffs = [0] * n + [1]
-    c = 1
+    c, mmax = 1, 0  # m starts as the zero matrix: m_1 = a @ (0 + c I)
     for k in range(1, n + 1):
+        # |entries of a @ m + c a| <= n amax mmax + |c| amax, so the trace of
+        # the step is below n times that; at 2^63 both factors go exact
+        if a.dtype != object and n * (n * amax * mmax + abs(c) * amax) >= 1 << 63:
+            a, m = a.astype(object), m.astype(object)
         if k > 1:
             m = a @ m + c * a  # a @ (m + c I)
-        c, rem = divmod(-m.trace(), k)
+        c, rem = divmod(-int(m.trace()), k)
         if rem:
             raise ConsistencyError("Faddeev-LeVerrier trace not divisible, nonintegral input?")
         coeffs[n - k] = c
+        if a.dtype != object:
+            mmax = int(np.abs(m).max())
     return IntPolynomial(tuple(coeffs))
 
 
@@ -208,6 +220,23 @@ def _sign_variations(chain: list[list[int]], num: int, den: int) -> int:
     return changes
 
 
+def _largest_root_within(p: IntPolynomial, center: float, radius: float) -> bool:
+    """Whether the largest real root of p provably lies in (lo, hi], where
+    lo = center - radius and hi = center + radius exactly.
+
+    Two Sturm counts decide it: V(hi) = V(+inf) leaves no root above hi,
+    and V(lo) > V(hi) puts at least one in (lo, hi].  Both ends are binary
+    fractions, so they are evaluated over one power-of-two denominator.
+    """
+    chain = _sturm_chain(_square_free(p))
+    lo, hi = Fraction(center) - Fraction(radius), Fraction(center) + Fraction(radius)
+    den = max(lo.denominator, hi.denominator)  # both powers of two
+    v_inf = sum((a[-1] > 0) != (b[-1] > 0) for a, b in zip(chain, chain[1:]))
+    v_hi = _sign_variations(chain, hi.numerator * (den // hi.denominator), den)
+    return v_hi == v_inf and _sign_variations(
+        chain, lo.numerator * (den // lo.denominator), den) > v_hi
+
+
 def _check_tol(tol: float) -> None:
     if not (tol > 0 and math.isfinite(tol)):
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
@@ -283,9 +312,11 @@ def spectral_radius(q: Quiver, tol: float = 1e-12, verify: bool = False) -> floa
 
     The matrix is split into strongly connected components; acyclic parts
     contribute 0 and each nontrivial component is handled by shifted power
-    iteration.  With verify=True the result is recomputed independently via
-    exact characteristic-polynomial root isolation and the two must agree
-    within 10*tol.
+    iteration.  With verify=True the exact characteristic polynomial
+    certifies the result: two Sturm counts prove that its largest real root
+    lies within 10*tol of the power-iteration value.  Only if they do not is
+    the root isolated by Sturm bisection, and the two must agree within
+    10*tol.  The power-iteration value is returned either way.
     """
     _check_tol(tol)
     if q.n == 0:
@@ -299,11 +330,15 @@ def spectral_radius(q: Quiver, tol: float = 1e-12, verify: bool = False) -> floa
         block = q.adj[np.ix_(comp, comp)]
         rho = max(rho, _power_radius(block, tol))
     if verify:
-        exact = largest_real_root(char_poly(q), tol=min(tol, 1e-13))
+        p = char_poly(q)
+        if _largest_root_within(p, rho, 10 * tol):
+            return rho
+        exact = largest_real_root(p, tol=min(tol, 1e-13))
         exact = max(exact, 0.0)  # Perron root of a nonnegative matrix
         if abs(exact - rho) > 10 * tol:
             raise ConsistencyError(
-                f"spectral radius mismatch: power iteration {rho!r} vs root isolation {exact!r}"
+                f"spectral radius mismatch on a {q.n}-vertex quiver at the Sturm "
+                f"verify stage: power iteration {rho!r} vs root isolation {exact!r}"
             )
     return rho
 

@@ -119,14 +119,16 @@ def _subparsers(parser):
 
 
 def test_one_leaf_parser_per_subcommand():
-    leaves = {(c, s) for c, group in _subparsers(cli._parser()).items() for s in _subparsers(group)}
-    assert leaves == set(SURFACE)
+    top, leaves = cli._parser()
+    assert {(c, s) for c, group in _subparsers(top).items() for s in _subparsers(group)} \
+        == set(SURFACE) == set(leaves)
     assert sum(len(opts) + 1 for opts in SURFACE.values()) == 60  # option slots, --json included
 
 
 @pytest.mark.parametrize("command, subcmd", list(SURFACE))
 def test_each_subcommand_takes_exactly_the_options_it_reads(command, subcmd):
-    leaf = _subparsers(_subparsers(cli._parser())[command])[subcmd]
+    leaf = _subparsers(_subparsers(cli._parser()[0])[command])[subcmd]
+    assert cli._parser()[1][command, subcmd] is leaf
     required = {opt: action.required for action in leaf._actions
                 for opt in action.option_strings if opt.startswith("--")}
     assert required.keys() == SURFACE[command, subcmd] | {"--help", "--json"}
@@ -144,7 +146,23 @@ def test_each_subcommand_takes_exactly_the_options_it_reads(command, subcmd):
 def test_unread_or_missing_options_exit2(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         cli.main([str(a) for a in argv] + ["--json"])
-    assert exc.value.code == 2 and capsys.readouterr().out == ""
+    out = capsys.readouterr()
+    assert exc.value.code == 2 and out.out == ""
+    # reported by the subcommand's own parser, with its usage line
+    leaf = f"taufp {argv[0]} {argv[1]}"
+    assert out.err.startswith(f"usage: {leaf} [-h] ")
+    assert f"\n{leaf}: error: " in out.err
+
+
+def test_unread_option_is_reported_with_the_leaf_usage(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["preproj", "table", "--multiplier", "2"])
+    out = capsys.readouterr()
+    assert exc.value.code == 2 and out.out == ""
+    assert out.err.splitlines() == [
+        "usage: taufp preproj table [-h] [--tol TOL] [--json]",
+        "taufp preproj table: error: unrecognized arguments: --multiplier 2",
+    ]
 
 
 def test_fpdim_tol_is_checked_before_any_work(capsys, monkeypatch):

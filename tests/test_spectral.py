@@ -9,10 +9,12 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+import taufp.spectral
 from taufp.errors import ConsistencyError
 from taufp.preproj import bn_family_char_polys, dynkin_rho
 from taufp.quiver import Quiver, build_quiver, connected_components
 from taufp.spectral import (
+    _largest_root_within,
     _power_radius,
     IntPolynomial,
     SymIntMatrix,
@@ -139,12 +141,98 @@ def _dense_strongly_connected(n, seed):
     return Quiver([f"v{i}" for i in range(n)], adj)
 
 
-@pytest.mark.parametrize("n", [24, 32, pytest.param(48, marks=pytest.mark.stretch)])
+@pytest.mark.parametrize("n", [24, 32, 48, pytest.param(60, marks=pytest.mark.stretch)])
 def test_verify_dense_size_ceiling(n):
-    # exact char-poly and Sturm route on dense quivers; ~0.04 s, 0.16 s, 0.93 s
+    # exact char-poly and Sturm certificate on dense quivers; ~0.01 s, 0.05 s,
+    # 0.6 s, 1.6 s, most of it the characteristic polynomial
     q = _dense_strongly_connected(n, seed=n)
     want = float(np.abs(np.linalg.eigvals(q.adj.astype(float))).max())
     assert spectral_radius(q, verify=True) == pytest.approx(want, abs=1e-9)
+
+
+B2 = build_quiver(["1", "2"], [("1", "1", 1), ("1", "2", 1), ("2", "1", 1)])  # x^2 - x - 1
+
+
+def _count_fallbacks(monkeypatch):
+    """Count the calls of the Sturm-bisection fallback of verify=True."""
+    calls = []
+    bisect = taufp.spectral.largest_real_root
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return bisect(*args, **kwargs)
+
+    monkeypatch.setattr(taufp.spectral, "largest_real_root", counted)
+    return calls
+
+
+def test_verify_mismatch_names_both_values_size_and_stage(monkeypatch):
+    power = taufp.spectral._power_radius
+    monkeypatch.setattr(taufp.spectral, "_power_radius",
+                        lambda block, tol: power(block, tol) + 1e-6)
+    rho = power(B2.adj, 1e-12) + 1e-6
+    exact = largest_real_root(char_poly(B2), tol=1e-13)
+    with pytest.raises(ConsistencyError) as exc:
+        spectral_radius(B2, verify=True)
+    msg = str(exc.value)
+    assert repr(rho) in msg and repr(exact) in msg
+    assert "2-vertex quiver" in msg and "Sturm verify stage" in msg
+
+
+def _disjoint_cycles(*lengths):
+    labels, arrows = [], []
+    for c, n in enumerate(lengths):
+        cycle = [f"c{c}v{i}" for i in range(n)]
+        labels += cycle
+        arrows += [(cycle[i], cycle[(i + 1) % n], 1) for i in range(n)]
+    return build_quiver(labels, arrows)
+
+
+@pytest.mark.parametrize("q, rho", [
+    (build_quiver(["1", "2", "3"], [("1", "2", 1), ("1", "3", 1), ("2", "3", 1)]), 0.0),  # x^3
+    (build_quiver(["a", "b"], [("a", "a", 3), ("b", "b", 1)]), 3.0),  # loops only
+    (_disjoint_cycles(2), 1.0),  # bipartite 2-cycle, roots +1 and -1
+    (_disjoint_cycles(3, 3), 1.0),  # (x^3 - 1)^2, repeated roots
+])
+def test_certificate_accepts_without_fallback(monkeypatch, q, rho):
+    calls = _count_fallbacks(monkeypatch)
+    assert _largest_root_within(char_poly(q), rho, 1e-11)
+    assert spectral_radius(q, verify=True) == pytest.approx(rho, abs=1e-11)
+    assert calls == []
+
+
+def test_tiny_tol_fails_the_certificate_and_passes_the_fallback(monkeypatch):
+    # a float is never within 1e-19 of the irrational golden ratio, so the
+    # certificate cannot hold and the bisection must decide
+    calls = _count_fallbacks(monkeypatch)
+    rho = spectral_radius(B2, tol=1e-20, verify=True)
+    assert rho == pytest.approx((1 + math.sqrt(5)) / 2, abs=1e-15)
+    assert not _largest_root_within(char_poly(B2), rho, 1e-19)
+    assert len(calls) == 1
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(integer_polys(), st.sampled_from([1e-3, 1e-6, 1e-9]),
+       st.sampled_from([0.0, 0.5, -0.5, 2.0, -2.0, 1e3, -1e3, 1e9]), st.booleans())
+def test_largest_root_within_matches_sympy_intervals(coeffs, radius, offset, at_smallest):
+    # centres on the largest root, within radius/2 of it, 2 radii away and far
+    # off; centred at the smallest root instead, a larger root lies above hi
+    p = IntPolynomial(coeffs)
+    if p.degree <= 0:
+        return
+    isolated = sympy.Poly(list(reversed(coeffs)), sympy.Symbol("x")).intervals(
+        eps=Fraction(1, 10**30))
+    if not isolated:
+        assert not _largest_root_within(p, offset * radius, radius)
+        return
+    roots = sorted((Fraction(int(a.p), int(a.q)), Fraction(int(b.p), int(b.q)))
+                   for (a, b), _ in isolated)
+    a, b = roots[-1]
+    center = float((roots[0] if at_smallest else roots[-1])[0] + offset * Fraction(radius))
+    lo, hi = Fraction(center) - Fraction(radius), Fraction(center) + Fraction(radius)
+    inside = [lo < r <= hi for r in (a, b)]
+    assert inside[0] == inside[1]  # the isolating interval straddles no end
+    assert _largest_root_within(p, center, radius) == inside[0]
 
 
 def test_spectral_radius_loops_only():
@@ -202,6 +290,49 @@ def test_char_poly_is_exact_beyond_int64():
     got = char_poly(q).coeffs
     assert list(got) == [int(c) for c in want]
     assert max(abs(c) for c in got).bit_length() > 64
+
+
+def _int64_switch_step(adj):
+    """First Faddeev-LeVerrier step k whose bound n (n max|a| max|m| + |c| max|a|)
+    reaches 2^63, with m and c from step k - 1 (m = 0, c = 1 before step 1),
+    computed in Python ints; None if every step stays below it."""
+    n, a = len(adj), [[int(x) for x in row] for row in adj]
+    amax = max((max(row) for row in a), default=0)
+    m, c = [[0] * n for _ in range(n)], 1
+    for k in range(1, n + 1):
+        if n * (n * amax * max(abs(x) for row in m for x in row) + abs(c) * amax) >= 1 << 63:
+            return k
+        m = [[sum(a[i][l] * (m[l][j] + c * (l == j)) for l in range(n)) for j in range(n)]
+             for i in range(n)]
+        c = -sum(m[i][i] for i in range(n)) // k
+    return None
+
+
+def _assert_char_poly_is_sympys(adj):
+    q = Quiver([f"v{i}" for i in range(len(adj))], adj)
+    want = sympy.Matrix(np.asarray(adj).tolist()).charpoly().all_coeffs()[::-1]
+    assert list(char_poly(q).coeffs) == [int(c) for c in want]
+
+
+def test_char_poly_stays_in_int64():
+    rng = np.random.default_rng(14)
+    adj = rng.integers(1, 4, size=(14, 14))
+    assert _int64_switch_step(adj) is None
+    _assert_char_poly_is_sympys(adj)
+
+
+def test_char_poly_switches_to_python_ints_mid_run():
+    rng = np.random.default_rng(20)
+    adj = (rng.random((20, 20)) < 0.5) * rng.integers(1, 11, size=(20, 20))
+    assert 1 < _int64_switch_step(adj) < 20
+    _assert_char_poly_is_sympys(adj)
+
+
+def test_char_poly_switches_before_the_first_product():
+    # the trace alone, 2^63, would overflow int64
+    adj = np.array([[2**62, 1, 0], [0, 0, 1], [1, 0, 2**62]], dtype=np.int64)
+    assert _int64_switch_step(adj) == 1
+    _assert_char_poly_is_sympys(adj)
 
 
 def test_power_iteration_fails_fast_on_underflow():
