@@ -53,6 +53,7 @@ from .coxeter import (
     WeylElement,
     apply_generator,
     cartan_matrix,
+    coxeter_exponent,
     identity_element,
     inverse,
     is_ascent,
@@ -84,6 +85,7 @@ from .nakayama import (
     is_tau_rigid_module,
     is_tau_rigid_pair,
     make_algebra,
+    projective_module,
     self_ext_bound,
     semibricks,
     tau,

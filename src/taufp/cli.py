@@ -154,9 +154,7 @@ def _cmd_preproj(args, report: Report) -> None:
         for fam, rank in preproj.TABLE_TYPES:
             for mult in (1, 2):
                 cd = coxeter.cartan_matrix(fam, rank, multiplier=mult)
-                computed = spectral.spectral_radius(preproj.gabriel_quiver(cd), tol=args.tol)
-                closed = preproj.dynkin_rho(fam, rank, minimal=(mult == 1))
-                ok = abs(computed - closed) <= 1e-9
+                computed, closed, ok = preproj._closed_form_check(cd, tol=args.tol)
                 all_ok &= ok
                 kind = "minimal" if mult == 1 else "non-minimal"
                 report.raw(
@@ -175,11 +173,10 @@ def _cmd_preproj(args, report: Report) -> None:
         if args.dot:
             report.value("dot", quiver.to_dot(q), quiver.to_dot(q))
     else:  # rho
-        computed = spectral.spectral_radius(q, tol=args.tol)
-        closed = preproj.dynkin_rho(cd.family, cd.rank, minimal=cd.minimal)
+        computed, closed, ok = preproj._closed_form_check(cd, tol=args.tol)
         report.real("rho", computed)
         report.real("closed_form", closed)
-        report.verdict("closed_form_match", abs(computed - closed) <= 1e-9)
+        report.verdict("closed_form_match", ok)
 
 
 def _parse_kupisch(raw: str) -> list[int]:
@@ -223,12 +220,10 @@ def _cmd_nakayama(args, report: Report) -> None:
     mods = nakayama.indecomposables(alg)
     report.value("n", alg.n)
     report.value("indecomposables", [str(m) for m in mods], f"indecomposables: {len(mods)}")
-    brick_tab = {str(m): nakayama.is_brick(alg, m) for m in mods}
-    rigid_tab = {str(m): nakayama.is_tau_rigid_module(alg, m) for m in mods}
-    report.value("bricks", [k for k, v in brick_tab.items() if v],
-                 f"bricks: {sum(brick_tab.values())}")
-    report.value("tau_rigid", [k for k, v in rigid_tab.items() if v],
-                 f"tau-rigid: {sum(rigid_tab.values())}")
+    bricks = [str(m) for m in mods if nakayama.is_brick(alg, m)]
+    rigid = [str(m) for m in mods if nakayama.is_tau_rigid_module(alg, m)]
+    report.value("bricks", bricks, f"bricks: {len(bricks)}")
+    report.value("tau_rigid", rigid, f"tau-rigid: {len(rigid)}")
     lat = _sandwich(alg, max_n, args.tol, report)
     # counted off the semibrick search, independently of the pair lattice
     semibrick_count = len(alg._tables.semibrick_masks[0])

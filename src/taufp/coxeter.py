@@ -26,6 +26,7 @@ off the labels and computes no join.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -193,9 +194,7 @@ def coxeter_exponent(cartan: CartanData, i: int, j: int) -> int:
 def weyl_order(family: str, rank: int) -> int:
     """Order of the Weyl group, by the classical product formulas."""
     n = _check_type_rank(family, rank)
-    fact = 1
-    for k in range(2, n + 1):
-        fact *= k
+    fact = math.factorial(n)
     if family == "A":
         return fact * (n + 1)
     if family in ("B", "C"):

@@ -26,8 +26,11 @@ their rank-2 faces instead (coxeter checks that each is the 2 m_ij-gon
 x W_ij on the generator labels of the covers), and their cover quivers are
 read off those labels by _from_faces with no join, no bitset and no
 per-element list; their sweep waits for the first order query.  Either way
-each Q(x, dp(x)) is one row-major bitmask over the sorted dp(x), which the
-FP dimension scan reads by element index.
+each Q(x, dp(x)) is one row-major bitmask over the sorted dp(x), in one
+array that q_of and fpdim_lattice read through _arrows.  fpdim_lattice and
+nakayama.fpdim_nakayama take the largest spectral radius over small integer
+blocks through one kernel, _largest_rho: one radius per distinct key, at
+its first occurrence, and a later block wins only by more than tol.
 """
 
 from __future__ import annotations
@@ -209,13 +212,13 @@ class FiniteLattice:
             self._down = down
         return self._down
 
-    def _certify(self) -> list[int]:
+    def _certify(self) -> np.ndarray:
         """Join every two upper covers of each element; return the arrows of
         each Q(x, dp(x)) as a bitmask, bit a*m + b for the arrow ys[a] -> ys[b]
         on the m sorted upper covers ys.  With the unique extremes already
         checked, these joins prove the lattice axioms (module docstring)."""
         children = self._children
-        qmask = [0] * len(self.elements)
+        qmask = _no_masks(self._n_dp)
         for x, ys in enumerate(self._parents):
             m = len(ys)
             mask = 0
@@ -347,25 +350,53 @@ class Covers(Sequence):
         return repr(tuple(self))
 
 
-def _face_masks(n_dp, labels, arrow) -> list[int]:
+def _no_masks(n_dp) -> np.ndarray:
+    """Zero arrow masks, one per element: uint64 while no element has more
+    than 8 upper covers (m*m bits fit), else Python ints in an object array."""
+    return np.zeros(len(n_dp), dtype=np.uint64 if n_dp.max(initial=0) <= 8 else object)
+
+
+def _face_masks(n_dp, labels, arrow) -> np.ndarray:
     """The arrow masks of _certify's layout read off cover labels: n_dp[x]
     is the number m of upper covers ys of x and labels their labels in the
     order of the sorted cover index (x by x, each ys sorted); bit a*m + b is
-    set for the arrow ys[a] -> ys[b] when arrow[labels of ys[a], ys[b]].
-    Masks are uint64 while every m is at most 8 (m*m bits fit), Python ints
-    above."""
+    set for the arrow ys[a] -> ys[b] when arrow[labels of ys[a], ys[b]]."""
     n = len(n_dp)
     xs = np.repeat(np.arange(n), n_dp)
     slot = np.arange(len(xs)) - (np.cumsum(n_dp) - n_dp)[xs]
     table = np.zeros((n, int(n_dp.max(initial=0))), dtype=np.int64)
     table[xs, slot] = labels
-    dtype = np.uint64 if table.shape[1] <= 8 else object
-    one = np.array(1, dtype=dtype)
-    masks = np.zeros(n, dtype=dtype)
+    masks = _no_masks(n_dp)
+    one = np.array(1, dtype=masks.dtype)
     for a, b in itertools.permutations(range(table.shape[1]), 2):
         hit = (n_dp > max(a, b)) & arrow[table[:, a], table[:, b]]
-        masks[hit] |= one << (a * n_dp[hit] + b).astype(dtype)
-    return masks.tolist()
+        masks[hit] |= one << (a * n_dp[hit] + b).astype(masks.dtype)
+    return masks
+
+
+def _arrows(mask, m: int) -> np.ndarray:
+    """The m x m adjacency matrix of one arrow mask: entry [a, b] is bit
+    a*m + b, the arrow ys[a] -> ys[b] on the sorted upper covers ys."""
+    mask = int(mask)
+    return np.array([mask >> i & 1 for i in range(m * m)], dtype=np.int64).reshape(m, m)
+
+
+def _largest_rho(keys: np.ndarray, block_at, tol: float) -> tuple[float, int | None]:
+    """The largest spectral radius over int64 square blocks, and the position
+    in keys of the block attaining it, or (0.0, None) if none exceeds tol.
+
+    Equal keys (a 1-d array) stand for equal blocks: rho is computed once per
+    distinct key, on block_at(k) for its first position k, visiting those in
+    position order; a block wins only by more than tol over the best so far,
+    so ties go to the earliest position."""
+    _, first = np.unique(keys, return_index=True)
+    best, witness = 0.0, None
+    for k in np.sort(first).tolist():
+        block = block_at(k)
+        rho = spectral_radius(Quiver(range(len(block)), block), tol=tol)
+        if rho > best + tol:
+            best, witness = rho, k
+    return best, witness
 
 
 def from_covers(elements, covers) -> FiniteLattice:
@@ -391,15 +422,6 @@ def opposite(lat: FiniteLattice) -> FiniteLattice:
     return FiniteLattice(lat.elements, lat._lower, lat._upper)
 
 
-def _q_at(lat: FiniteLattice, x: int, rows) -> Quiver:
-    """The full subquiver of Q(x, dp(x)) on the positions rows of x's upper
-    covers (declaration order), read off the mask the constructor stored."""
-    ys, mask = lat._dp_of(x).tolist(), lat._qmask[x]
-    m = len(ys)
-    adj = [[mask >> (a * m + b) & 1 for b in rows] for a in rows]
-    return Quiver([lat.elements[ys[a]] for a in rows], np.array(adj, dtype=np.int64))
-
-
 def q_of(lat: FiniteLattice, x: str, ys=None) -> Quiver:
     """Quiver on a set of upper covers of x.
 
@@ -419,39 +441,32 @@ def q_of(lat: FiniteLattice, x: str, ys=None) -> Quiver:
     stray = [y for y in ys if y not in dp]
     if stray:
         raise ValueError(f"{stray[0]!r} is not an upper cover of {x!r}")
-    return _q_at(lat, ix, [a for a, y in enumerate(dp) if y in ys])
+    rows = [a for a, y in enumerate(dp) if y in ys]
+    return Quiver([dp[a] for a in rows], _arrows(lat._qmask[ix], len(dp))[np.ix_(rows, rows)])
 
 
 def fpdim_lattice(lat: FiniteLattice, tol: float = 1e-12) -> tuple[float, str | None]:
     """FP dimension of a finite lattice, with a witness element.
 
-    Maximizes rho(Q(x, dp(x))) over all x below the maximum; elements with a
-    single upper cover contribute 0 and are skipped.  Ties go to the first
-    element in declaration order; a one-element lattice gives (0.0, None).
-    Each Q(x, dp(x)) is read by index off the arrow mask stored by the
-    constructor, so no join is computed here.  Equal (size, mask) give equal
-    quivers, and only the first element with a given (size, mask) can raise
-    the maximum, so the scan computes one spectral radius per distinct key,
-    at its first element in declaration order (the E6 weak order has 99 keys
-    among 50,567 elements).
+    Maximizes rho(Q(x, dp(x))) over all x below the maximum, reading the
+    arrow masks stored by the constructor (no join here); elements with one
+    upper cover contribute 0.  An element with m >= 2 covers has the key
+    mask | 1 << (m*m - 1), which fixes m as that bit (a loop) never occurs,
+    and _largest_rho computes one rho per distinct key, at its first element
+    in declaration order; a later one wins only by more than tol.  With no
+    rho above tol the witness is the first element below the maximum; a
+    one-element lattice gives (0.0, None).
     """
     _check_tol(tol)
-    n = len(lat.elements)
-    if n == 1:
+    if len(lat.elements) == 1:
         return 0.0, None
-    keys = list(zip(lat._n_dp.tolist(), lat._qmask))
-    first = dict(zip(reversed(keys), range(n - 1, -1, -1)))  # the earliest index wins
-    best = 0.0
-    witness = 1 if lat._max == 0 else 0  # the first element below the maximum
-    for x in sorted(first.values()):
-        m = keys[x][0]
-        if m <= 1:
-            continue
-        rho = spectral_radius(_q_at(lat, x, range(m)), tol=tol)
-        if rho > best + tol:
-            best = rho
-            witness = x
-    return best, lat.elements[witness]
+    xs = np.flatnonzero(lat._n_dp >= 2)
+    m = lat._n_dp[xs]
+    mask = lat._qmask[xs]
+    keys = mask | np.array(1, dtype=mask.dtype) << (m * m - 1).astype(mask.dtype)
+    rho, k = _largest_rho(keys, lambda i: _arrows(mask[i], m[i]), tol)
+    witness = (1 if lat._max == 0 else 0) if k is None else xs[k]
+    return rho, lat.elements[witness]
 
 
 def lattice_to_dict(lat: FiniteLattice) -> dict:

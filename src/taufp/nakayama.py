@@ -39,7 +39,8 @@ lies above.  A closure certificate then checks that these covers generate
 exactly the pair order.  The FP dimension reads the Ext blocks of the
 maximal semibricks only, from one Ext table: the spectral radius is
 monotone on principal submatrices, so smaller semibricks cannot exceed
-them.
+them.  The lattice kernel _largest_rho takes their maximum, once per
+distinct block, at its first semibrick, with the tol rule of fpdim_lattice.
 """
 
 from __future__ import annotations
@@ -51,9 +52,9 @@ from functools import cached_property
 import numpy as np
 
 from .errors import BudgetError, ConsistencyError
-from .lattice import FiniteLattice
+from .lattice import FiniteLattice, _largest_rho
 from .quiver import Quiver, _integer
-from .spectral import _check_tol, spectral_radius
+from .spectral import _check_tol
 
 __all__ = [
     "NakayamaAlgebra",
@@ -461,11 +462,6 @@ class _Tables:
         dfs(0, bricks, bricks)
         return every, maximal
 
-    @cached_property
-    def semibricks(self) -> list[frozenset[Uniserial]]:
-        mods = self.mods
-        return [frozenset(mods[i] for i in _bits(sb)) for sb in self.semibrick_masks[0]]
-
 
 def module(a: NakayamaAlgebra, socle: int, length: int) -> Uniserial:
     """Normalized, existence-checked M(socle; length)."""
@@ -502,11 +498,8 @@ def hom_dim(a: NakayamaAlgebra, m: Uniserial, n_: Uniserial) -> int:
 
 
 def ext_dim(a: NakayamaAlgebra, m: Uniserial, n_: Uniserial) -> int:
-    """dim Ext^1(M, N) via 0 -> K -> P(top M) -> M -> 0.
-
-    Ext^1(M,N) = hom(K,N) - hom(P0,N) + hom(M,N); a negative value would
-    mean the Hom formula is broken and raises.
-    """
+    """dim Ext^1(M, N) = hom(K,N) - hom(P0,N) + hom(M,N) for the projective
+    cover 0 -> K -> P0 = P(top M) -> M -> 0; a negative value raises."""
     t = a._tables
     return t.ext(t.find(m), t.find(n_))
 
@@ -562,7 +555,8 @@ def tau_tiltp_lattice(a: NakayamaAlgebra, max_n: int = DEFAULT_MAX_N) -> FiniteL
 def semibricks(a: NakayamaAlgebra, max_n: int = DEFAULT_MAX_N) -> list[frozenset[Uniserial]]:
     """All semibricks: Hom-orthogonal sets of bricks, the empty set included."""
     _check_budget(a, max_n)
-    return list(a._tables.semibricks)
+    mods = a._tables.mods
+    return [frozenset(mods[i] for i in _bits(sb)) for sb in a._tables.semibrick_masks[0]]
 
 
 def ext_quiver(a: NakayamaAlgebra, mods) -> Quiver:
@@ -578,21 +572,17 @@ def fpdim_nakayama(
     """FP dimension: sup of rho over all semibrick Ext-quivers.
 
     rho is monotone on principal submatrices (Perron-Frobenius), so the
-    maximal semibricks attain it; their Ext blocks are read from one table,
-    and rho is computed once per distinct block (its entries in row-major
-    order, whose count fixes the size)."""
+    maximal semibricks attain it.  Their Ext blocks are read from one table
+    and keyed by their bytes, whose count fixes the size; _largest_rho
+    computes rho once per distinct block, at its first maximal semibrick in
+    search order, and a later block wins only by more than tol."""
     _check_tol(tol)
     _check_budget(a, max_n)
     t = a._tables
-    table = t.ext_table.tolist()
-    rhos: dict[tuple[int, ...], float] = {}
-    for sb in t.semibrick_masks[1]:
-        idx = list(_bits(sb))
-        block = tuple(table[i][j] for i in idx for j in idx)
-        if block not in rhos:
-            adj = np.array(block, dtype=np.int64).reshape(len(idx), len(idx))
-            rhos[block] = spectral_radius(Quiver([str(t.mods[i]) for i in idx], adj), tol=tol)
-    return max(rhos.values(), default=0.0)
+    idx = [np.fromiter(_bits(sb), dtype=np.int64) for sb in t.semibrick_masks[1]]
+    blocks = [t.ext_table[i[:, None], i] for i in idx]
+    keys = np.array([b.tobytes() for b in blocks], dtype=object)
+    return _largest_rho(keys, blocks.__getitem__, tol)[0]
 
 
 def self_ext_bound(a: NakayamaAlgebra) -> int:

@@ -15,7 +15,8 @@ import math
 
 import numpy as np
 
-from .coxeter import _E_COXETER, CartanData, DEFAULT_BUDGET, _check_type_rank, _weak_order_lattice
+from .coxeter import (_E_COXETER, CartanData, DEFAULT_BUDGET, _check_type_rank,
+                      _weak_order_lattice, cartan_matrix)
 from .errors import ConsistencyError
 from .lattice import FiniteLattice
 from .quiver import Quiver
@@ -55,15 +56,22 @@ def gabriel_quiver(cartan: CartanData) -> Quiver:
     return Quiver([str(i + 1) for i in range(n)], adj)
 
 
+def _closed_form_check(cartan: CartanData, tol: float) -> tuple[float, float, bool]:
+    """rho of the Gabriel quiver of Pi(C, D), the closed form dynkin_rho for
+    its type and symmetrizer, and whether they agree within 1e-9."""
+    rho = spectral_radius(gabriel_quiver(cartan), tol=tol)
+    closed = dynkin_rho(cartan.family, cartan.rank, minimal=cartan.minimal)
+    return rho, closed, abs(rho - closed) <= 1e-9
+
+
 def fpdim_preproj(cartan: CartanData, tol: float = 1e-12) -> float:
     """FP dimension of Pi(C, D): the spectral radius of its Gabriel quiver.
 
     The computed radius is checked against the closed form for the type and
-    symmetrizer; disagreement beyond 1e-9 is an internal failure.
+    symmetrizer (_closed_form_check); disagreement is an internal failure.
     """
-    rho = spectral_radius(gabriel_quiver(cartan), tol=tol)
-    closed = dynkin_rho(cartan.family, cartan.rank, minimal=cartan.minimal)
-    if abs(rho - closed) > 1e-9:
+    rho, closed, ok = _closed_form_check(cartan, tol)
+    if not ok:
         raise ConsistencyError(
             f"{cartan.name}: computed rho {rho!r} differs from closed form {closed!r}"
         )
@@ -113,17 +121,9 @@ def dynkin_rho(family: str, rank: int, minimal: bool = True) -> float:
     return 1 + 2 * math.cos(math.pi / (n + 1))
 
 
-def _bn_quiver(n: int) -> Quiver:
-    """Double path on n vertices with loops at 1..n-1 (none for n = 1)."""
-    adj = np.zeros((n, n), dtype=np.int64)
-    for i in range(n - 1):
-        adj[i, i + 1] = adj[i + 1, i] = 1
-        adj[i, i] = 1
-    return Quiver([str(i + 1) for i in range(n)], adj)
-
-
 def bn_family_char_polys(n_max: int, tol: float = 1e-9) -> list[IntPolynomial]:
-    """Characteristic polynomials f_1..f_{n_max} of the B-type quiver family.
+    """Characteristic polynomials f_1..f_{n_max} of the B-type Gabriel quivers
+    (double path on n vertices, loops at 1..n-1; f_1 = x).
 
     Checks the three-term recurrence f_{n+1} = (x-1) f_n - f_{n-1} exactly
     (anchored at f_0 = 1) and that the real roots of f_n are
@@ -132,7 +132,8 @@ def bn_family_char_polys(n_max: int, tol: float = 1e-9) -> list[IntPolynomial]:
     _check_tol(tol)
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
-    polys = [char_poly(_bn_quiver(n)) for n in range(1, n_max + 1)]
+    polys = [IntPolynomial((0, 1))]
+    polys += [char_poly(gabriel_quiver(cartan_matrix("B", n))) for n in range(2, n_max + 1)]
     x_minus_1 = IntPolynomial((-1, 1))
     prev = ONE
     for n in range(1, n_max):

@@ -236,11 +236,8 @@ class DynkinClass:
             raise ValueError("E family needs rank in {6,7,8}")
         if self.family == "D" and self.rank < 4:
             raise ValueError("D family needs rank >= 4")
-        if self.family == "A":
-            if self.kind == "dynkin" and self.rank < 1:
-                raise ValueError("A family needs rank >= 1")
-            if self.kind == "extended" and self.rank < 1:
-                raise ValueError("A~ family needs rank >= 1")
+        if self.family == "A" and self.rank < 1:
+            raise ValueError(f"A{'~' if self.is_extended else ''} family needs rank >= 1")
 
     @property
     def is_dynkin(self) -> bool:

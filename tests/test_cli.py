@@ -2,11 +2,13 @@
 
 import argparse
 import contextlib
+import importlib
 import io
 import json
 import math
 import os
 import pathlib
+import pkgutil
 import subprocess
 import sys
 
@@ -294,6 +296,17 @@ def test_budget_env_override(capsys, monkeypatch):
     monkeypatch.setenv("TAUFP_BUDGET", "6")
     code, out, _ = run(capsys, "coxeter", "order", "--type", "A", "--rank", 2)
     assert code == 0 and "order: 6" in out
+
+
+def test_package_reexports_every_public_callable():
+    # each callable in a submodule's __all__ is also an attribute of taufp
+    for info in pkgutil.iter_modules(taufp.__path__):
+        if info.name.startswith("_"):
+            continue
+        mod = importlib.import_module(f"taufp.{info.name}")
+        names = [n for n in getattr(mod, "__all__", ()) if callable(getattr(mod, n))]
+        missing = [n for n in names if getattr(taufp, n, None) is not getattr(mod, n)]
+        assert not missing, (info.name, missing)
 
 
 def test_preproj_commands(capsys):

@@ -2,17 +2,20 @@
 
 import itertools
 import json
+import math
 import pathlib
 import re
 
 import numpy as np
 import pytest
 
+from taufp import lattice
 from taufp.coxeter import cartan_matrix, weak_order
 from taufp.errors import LatticeError
 from taufp.lattice import (
     FiniteLattice,
     _face_masks,
+    _largest_rho,
     fpdim_lattice,
     from_covers,
     lattice_from_dict,
@@ -361,7 +364,7 @@ def test_face_masks_beyond_64_bits():
     masks = _face_masks(np.array([9] + [0] * 9), label, arrow)
     want = sum(1 << (a * 9 + b) for a in range(9) for b in range(9)
                if abs(int(label[a]) - int(label[b])) == 1)
-    assert masks == [want] + [0] * 9 and want.bit_length() > 64
+    assert masks.tolist() == [want] + [0] * 9 and want.bit_length() > 64
     # the same element read through a lattice (the bottom, nine atoms, the
     # top) whose covers come shuffled: the cover index sorts them back
     names = [str(i) for i in range(11)]
@@ -374,3 +377,46 @@ def test_face_masks_beyond_64_bits():
     assert _face_masks(np.array([8] + [0] * 8), np.arange(8),
                        arrow)[0] == sum(1 << (a * 8 + b) for a in range(8) for b in range(8)
                                         if abs(a - b) == 1)
+    # the scan keys such masks in an object array: the atoms carry the path
+    # A9, while the join constructor sees every atom below the top, so no arrow
+    assert lat._qmask.dtype == object
+    assert fpdim_lattice(lat) == (pytest.approx(2 * math.cos(math.pi / 10), abs=1e-12), "0")
+    joined = FiniteLattice(names, up, lo)
+    assert joined._qmask.dtype == object and fpdim_lattice(joined) == (0.0, "0")
+
+
+def test_largest_rho_takes_first_occurrences_and_the_tol_rule():
+    # 1x1 blocks [[r]] have rho r; keys 30 and 20 repeat, so three blocks are
+    # read, at the first positions 0, 1, 3 in that order, not in key order
+    rhos = [1, 3, 1, 2, 3]
+    keys = np.array([30, 20, 30, 10, 20])
+    read = []
+
+    def block_at(k):
+        read.append(k)
+        return np.array([[rhos[k]]])
+
+    assert _largest_rho(keys, block_at, 1e-12) == (3.0, 1) and read == [0, 1, 3]
+    # at tol 0.5 a radius must clear the best by more than 0.5: 3 does, 2 not
+    assert _largest_rho(keys, block_at, 0.5) == (3.0, 1)
+    # 3 at position 1 is within tol of 2 at position 0, so the first stays
+    assert _largest_rho(np.array([2, 1]), lambda k: np.array([[k + 2]]), 1.5) == (2.0, 0)
+    assert _largest_rho(np.array([2, 1]), lambda k: np.array([[k + 1]]), 2.5) == (0.0, None)
+    assert _largest_rho(np.array([], dtype=np.int64), block_at, 1e-12) == (0.0, None)
+
+
+def test_fpdim_computes_one_radius_per_distinct_key(monkeypatch):
+    # one spectral radius per distinct (cover count, arrow mask) among the
+    # elements with at least two upper covers, far fewer than those elements
+    lat = tau_tiltp_model(cartan_matrix("D", 4))
+    pairs = [(m, int(q)) for m, q in zip(lat._n_dp.tolist(), lat._qmask.tolist()) if m >= 2]
+    calls = []
+
+    def counted(q, tol):
+        calls.append(q)
+        return spectral_radius(q, tol=tol)
+
+    monkeypatch.setattr(lattice, "spectral_radius", counted)
+    value, _ = fpdim_lattice(lat)
+    assert value == pytest.approx(math.sqrt(3), abs=1e-12)  # 2 cos(pi / 6), D4
+    assert len(calls) == len(set(pairs)) < len(pairs) // 10

@@ -13,7 +13,7 @@ import weakref
 import numpy as np
 import pytest
 
-from taufp import nakayama
+from taufp import lattice, nakayama
 from taufp.errors import BudgetError, ConsistencyError
 from taufp.lattice import FiniteLattice, fpdim_lattice
 from taufp.nakayama import (
@@ -253,6 +253,25 @@ def test_cyclic_pair_count_is_central_binomial(n):
     count = math.comb(2 * n, n)
     assert len(tau_tilting_pairs(a)) == count
     assert len(tau_tiltp_lattice(a).covers) == n * count // 2
+
+
+def test_fpdim_computes_one_radius_per_distinct_block(monkeypatch):
+    # cyclic [3,3,3] has 7 maximal semibricks but only 3 distinct Ext blocks,
+    # here read through the scalar Ext route of ext_quiver
+    a = make_algebra("cyclic", [3, 3, 3])
+    sbs = semibricks(a)
+    maximal = [s for s in sbs if not any(s < u for u in sbs)]
+    blocks = {(q.n, q.adj.tobytes()) for q in (ext_quiver(a, s) for s in maximal)}
+    calls = []
+
+    def counted(q, tol):
+        calls.append(q)
+        return spectral_radius(q, tol=tol)
+
+    monkeypatch.setattr(lattice, "spectral_radius", counted)
+    assert fpdim_nakayama(a) == 1.0
+    assert (len(maximal), len(calls), len(blocks)) == (7, 3, 3)
+    assert {(q.n, q.adj.tobytes()) for q in calls} == blocks
 
 
 def test_fpdim_is_the_maximum_over_all_semibricks():
