@@ -16,6 +16,7 @@ from taufp import (
     fpdim_nakayama,
     indecomposables,
     make_algebra,
+    sandwich,
     self_ext_bound,
     semibricks,
     spectral_radius,
@@ -58,6 +59,9 @@ flat, where = fpdim_lattice(lat)
 db = self_ext_bound(alg)
 print(f"tau-tilting lattice: {len(lat)} pairs, FPdim(lattice) = {flat} at {where}")
 print(f"sandwich: max({flat}, d_b={db}) <= FPdim <= {flat} + {db}")
+# the same three numbers from one scan of the maximal semibricks, with the
+# lattice value read off the brick labels of the covers (no pair lattice)
+print("(FPdim(lattice), d_b, FPdim) from brick labels:", sandwich(alg))
 print()
 
 lin = make_algebra("linear", [1, 2, 3])

@@ -86,6 +86,7 @@ from .nakayama import (
     is_tau_rigid_pair,
     make_algebra,
     projective_module,
+    sandwich,
     self_ext_bound,
     semibricks,
     tau,

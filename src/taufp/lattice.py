@@ -28,9 +28,10 @@ read off those labels by _from_faces with no join, no bitset and no
 per-element list; their sweep waits for the first order query.  Either way
 each Q(x, dp(x)) is one row-major bitmask over the sorted dp(x), in one
 array that q_of and fpdim_lattice read through _arrows.  fpdim_lattice and
-nakayama.fpdim_nakayama take the largest spectral radius over small integer
+the Nakayama scans take the largest spectral radius over small integer
 blocks through one kernel, _largest_rho: one radius per distinct key, at
-its first occurrence, and a later block wins only by more than tol.
+its first occurrence, and a later block wins only by more than tol; scans
+that share their radii compute a block common to them once.
 """
 
 from __future__ import annotations
@@ -381,21 +382,27 @@ def _arrows(mask, m: int) -> np.ndarray:
     return np.array([mask >> i & 1 for i in range(m * m)], dtype=np.int64).reshape(m, m)
 
 
-def _largest_rho(keys: np.ndarray, block_at, tol: float) -> tuple[float, int | None]:
+def _largest_rho(keys: np.ndarray, block_at, tol: float,
+                 radii: dict | None = None) -> tuple[float, int | None]:
     """The largest spectral radius over int64 square blocks, and the position
     in keys of the block attaining it, or (0.0, None) if none exceeds tol.
 
     Equal keys (a 1-d array) stand for equal blocks: rho is computed once per
     distinct key, on block_at(k) for its first position k, visiting those in
     position order; a block wins only by more than tol over the best so far,
-    so ties go to the earliest position."""
+    so ties go to the earliest position.  radii maps keys to the radii
+    already computed and is filled in here, so scans that share it (with
+    keys that stand for equal blocks across them) compute each block once."""
+    radii = {} if radii is None else radii
     _, first = np.unique(keys, return_index=True)
     best, witness = 0.0, None
     for k in np.sort(first).tolist():
-        block = block_at(k)
-        rho = spectral_radius(Quiver(range(len(block)), block), tol=tol)
-        if rho > best + tol:
-            best, witness = rho, k
+        key = keys[k]
+        if key not in radii:
+            block = block_at(k)
+            radii[key] = spectral_radius(Quiver(range(len(block)), block), tol=tol)
+        if radii[key] > best + tol:
+            best, witness = radii[key], k
     return best, witness
 
 

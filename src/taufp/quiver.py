@@ -232,6 +232,7 @@ class DynkinClass:
             return
         if self.family not in ("A", "D", "E"):
             raise ValueError(f"bad family {self.family!r}")
+        object.__setattr__(self, "rank", _integer(self.rank, "rank"))
         if self.family == "E" and self.rank not in (6, 7, 8):
             raise ValueError("E family needs rank in {6,7,8}")
         if self.family == "D" and self.rank < 4:

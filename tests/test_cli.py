@@ -11,10 +11,12 @@ import pathlib
 import pkgutil
 import subprocess
 import sys
+import time
 
 import pytest
 
 import taufp.cli as cli
+import taufp.lattice
 import taufp.nakayama
 import taufp.preproj
 
@@ -177,19 +179,71 @@ def test_fpdim_tol_is_checked_before_any_work(capsys, monkeypatch):
     assert "tol must be positive and finite" in err
 
 
-def test_e6_fpdim_peak_rss(tmp_path):
-    # the face route keeps E6 well below the 241 MB its join certificate needed
+# Runs the CLI and prints the peak RSS of its own address space (VmHWM, kB)
+# last on stderr.  The child's wait4 ru_maxrss would not do: exec carries the
+# peak of the process it replaces, the forking test process, into it.
+_CHILD = """
+import sys
+import taufp.cli
+code = taufp.cli.main(sys.argv[1:])
+status = open("/proc/self/status").read().split("VmHWM:")[1]
+print(int(status.split()[0]), file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def _fresh_run(*argv):
+    """Run the CLI with --json in a fresh process: the exit code, the parsed
+    report, the wall time in s and the peak RSS in MB."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    out = tmp_path / "out.json"
-    with open(out, "w") as fh:
-        proc = subprocess.Popen([sys.executable, "-m", "taufp", "coxeter", "fpdim", "--type", "E",
-                                 "--rank", "6", "--json"], env=env, stdout=fh)
-        _, status, usage = os.wait4(proc.pid, 0)
-        proc.returncode = os.waitstatus_to_exitcode(status)
-    assert proc.returncode == 0
-    assert json.loads(out.read_text())["values"]["fpdim"] == pytest.approx(1.9318516525781364)
-    assert usage.ru_maxrss < 150 * 1024  # kilobytes on Linux
+    started = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-c", _CHILD, *argv, "--json"], env=env,
+                          capture_output=True, text=True)
+    elapsed = time.perf_counter() - started
+    peak_kb = int(proc.stderr.split()[-1])
+    return proc.returncode, json.loads(proc.stdout), elapsed, peak_kb / 1024
+
+
+def test_e6_fpdim_peak_rss():
+    # the face route keeps E6 well below the 241 MB its join certificate needed
+    code, doc, _, rss_mb = _fresh_run("coxeter", "fpdim", "--type", "E", "--rank", "6")
+    assert code == 0
+    assert doc["values"]["fpdim"] == pytest.approx(1.9318516525781364)
+    assert rss_mb < 150
+
+
+def test_cyclic_n10_sandwich_time_and_peak_rss():
+    # the semibrick scans need no pair lattice: 184,756 semibricks, 8,953 of
+    # them maximal, in about 0.8 s and 60 MB
+    code, doc, elapsed, rss_mb = _fresh_run("nakayama", "sandwich", "--shape",
+                                            "cyclic", "--kupisch", ",".join(["20"] * 10))
+    assert code == 0 and doc["verdicts"]["sandwich"] is True
+    assert doc["values"] == {"d_b": 1, "fpdim": 1.0, "fpdim_lattice": 1.0}
+    assert elapsed < 2 and rss_mb < 150
+
+
+@pytest.mark.stretch
+def test_cyclic_n9_report_time_and_peak_rss():
+    # the pair search still runs, for the bijection count: C(18, 9) pairs
+    code, doc, elapsed, rss_mb = _fresh_run("nakayama", "report", "--shape",
+                                            "cyclic", "--kupisch", ",".join(["18"] * 9))
+    assert code == 0 and all(doc["verdicts"].values())
+    assert doc["values"]["tau_tilting_pair_count"] == math.comb(18, 9) == 48620
+    assert doc["values"]["semibrick_count"] == 48620
+    assert elapsed < 5 and rss_mb < 300
+
+
+def test_report_and_sandwich_build_no_pair_lattice(capsys, monkeypatch):
+    def build(*args, **kwargs):
+        raise AssertionError("the pair lattice was built")
+
+    monkeypatch.setattr(taufp.nakayama._Tables, "mutations", build)
+    monkeypatch.setattr(taufp.lattice.FiniteLattice, "__init__", build)
+    for subcmd in ("report", "sandwich"):
+        code, out, _ = run(capsys, "nakayama", subcmd, "--shape", "cyclic", "--kupisch",
+                           "3,3,2", "--json")
+        assert code == 0 and json.loads(out)["verdicts"]["sandwich"] is True
 
 
 def test_lattice_commands(capsys):
@@ -385,9 +439,14 @@ def test_kupisch_accepts_whitespace_around_entries(capsys):
 
 
 def test_nakayama_budget_exit3(capsys):
-    code, _, err = run(capsys, "nakayama", "fpdim", "--shape", "cyclic",
+    # the semibrick scans take n <= 10 by default, the pair enumeration n <= 7
+    for subcmd in ("fpdim", "sandwich", "report"):
+        code, _, err = run(capsys, "nakayama", subcmd, "--shape", "cyclic",
+                           "--kupisch", ",".join(["2"] * 11))
+        assert code == 3 and "n = 11 > enumeration bound 10" in err
+    code, _, err = run(capsys, "nakayama", "pairs", "--shape", "cyclic",
                        "--kupisch", "2,2,2,2,2,2,2,2")
-    assert code == 3
+    assert code == 3 and "n = 8 > enumeration bound 7" in err
 
 
 # One invocation of every subcommand, run from the repository root.

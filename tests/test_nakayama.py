@@ -32,6 +32,7 @@ from taufp.nakayama import (
     make_algebra,
     module,
     projective_module,
+    sandwich,
     self_ext_bound,
     semibricks,
     tau,
@@ -42,7 +43,14 @@ from taufp.lattice import q_of
 from taufp.quiver import loop_removed
 from taufp.spectral import spectral_radius
 
-from helpers import canonical_form, ext_oracle, hom_oracle, nakayama_corpus
+from helpers import (
+    canonical_form,
+    cyclic_series,
+    ext_oracle,
+    hom_oracle,
+    linear_series,
+    nakayama_corpus,
+)
 
 L12 = make_algebra("linear", [1, 2])
 C222 = make_algebra("cyclic", [2, 2, 2])
@@ -255,6 +263,15 @@ def test_cyclic_pair_count_is_central_binomial(n):
     assert len(tau_tiltp_lattice(a).covers) == n * count // 2
 
 
+@pytest.mark.stretch
+@pytest.mark.parametrize("n", [9, 10])
+def test_cyclic_pair_count_beyond_the_pair_budget(n):
+    # the pair search and the semibrick search both give C(2n, n), past the
+    # default pair budget
+    t = make_algebra("cyclic", [2 * n] * n)._tables
+    assert len(t.pairs[0]) == len(t.semibrick_masks[0]) == math.comb(2 * n, n)
+
+
 def test_fpdim_computes_one_radius_per_distinct_block(monkeypatch):
     # cyclic [3,3,3] has 7 maximal semibricks but only 3 distinct Ext blocks,
     # here read through the scalar Ext route of ext_quiver
@@ -307,6 +324,8 @@ def test_fpdim_nakayama_checks_tol_before_any_work(monkeypatch, tol):
     monkeypatch.setattr(nakayama._Tables, "semibrick_masks", property(build))
     with pytest.raises(ValueError, match="tol must be positive and finite"):
         fpdim_nakayama(make_algebra("cyclic", [3, 3, 3]), tol=tol)
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        sandwich(make_algebra("cyclic", [3, 3, 3]), tol=tol)
 
 
 def test_algebra_is_freed_with_its_results():
@@ -373,11 +392,14 @@ def test_pair_checks_name_algebra_and_stage(monkeypatch, stage, target, fake):
 
 def test_ext_table_names_algebra_and_stage(monkeypatch):
     # Hom(P(1), S(1)) = 7 makes the Ext table negative at (S(1), S(1))
+    # the Hom table is one broadcast call of _hom, so the fake one broadcasts too
     closed_form = nakayama._hom
-    bad = (Uniserial(2, 3), Uniserial(1, 1))
-    monkeypatch.setattr(
-        nakayama, "_hom", lambda a, x, y: 7 if (x, y) == bad else closed_form(a, x, y)
-    )
+
+    def fake(a, x, y):
+        bad = (x.socle == 2) & (x.length == 3) & (y.socle == 1) & (y.length == 1)
+        return np.where(bad, 7, closed_form(a, x, y))
+
+    monkeypatch.setattr(nakayama, "_hom", fake)
     a = make_algebra("cyclic", [3, 3, 3])
     with pytest.raises(ConsistencyError) as err:
         fpdim_nakayama(a)
@@ -435,6 +457,84 @@ def test_sandwich_small():
         db = self_ext_bound(a)
         fa = fpdim_nakayama(a)
         assert max(fl, db) <= fa + 1e-9 <= fl + db + 2e-9
+
+
+def _check_brick_label_rule(a, max_n=nakayama.DEFAULT_MAX_N):
+    """The brick-label route of nakayama.sandwich against the mutation lattice.
+
+    For a pair (M, P) the torsion class T = Fac M holds the quotients of the
+    summands of M (same top, no longer).  The label of a cover x < y is the
+    one brick B in T_y with Hom(T_x, B) = 0; Q(x, dp(x)) must have the arrow
+    y -> y' exactly when Ext^1(B_y, B_y') != 0, and the label sets at the
+    pairs must be the semibricks, each once.  Returns the number of ordered
+    pairs of distinct upper covers compared, and of arrows among them."""
+    t = a._tables
+    lat = tau_tiltp_lattice(a, max_n=max_n)
+    hom, ext = t.hom != 0, t.ext_table != 0
+    top = [a.vertex(m.socle + m.length - 1) for m in t.mods]
+    quotients = [sum(1 << j for j, n_ in enumerate(t.mods) if top[j] == top[i]
+                     and n_.length <= m.length) for i, m in enumerate(t.mods)]
+    maps_to = [sum(1 << b for b in np.flatnonzero(row).tolist()) for row in hom]
+    bricks = sum(1 << i for i, b in enumerate(t.brick) if b)
+    torsion = [nakayama._union(quotients, mm) for mm in t.pairs[1]]
+    # per pair x, the modules B with Hom(T_x, B) != 0
+    killed = [nakayama._union(maps_to, tx) for tx in torsion]
+    assert list(lat.elements) == t.pairs[0]
+    label_sets, compared, arrows = [], 0, 0
+    for x in range(len(lat)):
+        ys = lat._dp_of(x).tolist()
+        labels = []
+        for y in ys:
+            found = torsion[y] & bricks & ~killed[x]
+            assert found.bit_count() == 1, (str(a), lat.elements[x], lat.elements[y])
+            labels.append(found.bit_length() - 1)
+        label_sets.append(sum(1 << b for b in labels))
+        rule = ext[np.ix_(labels, labels)] & ~np.eye(len(ys), dtype=bool)
+        assert (lattice._arrows(lat._qmask[x], len(ys)) == rule).all(), (str(a), lat.elements[x])
+        compared += len(ys) * (len(ys) - 1)
+        arrows += int(rule.sum())
+    assert sorted(label_sets) == sorted(t.semibrick_masks[0]), str(a)
+    for tol in (1e-12, 0.3):
+        got = sandwich(a, tol=tol, max_n=max_n)[0]
+        assert repr(got) == repr(fpdim_lattice(lat, tol=tol)[0]), (str(a), tol)
+    return compared, arrows
+
+
+def test_brick_labels_give_the_cover_quivers():
+    counts = [_check_brick_label_rule(a) for a in SMALL]
+    assert tuple(map(sum, zip(*counts))) == (32992, 10803)
+
+
+@pytest.mark.stretch
+def test_brick_labels_give_the_cover_quivers_n5_and_cyclic_n8():
+    n5 = [make_algebra("linear", s) for s in linear_series(5) if len(s) == 5]
+    n5 += [make_algebra("cyclic", s) for s in cyclic_series(5, 10) if len(s) == 5]
+    assert len(n5) == 888
+    for a in n5:
+        _check_brick_label_rule(a)
+    assert _check_brick_label_rule(make_algebra("cyclic", [16] * 8), max_n=8)[1] > 0
+
+
+def test_sandwich_computes_a_shared_block_once(monkeypatch):
+    # cyclic [4,4] has 3 maximal semibricks with 2 distinct Ext blocks and 2
+    # distinct loop-free supports; one block is its own support, so the two
+    # scans need 3 radii, not 4
+    a = make_algebra("cyclic", [4, 4])
+    sbs = semibricks(a)
+    quivers = [ext_quiver(a, s) for s in sbs if not any(s < u for u in sbs)]
+    ext = {(q.n, q.adj.tobytes()) for q in quivers}
+    support = {(q.n, np.minimum(loop_removed(q).adj, 1).tobytes()) for q in quivers}
+    calls = []
+
+    def counted(q, tol):
+        calls.append(q)
+        return spectral_radius(q, tol=tol)
+
+    monkeypatch.setattr(lattice, "spectral_radius", counted)
+    assert sandwich(a) == (1.0, 1, 1.0)
+    assert (len(quivers), len(ext), len(support), len(ext | support)) == (3, 2, 2, 3)
+    assert len(calls) == 3
+    assert {(q.n, q.adj.tobytes()) for q in calls} == ext | support
 
 
 def test_cover_quivers_match_loopless_ext_quivers():

@@ -228,6 +228,13 @@ def test_dynkin_class_invariants():
         DynkinClass("dynkin", "D", 3)
     with pytest.raises(ValueError):
         DynkinClass("extended", "E", 9)
+    # the rank is an integer: a missing or fractional one raises ValueError
+    for family in ("A", "D", "E"):
+        with pytest.raises(ValueError, match="rank must be an integer, got None"):
+            DynkinClass("dynkin", family)
+    with pytest.raises(ValueError, match="rank must be an integer, got 1.5"):
+        DynkinClass("dynkin", "A", 1.5)
+    assert str(DynkinClass("extended", "D", 4.0)) == "~D4"
 
 
 # -- DOT and JSON ------------------------------------------------------------
