@@ -199,11 +199,12 @@ def _sandwich(alg, max_n: int, tol: float, report: Report) -> None:
 def _cmd_nakayama(args, report: Report) -> None:
     alg = nakayama.make_algebra(args.shape, _parse_kupisch(args.kupisch))
     if args.subcmd == "pairs":
-        pairs = nakayama.tau_tilting_pairs(alg, max_n=_budget(nakayama.DEFAULT_MAX_N))
-        report.value("count", len(pairs))
-        for p in pairs:
-            report.raw(f"  {p.name()}")
-        report.doc["values"]["pairs"] = [p.name() for p in pairs]
+        max_n = _budget(nakayama.DEFAULT_MAX_N)
+        names = [p.name() for p in nakayama.tau_tilting_pairs(alg, max_n=max_n)]
+        report.value("count", len(names))
+        for name in names:
+            report.raw(f"  {name}")
+        report.doc["values"]["pairs"] = names
         return
     max_n = _budget(nakayama.DEFAULT_SCAN_MAX_N)
     if args.subcmd == "fpdim":
@@ -223,7 +224,7 @@ def _cmd_nakayama(args, report: Report) -> None:
     _sandwich(alg, max_n, args.tol, report)
     # two independent enumerations: the semibrick search and the pair search
     semibrick_count = len(alg._tables.semibrick_masks[0])
-    pair_count = len(alg._tables.pairs[0])
+    pair_count = len(alg._tables.pair_masks)
     report.value("semibrick_count", semibrick_count)
     report.value("tau_tilting_pair_count", pair_count)
     report.verdict("bijection", semibrick_count == pair_count)

@@ -26,20 +26,23 @@ order and lattice and the semibricks are built only by the budgeted
 enumerations.  All of it lives on the instance and goes away with the
 algebra.
 
-The enumerations work on bitmasks.  A tau-tilting pair is a module mask over
-the indecomposables and a vertex mask, and its name is read off the masks.
-The pair order is kept transposed, as masks over the pairs: per module, the
-pairs with a summand N such that Hom(N, tau M) != 0, and per vertex, the
-pairs with that vertex in their projective part.  A down-set is then a few
-ands of those masks, not a comparison with every other pair.  The Hasse
-covers are the mutations (Adachi-Iyama-Reiten, Compos. Math. 150 (2014),
-Thm 2.18): the pairs are grouped by their almost complete sub-pairs, every
-group must hold exactly two pairs, and the order decides which of the two
-lies above.  A closure certificate then checks that these covers generate
-exactly the pair order.  The FP dimension reads the Ext blocks of the
-maximal semibricks only, from one Ext table: the spectral radius is
-monotone on principal submatrices, so smaller semibricks cannot exceed
-them.  The lattice kernel _largest_rho takes their maximum, once per
+The enumerations work on bitmasks.  The pair search yields each tau-tilting
+pair as a module mask over the indecomposables and a vertex mask, and builds
+no name.  A mask becomes a TauPair only where a public function returns one,
+and TauPair.name is the one formatter of pair names: the pair order and
+lattice index the pairs sorted by it, while the CLI's nakayama report only
+counts the masks.  The pair order is kept transposed, as masks over the
+pairs: per module, the pairs with a summand N such that Hom(N, tau M) != 0,
+and per vertex, the pairs with that vertex in their projective part.  A
+down-set is then a few ands of those masks, not a comparison with every
+other pair.  The Hasse covers are the mutations (Adachi-Iyama-Reiten,
+Compos. Math. 150 (2014), Thm 2.18): the pairs are grouped by their almost
+complete sub-pairs, every group must hold exactly two pairs, and the order
+decides which of the two lies above.  A closure certificate then checks that
+these covers generate exactly the pair order.  The FP dimension reads the
+Ext blocks of the maximal semibricks only, from one Ext table: the spectral
+radius is monotone on principal submatrices, so smaller semibricks cannot
+exceed them.  The lattice kernel _largest_rho takes their maximum, once per
 distinct block, at its first semibrick, with the tol rule of fpdim_lattice.
 
 sandwich needs no pair lattice either.  Label each cover x < y of the pair
@@ -241,7 +244,8 @@ class _Tables:
     length).  The linear ones (index, P(k), tau, syzygy, brick and tau-rigid
     flags) are built and cross-checked at once; the quadratic Hom and Ext
     tables, the pairs, their order and lattice and the semibricks only when
-    an enumeration kernel first asks for them."""
+    an enumeration kernel first asks for them.  Pairs are kept as masks and
+    names; tau_pair makes a TauPair on each call, and none is kept."""
 
     def __init__(self, a: NakayamaAlgebra):
         self.name = name = str(a)
@@ -336,41 +340,40 @@ class _Tables:
         return _union(self.tau_hom, mmask)
 
     @cached_property
-    def pairs(self) -> tuple[list[str], list[int], list[int]]:
-        """The tau-tilting pairs sorted by name: their names, module bitmasks
-        (over indecomposables) and vertex bitmasks (bit k - 1 for P(k)).
-        Index order is (socle, length) order, so each name is read straight
-        off the masks."""
-        n, tau_hom = self.n, self.tau_hom
+    def pair_masks(self) -> list[tuple[int, int]]:
+        """The tau-tilting pairs in search order, each as its module bitmask
+        (over indecomposables) and vertex bitmask (bit k - 1 for P(k))."""
+        n, tau_hom, proj_hom = self.n, self.tau_hom, self.proj_hom
         # bad[i]: modules that cannot sit next to M_i in a tau-rigid module
         bad = [row | col for row, col in zip(tau_hom, _transpose(tau_hom, len(tau_hom)))]
-        labels = [str(m) for m in self.mods]
-        found: list[tuple[str, int, int]] = []
+        found: list[tuple[int, int]] = []
 
-        def dfs(chosen: int, head: str, count: int, allowed: int, vmask: int) -> None:
+        def dfs(chosen: int, count: int, allowed: int, vmask: int) -> None:
             if count + allowed.bit_count() + vmask.bit_count() < n:
                 return  # too few modules and vertices left to complete a pair
             for ks in itertools.combinations(_bits(vmask), n - count):
-                tail = "+".join(f"P({k + 1})" for k in ks) or "0"
-                found.append((f"{head or '0'}|{tail}", chosen, sum(1 << k for k in ks)))
+                found.append((chosen, sum(1 << k for k in ks)))
             if count == n:
                 return
             for i in _bits(allowed):
-                dfs(chosen | 1 << i, f"{head}+{labels[i]}" if head else labels[i], count + 1,
-                    allowed & -(2 << i) & ~bad[i], vmask & ~self.proj_hom[i])
+                dfs(chosen | 1 << i, count + 1, allowed & -(2 << i) & ~bad[i],
+                    vmask & ~proj_hom[i])
 
-        dfs(0, "", 0, _mask(self.rigid), (1 << n) - 1)
-        found.sort()
-        names, mms, pms = zip(*found)
-        return list(names), list(mms), list(pms)
+        dfs(0, 0, _mask(self.rigid), (1 << n) - 1)
+        return found
+
+    def tau_pair(self, mm: int, pm: int) -> TauPair:
+        """The pair with module bitmask mm and vertex bitmask pm."""
+        return TauPair(frozenset(self.mods[i] for i in _bits(mm)),
+                       frozenset(k + 1 for k in _bits(pm)))
 
     @cached_property
-    def tau_pairs(self) -> list[TauPair]:
-        """The pairs as TauPair values, in pair order."""
-        mods = self.mods
-        _, mms, pms = self.pairs
-        return [TauPair(frozenset(mods[i] for i in _bits(mm)), frozenset(k + 1 for k in _bits(pm)))
-                for mm, pm in zip(mms, pms)]
+    def pairs(self) -> tuple[list[str], list[int], list[int]]:
+        """The pairs of pair_masks sorted by name: their names (TauPair.name),
+        module bitmasks and vertex bitmasks."""
+        named = sorted((self.tau_pair(mm, pm).name(), mm, pm) for mm, pm in self.pair_masks)
+        names, mms, pms = zip(*named)
+        return list(names), list(mms), list(pms)
 
     @cached_property
     def pair_lower(self) -> list[int]:
@@ -486,15 +489,14 @@ class _Tables:
 
 
 def module(a: NakayamaAlgebra, socle: int, length: int) -> Uniserial:
-    """Normalized, existence-checked M(socle; length)."""
-    m = Uniserial(a.vertex(socle), length)
-    a._tables.find(m)
-    return m
+    """Normalized, existence-checked M(socle; length), as the algebra holds it."""
+    t = a._tables
+    return t.mods[t.find(Uniserial(a.vertex(_integer(socle, "socle")), length))]
 
 
 def projective_module(a: NakayamaAlgebra, k: int) -> Uniserial:
     """P(k): the projective with top S(k), via the Kupisch series."""
-    k = a.vertex(k)
+    k = a.vertex(_integer(k, "vertex"))
     if not 1 <= k <= a.n:
         raise ValueError(f"vertex {k} out of range")
     t = a._tables
@@ -515,8 +517,8 @@ def tau(a: NakayamaAlgebra, m: Uniserial) -> Uniserial | None:
 
 def hom_dim(a: NakayamaAlgebra, m: Uniserial, n_: Uniserial) -> int:
     """dim Hom(M, N): the number of admissible common image lengths."""
-    a._tables.find(m), a._tables.find(n_)
-    return _hom(a, m, n_)
+    t = a._tables
+    return t.h(t.find(m), t.find(n_))
 
 
 def ext_dim(a: NakayamaAlgebra, m: Uniserial, n_: Uniserial) -> int:
@@ -546,12 +548,13 @@ def is_tau_rigid_pair(a: NakayamaAlgebra, pair: TauPair) -> bool:
     """Hom(M, tau M) = 0 over all summand pairs and Hom(P(k), M) = 0."""
     t = a._tables
     idx = [t.find(m) for m in pair.mods]
-    for k in pair.projs:
+    projs = [_integer(k, "projective vertex") for k in pair.projs]
+    for k in projs:
         if a.vertex(k) != k or not 1 <= k <= a.n:
             raise ValueError(f"projective vertex {k} out of range")
     taus = [t.tau[i] for i in idx if t.tau[i] >= 0]
     return not (any(t.h(i, j) for i in idx for j in taus)
-                or any(t.h(t.proj[k - 1], i) for k in pair.projs for i in idx))
+                or any(t.h(t.proj[k - 1], i) for k in projs for i in idx))
 
 
 def _check_budget(a: NakayamaAlgebra, max_n: int) -> None:
@@ -565,7 +568,8 @@ def _check_budget(a: NakayamaAlgebra, max_n: int) -> None:
 def tau_tilting_pairs(a: NakayamaAlgebra, max_n: int = DEFAULT_MAX_N) -> list[TauPair]:
     """All basic tau-tilting pairs: tau-rigid pairs with |M| + |P| = n."""
     _check_budget(a, max_n)
-    return list(a._tables.tau_pairs)
+    t = a._tables
+    return [t.tau_pair(mm, pm) for mm, pm in zip(*t.pairs[1:])]
 
 
 def tau_tiltp_lattice(a: NakayamaAlgebra, max_n: int = DEFAULT_MAX_N) -> FiniteLattice:
@@ -662,7 +666,7 @@ def bongartz_completion(a: NakayamaAlgebra, m: Uniserial, max_n: int = DEFAULT_M
     maxima = [x for x in _bits(containing) if not containing & ~t.pair_lower[x] & ~(1 << x)]
     if len(maxima) != 1:
         raise ConsistencyError(f"{a}: Bongartz completion of {m} is not unique")
-    found = t.tau_pairs[maxima[0]]
+    found = t.tau_pair(t.pairs[1][maxima[0]], t.pairs[2][maxima[0]])
     if a.cyclic and t.tau[i] >= 0:
         mods = {m}
         mods.update(module(a, m.socle, j) for j in range(1, m.length))

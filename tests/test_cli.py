@@ -244,6 +244,14 @@ def test_report_and_sandwich_build_no_pair_lattice(capsys, monkeypatch):
         code, out, _ = run(capsys, "nakayama", subcmd, "--shape", "cyclic", "--kupisch",
                            "3,3,2", "--json")
         assert code == 0 and json.loads(out)["verdicts"]["sandwich"] is True
+    # report counts the pair masks: it neither names nor sorts the pairs
+    monkeypatch.setattr(taufp.nakayama._Tables, "pairs", property(build))
+    monkeypatch.setattr(taufp.nakayama.TauPair, "name", build)
+    code, out, _ = run(capsys, "nakayama", "report", "--shape", "cyclic", "--kupisch",
+                       "3,3,2", "--json")
+    doc = json.loads(out)
+    assert code == 0 and all(doc["verdicts"].values())
+    assert doc["values"]["tau_tilting_pair_count"] == doc["values"]["semibrick_count"] > 0
 
 
 def test_lattice_commands(capsys):

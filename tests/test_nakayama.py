@@ -96,6 +96,14 @@ def test_module_existence():
         module(L12, 2, 2)  # would need a projective of length 2 at vertex 3
     with pytest.raises(ValueError):
         module(C222, 1, 3)
+    # integral floats give the algebra's own module; other vertices raise
+    m = module(C333, 1.0, 1)
+    assert m is indecomposables(C333)[0] and type(m.socle) is int
+    assert projective_module(C333, 4.0) == projective_module(C333, 1)
+    for bad in (lambda: module(C333, "1", 1), lambda: module(C333, 1.5, 1),
+                lambda: projective_module(C333, 1.5), lambda: projective_module(L12, "1")):
+        with pytest.raises(ValueError, match="must be an integer"):
+            bad()
 
 
 def test_tau():
@@ -120,6 +128,9 @@ def test_hom_fixtures():
     for m in indecomposables(C333):
         if is_brick(C333, m):
             assert hom_dim(C333, m, m) == 1
+    # a float socle is looked up, not fed to the closed form
+    got = hom_dim(C333, Uniserial(1.0, 1), Uniserial(1.0, 1))
+    assert got == 1 and type(got) is int
 
 
 def test_ext_fixtures():
@@ -169,6 +180,45 @@ def test_tau_rigid_pairs():
     assert is_tau_rigid_pair(C333, TauPair(frozenset([s1]), frozenset([3])))
     assert hom_dim(C333, projective_module(C333, 1), s1) == 1
     assert hom_dim(C333, projective_module(C333, 3), s1) == 0
+    for k in (0, n + 1):
+        with pytest.raises(ValueError, match="out of range"):
+            is_tau_rigid_pair(C333, TauPair(frozenset(), frozenset([k])))
+    for k in (1.5, "1", None):
+        with pytest.raises(ValueError, match="must be an integer"):
+            is_tau_rigid_pair(C333, TauPair(frozenset(), frozenset([k])))
+    with pytest.raises(ValueError, match="does not exist"):
+        is_tau_rigid_pair(C333, TauPair(frozenset([Uniserial(1.5, 1)]), frozenset()))
+
+
+def _tau_of(a, m):
+    """tau M by the socle shift, None on projectives (length = Kupisch length
+    at the top), without the library tables."""
+    top = a.vertex(m.socle + m.length - 1)
+    if m.length == a.kupisch[top - 1]:
+        return None
+    return Uniserial(a.vertex(m.socle - 1), m.length)
+
+
+def test_tau_rigid_pair_against_the_oracle():
+    # every (M, P) with at most two summands and at most one vertex, against
+    # Hom(M_i, tau M_j) = 0 for all i, j and Hom(P(k), M_i) = 0, oracle Homs
+    verdicts = []
+    for a in (L12, C222, C333, C444, make_algebra("linear", [1, 2, 3])):
+        mods = indecomposables(a)
+        proj = {k: Uniserial(a.vertex(k - a.kupisch[k - 1] + 1), a.kupisch[k - 1])
+                for k in range(1, a.n + 1)}
+        for r in (0, 1, 2):
+            for ms in itertools.combinations(mods, r):
+                taus = [t for t in (_tau_of(a, m) for m in ms) if t is not None]
+                rigid = not any(hom_oracle(a, m, t) for m in ms for t in taus)
+                for ks in [()] + [(k,) for k in proj]:
+                    want = rigid and not any(hom_oracle(a, proj[k], m) for k in ks for m in ms)
+                    got = is_tau_rigid_pair(a, TauPair(frozenset(ms), frozenset(ks)))
+                    assert got == want, (str(a), [str(m) for m in ms], ks)
+                    verdicts.append(got)
+    # 1 + m + C(m, 2) module sets over m indecomposables, times n + 1 vertex sets
+    assert len(verdicts) == 7 * 3 + 22 * 4 + 46 * 4 + 79 * 4 + 22 * 4
+    assert 0 < sum(verdicts) < len(verdicts)
 
 
 def test_pair_enumeration_and_lattice_a2():
@@ -224,15 +274,8 @@ def _oracle_covers(a):
     (M, P) >= (N, Q) iff Hom(N, tau M) = 0 and P is a subset of Q."""
     pairs = tau_tilting_pairs(a)
     mods = indecomposables(a)
-
-    def tau_of(m):  # socle shift, None on projectives (length = Kupisch length at the top)
-        top = a.vertex(m.socle + m.length - 1)
-        if m.length == a.kupisch[top - 1]:
-            return None
-        return Uniserial(a.vertex(m.socle - 1), m.length)
-
-    hits = {m: {x for x in mods if hom_oracle(a, x, tau_of(m))}
-            for m in mods if tau_of(m) is not None}
+    hits = {m: {x for x in mods if hom_oracle(a, x, _tau_of(a, m))}
+            for m in mods if _tau_of(a, m) is not None}
     clash = [set().union(*(hits.get(m, ()) for m in x.mods)) for x in pairs]
     down = [[j for j, y in enumerate(pairs)
              if j != i and clash[i].isdisjoint(y.mods) and x.projs <= y.projs]
@@ -253,6 +296,14 @@ def test_mutation_covers_equal_the_oracle_pair_order():
         assert list(lat.covers) == covers, str(a)
 
 
+def test_pairs_come_from_one_mask_search():
+    # the public pairs, the lattice elements and the mask search agree
+    for a in SMALL:
+        pairs = tau_tilting_pairs(a)
+        assert [p.name() for p in pairs] == list(tau_tiltp_lattice(a).elements), str(a)
+        assert len(a._tables.pair_masks) == len(pairs), str(a)
+
+
 @pytest.mark.parametrize("n", range(1, 8))
 def test_cyclic_pair_count_is_central_binomial(n):
     # Adachi (J. Algebra 452, 2016): C(2n, n) pairs over cyclic [2n]*n; each
@@ -269,7 +320,7 @@ def test_cyclic_pair_count_beyond_the_pair_budget(n):
     # the pair search and the semibrick search both give C(2n, n), past the
     # default pair budget
     t = make_algebra("cyclic", [2 * n] * n)._tables
-    assert len(t.pairs[0]) == len(t.semibrick_masks[0]) == math.comb(2 * n, n)
+    assert len(t.pair_masks) == len(t.semibrick_masks[0]) == math.comb(2 * n, n)
 
 
 def test_fpdim_computes_one_radius_per_distinct_block(monkeypatch):
