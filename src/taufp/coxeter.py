@@ -9,11 +9,15 @@ fundamental-weight coordinates (rho = (1, ..., 1)).  Since l(w s_i) >
 l(w) iff w(alpha_i) > 0, the ascents of w are the i with v_i > 0, and
 w s_i has the vector v - v_i * (row i of the Cartan matrix), i.e. s_i v
 with alpha_i in weight coordinates.  rho is regular, so distinct elements
-have distinct vectors, and each level is deduplicated in one np.unique on
-the row bytes.  A product over an ascent is one longer, so no element can
-repeat across levels.  The order is returned as a FiniteLattice whose
-element names are lex-minimal reduced words; matrices are built from the
-names only when an element is asked for.
+have distinct vectors.  Each vector packs into one int64 key by mixed
+radix, and a key moves along the same rule, so each level is deduplicated
+by one sort of the keys of its products.  A product over an ascent is one
+longer, so no element can repeat across levels.  The search keeps the tree
+of first parents and generators and makes no per-element Python object.
+The order is returned as a FiniteLattice whose element names are
+lex-minimal reduced words, spelled off that tree one at a time where a
+single name is read and all at once on the first read of its elements;
+matrices are built from the names only when an element is asked for.
 
 Each cover keeps the generator s_i it multiplies by.  Every rank-2
 interval of the weak order is a coset x W_ij, a 2 m_ij-gon (Bjorner-Brenti,
@@ -33,7 +37,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import BudgetError, ConsistencyError
-from .lattice import FiniteLattice
+from .lattice import FiniteLattice, _first_occurrences, _word
 from .quiver import _integer
 
 __all__ = [
@@ -56,7 +60,13 @@ __all__ = [
 
 DEFAULT_BUDGET = 60000
 
-_E_COXETER = {6: 12, 7: 18, 8: 30}
+
+def _coxeter_number(family: str, rank: int) -> int:
+    """h, the order of a Coxeter element; the highest root has height h - 1."""
+    if family == "E":
+        return {6: 12, 7: 18, 8: 30}[rank]
+    return {"A": rank + 1, "B": 2 * rank, "C": 2 * rank, "D": 2 * rank - 2,
+            "F": 12, "G": 6}[family]
 
 
 def _check_type_rank(family: str, rank: int) -> int:
@@ -302,9 +312,10 @@ class WeakOrder:
     """Right weak order of a Weyl group, as a lattice plus element lookup.
 
     Each element name is its lex-minimal reduced word, one digit per
-    generator, so names are unambiguous up to rank 9; the smallest rank-10
-    Weyl group, A10, has 39,916,800 elements, far beyond any lattice built
-    here.
+    generator, so names are unambiguous up to rank 9, and weak_order
+    refuses a higher rank.  The lattice names its elements on the first
+    read of lattice.elements (or of elements here); its size, covers count,
+    extremes and FP dimension build no name list.
     """
 
     cartan: CartanData
@@ -332,94 +343,115 @@ class WeakOrder:
 def _weak_order_covers(cartan: CartanData, budget: int):
     """Level-batched BFS of (W, <=_R) from the identity along ascents.
 
-    Returns the declaration order (BFS order; within a level, the order in
-    which the elements are first reached, scanning the previous level in
-    order and each element's ascents by generator, which is lex order of
-    the words) and the covers (w s_i, w) in the same scan order as
-    declaration index arrays upper and lower, with the 0-based generator i
-    of each cover as label.  Each element is its vector w^{-1} rho (see the
-    module docstring).  Raises BudgetError before any work when the group
-    order exceeds the budget; the element count and the rank-2 faces
-    (_check_faces) are certified before the covers are returned.
+    Elements are numbered in declaration order: BFS order, and within a
+    level the order in which they are first reached, scanning the previous
+    level in order and each element's ascents by generator, which is lex
+    order of the words.  Returns the BFS tree, (parent, gen): element k > 0
+    is parent[k] s_i for the 0-based generator i = gen[k], parent[k] being
+    the element that first reached it, and the identity 0 has parent -1;
+    read back along the tree, the generators spell the lex-minimal reduced
+    word that names k (lattice._word).  Then the covers (w s_i, w) in the
+    same scan order, as index arrays upper and lower, with the generator i
+    of each cover as label.  Indices are int32 (|E8| < 2^31) and generators
+    int8.
+
+    Each element is its vector v = w^{-1} rho (module docstring), and a
+    level is deduplicated on one int64 key per vector.  v_i = <rho, b> for
+    the coroot b = w alpha_i^vee, so |v_i| is at most the height h - 1 of
+    the highest coroot (h the Coxeter number), and the digits v_i + h - 1 in
+    radix 2h - 1 pack v into a key below (2h - 1)^rank, at most 59^8 < 2^48
+    (E8) up to rank 9.  Names take one digit per generator, so a rank above
+    9 raises BudgetError, as does a group order above the budget, both
+    before any work; the element count and the rank-2 faces (_check_faces)
+    are certified before the covers are returned.
     """
-    total = weyl_order(cartan.family, cartan.rank)
+    rank, total = cartan.rank, weyl_order(cartan.family, cartan.rank)
     if total > budget:
         raise BudgetError(
             f"weak order of {cartan.name} needs {total} elements, budget is {budget}"
         )
-    declaration = ["e"]
-    upper, lower, label = [], [], []
-    prefixes = [""]  # a child's name extends its prefix
-    vecs = np.ones((1, cartan.rank), dtype=np.int64)
+    if rank > 9:
+        raise BudgetError(f"weak order of {cartan.name}: rank {rank} is above 9, the largest "
+                          "rank whose element names take one digit per generator")
+    h = _coxeter_number(cartan.family, rank)
+    radix = (2 * h - 1) ** np.arange(rank, dtype=np.int64)
+    # key(v - v_i C_i) = key(v) - v_i * step[i] for row C_i of the Cartan matrix
+    step = cartan.cartan @ radix
+    parent = np.full(total, -1, dtype=np.int32)
+    gen = np.full(total, -1, dtype=np.int8)
+    # w -> w w0 turns the ascents of w into descents, so half of all
+    # (element, generator) pairs are covers
+    n_covers = total * rank // 2
+    upper, lower = np.empty(n_covers, dtype=np.int32), np.empty(n_covers, dtype=np.int32)
+    label = np.empty(n_covers, dtype=np.int8)
+    vecs = np.ones((1, rank), dtype=np.int64)
+    keys = vecs @ radix + (h - 1) * radix.sum()
+    start, n, k = 0, 1, 0  # the last level holds elements start..n-1; k covers so far
     while True:
-        parent, gen = np.nonzero(vecs > 0)
-        if not len(parent):
+        src, g = np.nonzero(vecs > 0)
+        if not len(src):
             break
-        prods = vecs[parent] - vecs[parent, gen][:, None] * cartan.cartan[gen]
-        keys = prods.view(f"V{prods.itemsize * cartan.rank}").ravel()
-        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-        order = np.argsort(first)  # new elements in order of first occurrence
-        rank = np.argsort(order)
-        # the previous level fills the last len(prefixes) declaration slots
-        lower.append(parent + len(declaration) - len(prefixes))
-        upper.append(rank[inverse] + len(declaration))
-        label.append(gen)
-        first = first[order]
-        vecs = prods[first]
-        parent, gen = parent.tolist(), (gen + 1).tolist()
-        prefixes = [prefixes[parent[c]] + str(gen[c]) for c in first.tolist()]
-        declaration.extend(prefixes)
-    if len(declaration) != total:
-        raise AssertionError(
-            f"BFS found {len(declaration)} elements of {cartan.name}, expected {total}"
-        )
-    upper, lower, label = np.concatenate(upper), np.concatenate(lower), np.concatenate(label)
-    _check_faces(cartan, declaration, _down_table(cartan, total, upper, lower, label))
-    return declaration, upper, lower, label
+        prods = keys[src] - vecs[src, g] * step[g]
+        first, slot = _first_occurrences(prods)
+        end = k + len(src)
+        upper[k:end], lower[k:end], label[k:end] = slot + n, src + start, g
+        src, g = src[first], g[first]
+        parent[n:n + len(first)], gen[n:n + len(first)] = src + start, g
+        vecs = vecs[src] - vecs[src, g][:, None] * cartan.cartan[g]
+        keys = prods[first]
+        start, n, k = n, n + len(first), end
+    if (n, k) != (total, n_covers):
+        raise AssertionError(f"BFS found {n} elements and {k} covers of {cartan.name}, "
+                             f"expected {total} and {n_covers}")
+    tree = (parent, gen)
+    _check_faces(cartan, tree, _down_table(cartan, total, upper, lower, label))
+    return tree, upper, lower, label
 
 
 def _down_table(cartan: CartanData, n: int, upper, lower, label) -> np.ndarray:
-    """The table of right descents from the labelled covers (x, x s_i): row
-    x holds x s_i where i is a descent of x, else -1.  One more row of -1
-    follows the n elements, so a walk that steps onto -1 stays there."""
-    down = np.full((n + 1, cartan.rank), -1, dtype=np.int64)
-    down[upper, label] = lower
+    """The int32 table of right descents from the labelled covers (x, x s_i),
+    one row per generator: down[i, x] is x s_i where i is a descent of x,
+    else -1.  One more column of -1 follows the n elements, so a walk that
+    steps onto -1 stays there."""
+    down = np.full((cartan.rank, n + 1), -1, dtype=np.int32)
+    down[label, upper] = lower
     if np.count_nonzero(down >= 0) != len(upper):
         raise ConsistencyError(f"{cartan.name}: two covers below one element share a label")
     return down
 
 
-def _check_faces(cartan: CartanData, names, down: np.ndarray) -> None:
+def _check_faces(cartan: CartanData, tree, down: np.ndarray) -> None:
     """Face certificate of a weak order from its descent table: for every
     element x and descents i < j of x, the alternating words s_i s_j ... and
     s_j s_i ... of length m_ij step down at every letter and end at one
     element, so the rank-2 interval below x is the 2 m_ij-gon x W_ij.  All
     elements are walked at once per pair; a failure raises ConsistencyError
-    naming the type, the element and the pair (1-based)."""
+    naming the type, the element (its name read off the BFS tree) and the
+    pair (1-based)."""
     m = _coxeter_matrix(cartan)
     for i, j in itertools.combinations(range(cartan.rank), 2):
-        start = np.flatnonzero((down[:, i] >= 0) & (down[:, j] >= 0))
+        start = np.flatnonzero((down[i] >= 0) & (down[j] >= 0))
         a, b = start, start
         for step in range(m[i, j]):
-            a = down[a, (i, j)[step % 2]]
-            b = down[b, (j, i)[step % 2]]
+            a = down[(i, j)[step % 2]][a]
+            b = down[(j, i)[step % 2]][b]
         bad = np.flatnonzero((a < 0) | (a != b))
         if len(bad):
             raise ConsistencyError(
-                f"{cartan.name}: the ({i + 1}, {j + 1}) face below {names[start[bad[0]]]!r} "
-                f"is not a {2 * m[i, j]}-gon"
+                f"{cartan.name}: the ({i + 1}, {j + 1}) face below "
+                f"{_word(tree, start[bad[0]])!r} is not a {2 * m[i, j]}-gon"
             )
 
 
 def _weak_order_lattice(cartan: CartanData, budget: int, dual: bool) -> FiniteLattice:
     """The weak order (dual=False) or its opposite through the face route:
     the covers of each element carry their generators, and two of them span
-    an arrow of Q(x, dp(x)) exactly when m_ij >= 3 (module docstring)."""
-    declaration, upper, lower, label = _weak_order_covers(cartan, budget)
+    an arrow of Q(x, dp(x)) exactly when m_ij >= 3 (module docstring).  The
+    lattice keeps the BFS tree and names its elements on first read."""
+    tree, upper, lower, label = _weak_order_covers(cartan, budget)
     if dual:
         upper, lower = lower, upper
-    return FiniteLattice._from_faces(declaration, upper, lower, label,
-                                     _coxeter_matrix(cartan) >= 3)
+    return FiniteLattice._from_faces(tree, upper, lower, label, _coxeter_matrix(cartan) >= 3)
 
 
 def weak_order(cartan: CartanData, budget: int = DEFAULT_BUDGET) -> WeakOrder:

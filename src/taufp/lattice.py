@@ -3,7 +3,7 @@
 A lattice is stored by its Hasse diagram: two index arrays over the
 elements, upper[k] covering lower[k].  Names become indices only in
 from_covers; the Weyl BFS and the Nakayama pair order pass index arrays.
-One lexsort turns the covers into a sorted cover index: the upper covers
+One sort turns the covers into a sorted cover index: the upper covers
 dp(x) of every element x, sorted, in one array with per-element offsets,
 and the upper- and lower-cover counts.  It finds repeated covers and the
 extremes, and q_of, upper_covers and the FP dimension scan read it.  The
@@ -25,7 +25,12 @@ cover of y v y'.  Weyl weak orders and their opposites are certified by
 their rank-2 faces instead (coxeter checks that each is the 2 m_ij-gon
 x W_ij on the generator labels of the covers), and their cover quivers are
 read off those labels by _from_faces with no join, no bitset and no
-per-element list; their sweep waits for the first order query.  Either way
+per-element list; each distinct row of labels gets its mask once.  Their
+sweep waits for the first order query, and their names for the first read
+of elements: such a lattice keeps the BFS tree, parent and generator per
+element, and reads a single name (the extremes, the FP dimension witness,
+an error message) off it as a word, so its length, covers count, extremes
+and FP dimension build no name list.  Either way
 each Q(x, dp(x)) is one row-major bitmask over the sorted dp(x), in one
 array that q_of and fpdim_lattice read through _arrows.  fpdim_lattice and
 the Nakayama scans take the largest spectral radius over small integer
@@ -56,38 +61,63 @@ __all__ = [
 ]
 
 
+# one digit per label of a tree name (FiniteLattice._from_faces)
+_DIGITS = "123456789"
+
+
 class FiniteLattice:
     """Certified finite lattice; the covers are two index arrays into
     elements, upper[k] covering lower[k].  See :func:`from_covers`."""
 
     def __init__(self, elements, upper, lower):
-        self._set_covers(elements, upper, lower)
+        self.elements: tuple[str, ...] = tuple(str(e) for e in elements)
+        if not self.elements:
+            raise ValueError("a lattice needs at least one element")
+        if len(set(self.elements)) != len(self.elements):
+            raise ValueError("duplicate element names")
+        self._set_covers(len(self.elements), np.array(upper, dtype=np.int64).reshape(-1),
+                         np.array(lower, dtype=np.int64).reshape(-1))
         self._sweep()
         self._set_extremes()
         self._qmask = self._certify()
 
     @classmethod
-    def _from_faces(cls, elements, upper, lower, label, arrow) -> FiniteLattice:
+    def _from_faces(cls, tree, upper, lower, label, arrow) -> FiniteLattice:
         """A lattice whose cover quivers are read off labelled rank-2 faces.
 
-        label is an integer array, label[k] the label of cover k; covers
-        labelled s and t above one element span the arrow s -> t of its
-        cover quiver exactly when the boolean array arrow has arrow[s, t].
-        The caller certifies that the covers form a lattice with those faces
-        (the Weyl face certificate in coxeter); here every structural check
-        of the constructor runs but the sweep, which waits for the first
-        order query (leq, join, meet, join_all, interval)."""
+        upper and lower are integer index arrays, label an integer array
+        with label[k] the label of cover k; covers labelled s and t above one
+        element span the arrow s -> t of its cover quiver exactly when the
+        boolean array arrow has arrow[s, t].  The caller certifies that the
+        covers form a lattice with those faces (the Weyl face certificate in
+        coxeter); here every structural check of the constructor runs but
+        the sweep, which waits for the first order query (leq, join, meet,
+        join_all, interval), and the name check.
+
+        tree = (parent, gen) names the elements, which are its indices: the
+        root 0 has parent -1 and every other k a parent[k] < k, and k is
+        named by the labels gen along its path from the root, one digit each
+        (_word), so labels run from 0 to 8.  The names are built on the first
+        read of elements; until then _name walks the tree.  They need no
+        duplicate check when, as in the Weyl BFS (k = parent[k] s_gen[k],
+        distinct vectors), distinct elements have distinct (parent, gen):
+        two elements with one name have one length and one last label, so
+        by induction on the length their parents are equal, and then so are
+        they."""
         lat = cls.__new__(cls)
-        order = lat._set_covers(elements, upper, lower)
+        lat._tree = tree
+        labels = label[lat._set_covers(len(tree[0]), upper, lower)]
         lat._set_extremes()
-        lat._qmask = _face_masks(lat._n_dp, np.asarray(label)[order], arrow)
+        lat._qmask = _face_masks(lat._n_dp, labels, arrow)
         return lat
 
     def __getattr__(self, name):
         # only reached for missing attributes: the per-element cover lists,
-        # the name index and (on a face-built lattice) the order, its
-        # positions and its up-sets are built on their first read
-        if name in ("_parents", "_children"):
+        # the name index and (on a face-built lattice) the names, the order,
+        # its positions and its up-sets are built on their first read
+        if name == "elements":
+            self.elements = _words(self._tree)
+        elif name in ("_parents", "_children"):
             self._cover_lists()
         elif name == "_index":
             self._index = {e: i for i, e in enumerate(self.elements)}
@@ -99,35 +129,29 @@ class FiniteLattice:
 
     # -- construction helpers -------------------------------------------------
 
-    def _set_covers(self, elements, upper, lower) -> np.ndarray:
-        """Names and the two cover index arrays, after checking names, index
+    def _set_covers(self, n: int, up: np.ndarray, lo: np.ndarray) -> np.ndarray:
+        """The two cover index arrays over n elements, after checking index
         ranges, loops and repeated covers, and the sorted cover index: one
-        lexsort by (lower, upper) groups the upper covers of each element x,
-        sorted (the vertex order of Q(x, dp(x))), into _dp[_dp_at[x]:
+        stable sort by (lower, upper) groups the upper covers of each element
+        x, sorted (the vertex order of Q(x, dp(x))), into _dp[_dp_at[x]:
         _dp_at[x + 1]]; _n_dp and _n_ds count upper and lower covers.
         Returns the sort permutation, cover order to index order."""
-        self.elements: tuple[str, ...] = tuple(str(e) for e in elements)
-        if not self.elements:
-            raise ValueError("a lattice needs at least one element")
-        if len(set(self.elements)) != len(self.elements):
-            raise ValueError("duplicate element names")
-        n = len(self.elements)
-        up = self._upper = np.array(upper, dtype=np.int64).reshape(-1)
-        lo = self._lower = np.array(lower, dtype=np.int64).reshape(-1)
+        self._upper, self._lower = up, lo
         if len(up) != len(lo) or not np.all((0 <= up) & (up < n) & (0 <= lo) & (lo < n)):
             raise ValueError("covers must be two index arrays of one length into elements")
         loops = np.flatnonzero(up == lo)
         if len(loops):
-            e = self.elements[up[loops[0]]]
+            e = self._name(up[loops[0]])
             raise ValueError(f"cover ({e!r}, {e!r}) relates an element to itself")
-        order = np.lexsort((up, lo))  # stable: a repeat sorts after its first
-        dp, xs = up[order], lo[order]
-        repeat = np.flatnonzero((dp[1:] == dp[:-1]) & (xs[1:] == xs[:-1]))
+        key = lo.astype(np.int64, copy=False) * n + up
+        order = np.argsort(key, kind="stable")  # a repeat sorts after its first
+        key = key[order]
+        repeat = np.flatnonzero(key[1:] == key[:-1])
         if len(repeat):
             k = order[repeat + 1].min()  # the earliest repeat in cover order
-            raise ValueError(f"duplicate cover ({self.elements[up[k]]!r}, "
-                             f"{self.elements[lo[k]]!r})")
-        self._dp = dp
+            raise ValueError(f"duplicate cover ({self._name(up[k])!r}, {self._name(lo[k])!r})")
+        del key
+        self._dp = up[order]
         self._n_dp = np.bincount(lo, minlength=n)
         self._n_ds = np.bincount(up, minlength=n)
         self._dp_at = np.concatenate(([0], np.cumsum(self._n_dp)))
@@ -139,25 +163,30 @@ class FiniteLattice:
         down-sets walk: _parents[x] the sorted upper covers of x, as in the
         index, and _children[x] the lower covers of x in cover order."""
         dp, at = self._dp.tolist(), self._dp_at.tolist()
-        self._parents: list[list[int]] = [dp[at[x]:at[x + 1]] for x in range(len(self.elements))]
+        self._parents: list[list[int]] = [dp[at[x]:at[x + 1]] for x in range(len(self))]
         ds = self._lower[np.argsort(self._upper, kind="stable")].tolist()
         at = np.concatenate(([0], np.cumsum(self._n_ds))).tolist()
-        self._children: list[list[int]] = [ds[at[x]:at[x + 1]]
-                                           for x in range(len(self.elements))]
+        self._children: list[list[int]] = [ds[at[x]:at[x + 1]] for x in range(len(self))]
 
     def _dp_of(self, x: int) -> np.ndarray:
         """The sorted upper covers of element x, a view into the index."""
         return self._dp[self._dp_at[x]:self._dp_at[x + 1]]
+
+    def _name(self, k) -> str:
+        """The name of element k; a face-built lattice whose names are not
+        built yet reads it off its tree."""
+        names = self.__dict__.get("elements")
+        return _word(self._tree, k) if names is None else names[k]
 
     def _set_extremes(self) -> None:
         maxima = np.flatnonzero(self._n_dp == 0).tolist()
         minima = np.flatnonzero(self._n_ds == 0).tolist()
         # acyclic and nonempty, so there is at least one of each
         if len(maxima) != 1:
-            a, b = sorted(self.elements[i] for i in maxima)[:2]
+            a, b = sorted(self._name(i) for i in maxima)[:2]
             raise LatticeError(f"no join for ({a}, {b})", (a, b))
         if len(minima) != 1:
-            a, b = sorted(self.elements[i] for i in minima)[:2]
+            a, b = sorted(self._name(i) for i in minima)[:2]
             raise LatticeError(f"no meet for ({a}, {b})", (a, b))
         self._max = maxima[0]
         self._min = minima[0]
@@ -172,7 +201,7 @@ class FiniteLattice:
         by POSITION (maxima first), so the minimum of an intersection of
         up-sets is its highest set bit: joins cost O(|L|/64), no walk.
         """
-        n = len(self.elements)
+        n = len(self)
         parents, children = self._parents, self._children
         indeg = [len(ps) for ps in parents]
         order = [i for i in range(n) if not indeg[i]]
@@ -198,13 +227,13 @@ class FiniteLattice:
             raise ValueError("cycle in covers")
         if implied:
             u, _, l = min(implied)
-            raise ValueError(f"cover ({self.elements[u]!r}, {self.elements[l]!r}) is implied "
+            raise ValueError(f"cover ({self._name(u)!r}, {self._name(l)!r}) is implied "
                              "by other covers (not transitively reduced)")
         self._toporder, self._pos, self._up = order, pos, up
 
     def _downsets(self) -> list[int]:
         if self._down is None:
-            down = [0] * len(self.elements)
+            down = [0] * len(self)
             for v in reversed(self._toporder):
                 mask = 1 << self._pos[v]
                 for c in self._children[v]:
@@ -242,10 +271,8 @@ class FiniteLattice:
             m = self._toporder[ub.bit_length() - 1]
             if self._up[m] == ub:
                 return m
-        raise LatticeError(
-            f"no join for ({self.elements[i]}, {self.elements[j]})",
-            (self.elements[i], self.elements[j]),
-        )
+        a, b = self._name(i), self._name(j)
+        raise LatticeError(f"no join for ({a}, {b})", (a, b))
 
     def _meet_idx(self, i: int, j: int) -> int:
         down = self._downsets()
@@ -254,15 +281,14 @@ class FiniteLattice:
             m = self._toporder[(lb & -lb).bit_length() - 1]
             if down[m] == lb:
                 return m
-        raise LatticeError(
-            f"no meet for ({self.elements[i]}, {self.elements[j]})",
-            (self.elements[i], self.elements[j]),
-        )
+        a, b = self._name(i), self._name(j)
+        raise LatticeError(f"no meet for ({a}, {b})", (a, b))
 
     # -- public API ------------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self._n_dp)
+
 
     def index(self, name: str) -> int:
         try:
@@ -272,11 +298,11 @@ class FiniteLattice:
 
     @property
     def maximum(self) -> str:
-        return self.elements[self._max]
+        return self._name(self._max)
 
     @property
     def minimum(self) -> str:
-        return self.elements[self._min]
+        return self._name(self._min)
 
     def leq(self, x: str, y: str) -> bool:
         """x <= y in the lattice order."""
@@ -319,29 +345,31 @@ class FiniteLattice:
     @property
     def covers(self) -> Covers:
         """The (upper, lower) name pairs in cover order."""
-        return Covers(self.elements, self._upper, self._lower)
+        return Covers(self, self._upper, self._lower)
 
     def __repr__(self):
-        return f"FiniteLattice({len(self.elements)} elements, {len(self._upper)} covers)"
+        return f"FiniteLattice({len(self)} elements, {len(self._upper)} covers)"
 
 
 class Covers(Sequence):
     """(upper, lower) name pairs in cover order, viewed through the index
-    arrays (len costs nothing); equal to any sequence of the same pairs."""
+    arrays of a lattice (len costs nothing and builds no name); equal to any
+    sequence of the same pairs."""
 
-    def __init__(self, elements, upper, lower):
-        self._names, self._upper, self._lower = elements, upper, lower
+    def __init__(self, lat, upper, lower):
+        self._lat, self._upper, self._lower = lat, upper, lower
 
     def __len__(self):
         return len(self._upper)
 
     def __getitem__(self, k):
         if isinstance(k, slice):
-            return tuple(Covers(self._names, self._upper[k], self._lower[k]))
-        return self._names[self._upper[k]], self._names[self._lower[k]]
+            return tuple(Covers(self._lat, self._upper[k], self._lower[k]))
+        names = self._lat.elements
+        return names[self._upper[k]], names[self._lower[k]]
 
     def __iter__(self):
-        name = self._names.__getitem__
+        name = self._lat.elements.__getitem__
         return zip(map(name, self._upper.tolist()), map(name, self._lower.tolist()))
 
     def __eq__(self, other):
@@ -361,18 +389,75 @@ def _face_masks(n_dp, labels, arrow) -> np.ndarray:
     """The arrow masks of _certify's layout read off cover labels: n_dp[x]
     is the number m of upper covers ys of x and labels their labels in the
     order of the sorted cover index (x by x, each ys sorted); bit a*m + b is
-    set for the arrow ys[a] -> ys[b] when arrow[labels of ys[a], ys[b]]."""
-    n = len(n_dp)
-    xs = np.repeat(np.arange(n), n_dp)
-    slot = np.arange(len(xs)) - (np.cumsum(n_dp) - n_dp)[xs]
-    table = np.zeros((n, int(n_dp.max(initial=0))), dtype=np.int64)
-    table[xs, slot] = labels
-    masks = _no_masks(n_dp)
+    set for the arrow ys[a] -> ys[b] when arrow[labels of ys[a], ys[b]].
+    A mask depends on the row of labels of x alone, so each row is packed
+    into one key, digit a the label of ys[a] plus 1 and 0 past the m covers,
+    in radix max label + 2 (below 10^9 for the labels 0..8 of the Weyl
+    faces); the mask of each distinct key is computed once, on its row
+    read back from the key, and mapped back to the elements."""
+    width, radix = int(n_dp.max(initial=0)), int(labels.max(initial=0)) + 2
+    at = np.cumsum(n_dp) - n_dp
+    keys = np.zeros(len(n_dp), dtype=np.int64)
+    for a in range(width):
+        xs = np.flatnonzero(n_dp > a)
+        keys[xs] += (labels[at[xs] + a] + 1).astype(np.int64) * radix ** a
+    first, inverse = _first_occurrences(keys)
+    rows = keys[first, None] // radix ** np.arange(width) % radix - 1
+    m = np.count_nonzero(rows >= 0, axis=1)
+    masks = _no_masks(m)
     one = np.array(1, dtype=masks.dtype)
-    for a, b in itertools.permutations(range(table.shape[1]), 2):
-        hit = (n_dp > max(a, b)) & arrow[table[:, a], table[:, b]]
-        masks[hit] |= one << (a * n_dp[hit] + b).astype(masks.dtype)
-    return masks
+    for a, b in itertools.permutations(range(width), 2):
+        # a row holds -1 past its m labels, which arrow reads as its last
+        # row or column and m > max(a, b) masks out
+        hit = (m > max(a, b)) & arrow[rows[:, a], rows[:, b]]
+        masks[hit] |= one << (a * m[hit] + b).astype(masks.dtype)
+    return masks[inverse]
+
+
+def _first_occurrences(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For a nonempty array of non-negative int64 keys: the positions of the
+    first occurrences of the distinct keys, in increasing order, and for each
+    position the index among them of its key's first occurrence.
+
+    Both come from one stable sort of the keys.  While every key << b fits
+    63 bits, b the bit width of a position, it sorts keys << b | position,
+    which numpy does many times faster than it argsorts the keys."""
+    size = len(keys)
+    shift = (size - 1).bit_length()
+    if int(keys.max()) >> (63 - shift) == 0:
+        packed = np.sort(keys << shift | np.arange(size))
+        perm, sorted_keys = packed & ((1 << shift) - 1), packed >> shift
+    else:
+        perm = np.argsort(keys, kind="stable")
+        sorted_keys = keys[perm]
+    new = np.ones(size, dtype=bool)  # the first of each run of equal sorted keys
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=new[1:])
+    is_first = np.zeros(size, dtype=bool)
+    is_first[perm[new]] = True
+    index = np.empty(size, dtype=np.int64)
+    index[perm] = (np.cumsum(is_first) - 1)[perm[new]][np.cumsum(new) - 1]
+    return np.flatnonzero(is_first), index
+
+
+def _word(tree, k) -> str:
+    """The name of element k of a labelled tree (FiniteLattice._from_faces):
+    its labels from the root, 1-based, one digit each; the root is 'e'."""
+    parent, gen = tree
+    letters = []
+    while parent[k] >= 0:
+        letters.append(_DIGITS[gen[k]])
+        k = parent[k]
+    return "".join(reversed(letters)) or "e"
+
+
+def _words(tree) -> tuple[str, ...]:
+    """Every name of a labelled tree, in index order: each extends its
+    parent's by one digit."""
+    words = [""]
+    for p, g in zip(tree[0][1:].tolist(), tree[1][1:].tolist()):
+        words.append(words[p] + _DIGITS[g])
+    words[0] = "e"
+    return tuple(words)
 
 
 def _arrows(mask, m: int) -> np.ndarray:
@@ -465,7 +550,7 @@ def fpdim_lattice(lat: FiniteLattice, tol: float = 1e-12) -> tuple[float, str | 
     one-element lattice gives (0.0, None).
     """
     _check_tol(tol)
-    if len(lat.elements) == 1:
+    if len(lat) == 1:
         return 0.0, None
     xs = np.flatnonzero(lat._n_dp >= 2)
     m = lat._n_dp[xs]
@@ -473,7 +558,7 @@ def fpdim_lattice(lat: FiniteLattice, tol: float = 1e-12) -> tuple[float, str | 
     keys = mask | np.array(1, dtype=mask.dtype) << (m * m - 1).astype(mask.dtype)
     rho, k = _largest_rho(keys, lambda i: _arrows(mask[i], m[i]), tol)
     witness = (1 if lat._max == 0 else 0) if k is None else xs[k]
-    return rho, lat.elements[witness]
+    return rho, lat._name(witness)
 
 
 def lattice_to_dict(lat: FiniteLattice) -> dict:

@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .coxeter import (_E_COXETER, CartanData, DEFAULT_BUDGET, _check_type_rank,
+from .coxeter import (CartanData, DEFAULT_BUDGET, _check_type_rank, _coxeter_number,
                       _weak_order_lattice, cartan_matrix)
 from .errors import ConsistencyError
 from .lattice import FiniteLattice
@@ -109,14 +109,14 @@ def dynkin_rho(family: str, rank: int, minimal: bool = True) -> float:
         if family == "D":
             return 2 * math.cos(math.pi / (2 * (n - 1)))
         if family == "E":
-            return 2 * math.cos(math.pi / _E_COXETER[n])
+            return 2 * math.cos(math.pi / _coxeter_number("E", n))
         if family == "F":
             return (1 + math.sqrt(13)) / 2
         return (1 + math.sqrt(5)) / 2  # G2
     if family == "D":
         return 1 + 2 * math.cos(math.pi / (2 * (n - 1)))
     if family == "E":
-        return 1 + 2 * math.cos(math.pi / _E_COXETER[n])
+        return 1 + 2 * math.cos(math.pi / _coxeter_number("E", n))
     # A, B, C, F4, G2 all collapse onto the A_n shape plus loops
     return 1 + 2 * math.cos(math.pi / (n + 1))
 

@@ -1,6 +1,9 @@
 """Cartan matrices, reflection representation, weak order lattices."""
 
+import hashlib
 import itertools
+import math
+import time
 
 import numpy as np
 import pytest
@@ -155,6 +158,15 @@ def test_budget():
         weak_order(cartan_matrix("E", 7))
     with pytest.raises(BudgetError):
         weak_order(cartan_matrix("A", 3), budget=10)
+
+
+def test_weak_order_refuses_rank_above_nine():
+    # names take one digit per generator; A10 (39,916,800 elements) fits this
+    # budget, so the rank alone stops it, before any work
+    started = time.perf_counter()
+    with pytest.raises(BudgetError, match="A10: rank 10 is above 9"):
+        weak_order(cartan_matrix("A", 10), budget=10**9)
+    assert time.perf_counter() - started < 1
 
 
 def test_longest_and_parabolic():
@@ -321,25 +333,26 @@ def test_face_masks_equal_join_masks(fam, rank):
 
 def test_face_certificate_names_a_broken_face():
     cd = cartan_matrix("A", 3)
-    names, upper, lower, label = _weak_order_covers(cd, 100)
-    down = _down_table(cd, len(names), upper, lower, label)
-    _check_faces(cd, names, down)
-    top = len(names) - 1  # w0, where every generator is a descent
-    down[top, [0, 1]] = down[top, [1, 0]]
+    tree, upper, lower, label = _weak_order_covers(cd, 100)
+    down = _down_table(cd, len(tree[0]), upper, lower, label)
+    _check_faces(cd, tree, down)
+    top = len(tree[0]) - 1  # w0, where every generator is a descent
+    down[[0, 1], top] = down[[1, 0], top]
     with pytest.raises(ConsistencyError, match=r"A3: the \(1, 2\) face below '121321' "
                                                r"is not a 6-gon"):
-        _check_faces(cd, names, down)
+        _check_faces(cd, tree, down)
     # every step still goes down, but 121 -> 12 -> 1 -> 2 ends apart from 121 -> 21 -> 2 -> e
     a2 = cartan_matrix("A", 2)
-    names2, *covers2 = _weak_order_covers(a2, 100)
-    down = _down_table(a2, len(names2), *covers2)
-    down[names2.index("1"), 0] = names2.index("2")
+    tree2, *covers2 = _weak_order_covers(a2, 100)
+    names2 = weak_order(a2).lattice.elements
+    down = _down_table(a2, len(tree2[0]), *covers2)
+    down[0, names2.index("1")] = names2.index("2")
     with pytest.raises(ConsistencyError, match=r"A2: the \(1, 2\) face below '121'"):
-        _check_faces(a2, names2, down)
+        _check_faces(a2, tree2, down)
     label = label.copy()
     label[-1] = label[-2]  # two covers of one element under one generator
     with pytest.raises(ConsistencyError, match="share a label"):
-        _down_table(cd, len(names), upper, lower, label)
+        _down_table(cd, len(tree[0]), upper, lower, label)
 
 
 @pytest.mark.parametrize("fam, rank", [("A", 3), ("D", 4)])
@@ -367,3 +380,21 @@ def test_model_fpdim_builds_no_upsets():
     assert model.leq(model.minimum, model.maximum)
     assert {"_up", "_pos", "_toporder"} <= set(vars(model))
 
+
+def _sha256(lines) -> str:
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def test_model_builds_no_names_until_read():
+    # the scan, the sizes and the extremes read names off the BFS tree
+    lat = tau_tiltp_model(cartan_matrix("E", 6))
+    w0 = "121321432153214325346532143253465321"
+    assert fpdim_lattice(lat) == (pytest.approx(2 * math.cos(math.pi / 12), abs=1e-12), w0)
+    assert (len(lat), len(lat.covers), lat.maximum, lat.minimum) == (51840, 155520, "e", w0)
+    assert "elements" not in vars(lat)
+    # built on first read: unique, and the names and covers of the name-list BFS
+    names = lat.elements
+    assert "elements" in vars(lat) and len(set(names)) == len(names)
+    assert _sha256(names) == "778da8dfdf1e401b6f312bbedbf1ff7c92fb0ff420fbb778148422ab3338e3cd"
+    assert _sha256(f"{u} {l}" for u, l in lat.covers) == (
+        "09119b1fc21badac11404928a250a1512670f411beb8bc51243addb6a485c50f")

@@ -15,6 +15,7 @@ from taufp.errors import LatticeError
 from taufp.lattice import (
     FiniteLattice,
     _face_masks,
+    _first_occurrences,
     _largest_rho,
     fpdim_lattice,
     from_covers,
@@ -366,23 +367,40 @@ def test_face_masks_beyond_64_bits():
                if abs(int(label[a]) - int(label[b])) == 1)
     assert masks.tolist() == [want] + [0] * 9 and want.bit_length() > 64
     # the same element read through a lattice (the bottom, nine atoms, the
-    # top) whose covers come shuffled: the cover index sorts them back
-    names = [str(i) for i in range(11)]
+    # top) whose covers come shuffled: the cover index sorts them back; the
+    # tree names the bottom e, atom k by its label and the top above atom 1
+    tree = (np.array([-1] + [0] * 9 + [1]), np.concatenate([[-1], label, [label[1]]]))
     up = np.concatenate([np.arange(1, 10)[shuffle], np.full(9, 10)])
     lo = np.concatenate([np.zeros(9, dtype=np.int64), np.arange(1, 10)])
-    lat = FiniteLattice._from_faces(names, up, lo, np.concatenate([label[shuffle], label]),
+    lat = FiniteLattice._from_faces(tree, up, lo, np.concatenate([label[shuffle], label]),
                                     arrow)
+    names = lat.elements
+    assert names == ("e", *(str(g + 1) for g in label), f"{label[0] + 1}{label[1] + 1}")
     assert lat._qmask[0] == want
-    assert q_of(lat, "0").adj.tolist() == arrow[np.ix_(label, label)].astype(int).tolist()
+    assert q_of(lat, "e").adj.tolist() == arrow[np.ix_(label, label)].astype(int).tolist()
     assert _face_masks(np.array([8] + [0] * 8), np.arange(8),
                        arrow)[0] == sum(1 << (a * 8 + b) for a in range(8) for b in range(8)
                                         if abs(a - b) == 1)
     # the scan keys such masks in an object array: the atoms carry the path
     # A9, while the join constructor sees every atom below the top, so no arrow
     assert lat._qmask.dtype == object
-    assert fpdim_lattice(lat) == (pytest.approx(2 * math.cos(math.pi / 10), abs=1e-12), "0")
+    assert fpdim_lattice(lat) == (pytest.approx(2 * math.cos(math.pi / 10), abs=1e-12), "e")
     joined = FiniteLattice(names, up, lo)
-    assert joined._qmask.dtype == object and fpdim_lattice(joined) == (0.0, "0")
+    assert joined._qmask.dtype == object and fpdim_lattice(joined) == (0.0, "e")
+
+
+@pytest.mark.parametrize("scale", [1, 2**40, 2**56])
+def test_first_occurrences_equal_a_dict_scan(scale):
+    # keys below 2^50 pack with 13-bit positions into one sort; 2^56 is too
+    # wide and takes the stable argsort
+    rng = np.random.default_rng(scale % 1000)
+    for size in (1, 2, 5000):
+        keys = rng.integers(0, 40, size) * scale
+        seen = {}
+        want_index = [seen.setdefault(k, len(seen)) for k in keys.tolist()]
+        want_first = [want_index.index(i) for i in range(len(seen))]
+        first, index = _first_occurrences(keys)
+        assert first.tolist() == want_first and index.tolist() == want_index
 
 
 def test_largest_rho_takes_first_occurrences_and_the_tol_rule():
