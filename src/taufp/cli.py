@@ -214,17 +214,18 @@ def _cmd_nakayama(args, report: Report) -> None:
         _sandwich(alg, max_n, args.tol, report)
         return
     # report
-    mods = nakayama.indecomposables(alg)
+    t = alg._tables
+    names = [str(m) for m in t.mods]
     report.value("n", alg.n)
-    report.value("indecomposables", [str(m) for m in mods], f"indecomposables: {len(mods)}")
-    bricks = [str(m) for m in mods if nakayama.is_brick(alg, m)]
-    rigid = [str(m) for m in mods if nakayama.is_tau_rigid_module(alg, m)]
+    report.value("indecomposables", names, f"indecomposables: {len(names)}")
+    bricks = [name for name, b in zip(names, t.brick) if b]
+    rigid = [name for name, r in zip(names, t.rigid) if r]
     report.value("bricks", bricks, f"bricks: {len(bricks)}")
     report.value("tau_rigid", rigid, f"tau-rigid: {len(rigid)}")
     _sandwich(alg, max_n, args.tol, report)
-    # two independent enumerations: the semibrick search and the pair search
-    semibrick_count = len(alg._tables.semibrick_masks[0])
-    pair_count = len(alg._tables.pair_masks)
+    # two independent enumerations: the semibrick search and the pair count
+    semibrick_count = len(t.semibrick_masks[0])
+    pair_count = t.pair_count
     report.value("semibrick_count", semibrick_count)
     report.value("tau_tilting_pair_count", pair_count)
     report.verdict("bijection", semibrick_count == pair_count)

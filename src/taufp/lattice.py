@@ -35,8 +35,9 @@ each Q(x, dp(x)) is one row-major bitmask over the sorted dp(x), in one
 array that q_of and fpdim_lattice read through _arrows.  fpdim_lattice and
 the Nakayama scans take the largest spectral radius over small integer
 blocks through one kernel, _largest_rho: one radius per distinct key, at
-its first occurrence, and a later block wins only by more than tol; scans
-that share their radii compute a block common to them once.
+its first occurrence, and a later block wins only by more than tol; a block
+whose row- and column-sum bound cannot beat the best so far is skipped, and
+scans that share their radii compute a block common to them once.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ import numpy as np
 
 from .errors import LatticeError
 from .quiver import Quiver, _check_names
-from .spectral import _check_tol, spectral_radius
+from .spectral import _check_tol, _radius
 
 __all__ = [
     "FiniteLattice",
@@ -467,27 +468,73 @@ def _arrows(mask, m: int) -> np.ndarray:
     return np.array([mask >> i & 1 for i in range(m * m)], dtype=np.int64).reshape(m, m)
 
 
+def _first_positions(keys: np.ndarray) -> list[int]:
+    """The positions of the first occurrences of the distinct keys of a
+    nonempty 1-d array, in increasing order.
+
+    Nonnegative integer keys of b < 54 bits (the uint64 arrow masks of
+    fpdim_lattice) are cut into chunks of 2^(63 - b) positions; each chunk
+    is sorted once packed as key << (63 - b) | offset in one int64, the way
+    _first_occurrences packs a whole array, so the first of each run of
+    equal keys is that key's first position in its chunk.  np.unique of
+    these few survivors, in chunk order, keeps the earliest.  At E7 the
+    keys need 49 bits, too many to pack with the 22 bits of 2.9 M positions
+    at once, and numpy argsorts keys many times slower than it sorts them.
+    Other keys (the bytes of Nakayama blocks, Python ints, wider integers)
+    go through one dict, whose insertion order is first-occurrence order."""
+    if keys.dtype.kind in "iu" and int(keys.min()) >= 0 and int(keys.max()) >> 53 == 0:
+        shift = 63 - int(keys.max()).bit_length()
+        step, wide = 1 << shift, keys.astype(np.int64)
+        firsts = []
+        for at in range(0, len(keys), step):
+            chunk = wide[at:at + step]
+            packed = np.sort(chunk << shift | np.arange(len(chunk)))
+            new = np.ones(len(packed), dtype=bool)
+            np.not_equal(packed[1:] >> shift, packed[:-1] >> shift, out=new[1:])
+            firsts.append(at + (packed[new] & (step - 1)))
+        first = np.concatenate(firsts)
+        return np.sort(first[np.unique(keys[first], return_index=True)[1]]).tolist()
+    first: dict = {}
+    for k, key in enumerate(keys.tolist()):
+        first.setdefault(key, k)
+    return list(first.values())
+
+
 def _largest_rho(keys: np.ndarray, block_at, tol: float,
                  radii: dict | None = None) -> tuple[float, int | None]:
-    """The largest spectral radius over int64 square blocks, and the position
-    in keys of the block attaining it, or (0.0, None) if none exceeds tol.
+    """The largest spectral radius over nonnegative int64 square blocks, and
+    the position in keys of the block attaining it, or (0.0, None) if none
+    exceeds tol.
 
-    Equal keys (a 1-d array) stand for equal blocks: rho is computed once per
-    distinct key, on block_at(k) for its first position k, visiting those in
-    position order; a block wins only by more than tol over the best so far,
-    so ties go to the earliest position.  radii maps keys to the radii
-    already computed and is filled in here, so scans that share it (with
-    keys that stand for equal blocks across them) compute each block once."""
+    Equal keys (a 1-d array) stand for equal blocks: each distinct key is
+    visited once, at its first position k, in position order; a block wins
+    only by more than tol over the best so far, so ties go to the earliest
+    position.  radii maps keys to the radii already computed and is filled
+    in here, so scans that share it (with keys that stand for equal blocks
+    across them) compute each block once.
+
+    A key not in radii reads block_at(k) and first takes the integer bound
+    b = min(max row sum, max column sum) >= rho.  If b <= best, rho is not
+    computed (nor stored): the computed value is the midpoint of a
+    Collatz-Wielandt bracket narrower than tol (or an exact loop count),
+    so it is at most rho + tol/2 plus rounding <= best + tol/2 + rounding,
+    while a win needs more than best + tol.  A skipped block could never
+    have won, so the value and witness are those of the unpruned scan."""
     radii = {} if radii is None else radii
-    _, first = np.unique(keys, return_index=True)
     best, witness = 0.0, None
-    for k in np.sort(first).tolist():
+    if not len(keys):
+        return best, witness
+    for k in _first_positions(keys):
         key = keys[k]
-        if key not in radii:
+        rho = radii.get(key)
+        if rho is None:
             block = block_at(k)
-            radii[key] = spectral_radius(Quiver(range(len(block)), block), tol=tol)
-        if radii[key] > best + tol:
-            best, witness = radii[key], k
+            if (np.maximum.reduce(np.add.reduce(block, axis=1), initial=0) <= best
+                    or np.maximum.reduce(np.add.reduce(block, axis=0), initial=0) <= best):
+                continue
+            rho = radii[key] = _radius(block, tol)
+        if rho > best + tol:
+            best, witness = rho, k
     return best, witness
 
 

@@ -26,16 +26,22 @@ order and lattice and the semibricks are built only by the budgeted
 enumerations.  All of it lives on the instance and goes away with the
 algebra.
 
-The enumerations work on bitmasks.  The pair search yields each tau-tilting
-pair as a module mask over the indecomposables and a vertex mask, and builds
-no name.  A mask becomes a TauPair only where a public function returns one,
-and TauPair.name is the one formatter of pair names: the pair order and
-lattice index the pairs sorted by it, while the CLI's nakayama report only
-counts the masks.  The pair order is kept transposed, as masks over the
-pairs: per module, the pairs with a summand N such that Hom(N, tau M) != 0,
-and per vertex, the pairs with that vertex in their projective part.  A
-down-set is then a few ands of those masks, not a comparison with every
-other pair.  The Hasse covers are the mutations (Adachi-Iyama-Reiten,
+The enumerations work on bitmasks.  The pair search adds summands in
+increasing index order, and one table (_Tables.bad) cuts the modules and
+vertices left below each branch.  Its listing, pair_masks, yields each
+tau-tilting pair as a module mask over the indecomposables and a vertex
+mask, and builds no name.  Its count, pair_count, lists nothing: the number
+of pairs below a search node depends only on how many summands are still
+to go and which modules and vertices are still free, so it is memoized on
+that state, and the CLI's nakayama report reads it (cyclic [20]*10 has
+C(20, 10) = 184,756 pairs).  A mask becomes a TauPair only where a public
+function returns one, and TauPair.name is the one formatter of pair names:
+the pair order and lattice index the pairs sorted by it.  The pair order is
+kept transposed, as masks over the pairs: per module, the pairs with a
+summand N such that Hom(N, tau M) != 0, and per vertex, the pairs with that
+vertex in their projective part.  A down-set is then a few ands of those
+masks, not a comparison with every other pair.  The Hasse covers are the
+mutations (Adachi-Iyama-Reiten,
 Compos. Math. 150 (2014), Thm 2.18): the pairs are grouped by their almost
 complete sub-pairs, every group must hold exactly two pairs, and the order
 decides which of the two lies above.  A closure certificate then checks that
@@ -43,7 +49,8 @@ these covers generate exactly the pair order.  The FP dimension reads the
 Ext blocks of the maximal semibricks only, from one Ext table: the spectral
 radius is monotone on principal submatrices, so smaller semibricks cannot
 exceed them.  The lattice kernel _largest_rho takes their maximum, once per
-distinct block, at its first semibrick, with the tol rule of fpdim_lattice.
+distinct block, at its first semibrick, with the tol rule of fpdim_lattice,
+and skips a block whose row- and column-sum bound cannot beat the best.
 
 sandwich needs no pair lattice either.  Label each cover x < y of the pair
 lattice by its brick: the one brick in the torsion class of y that no
@@ -60,6 +67,7 @@ by default (DEFAULT_SCAN_MAX_N), the pair enumerations n <= 7 (DEFAULT_MAX_N).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -130,8 +138,8 @@ class NakayamaAlgebra:
 
     def vertex(self, v: int) -> int:
         """Normalize a vertex index to 1..n (cyclic identification)."""
-        if self.cyclic:
-            return (v - 1) % self.n + 1
+        if self.shape == "cyclic":
+            return (v - 1) % len(self.kupisch) + 1
         return v
 
     @cached_property
@@ -244,18 +252,20 @@ class _Tables:
     length).  The linear ones (index, P(k), tau, syzygy, brick and tau-rigid
     flags) are built and cross-checked at once; the quadratic Hom and Ext
     tables, the pairs, their order and lattice and the semibricks only when
-    an enumeration kernel first asks for them.  Pairs are kept as masks and
-    names; tau_pair makes a TauPair on each call, and none is kept."""
+    an enumeration kernel first asks for them.  The pair search has one
+    branching rule (bad) and two uses: pair_masks lists the pairs, for the
+    public pair functions, the lattice and Bongartz, and pair_count only
+    counts them.  Pairs are kept as masks and names; tau_pair makes a
+    TauPair on each call, and none is kept."""
 
     def __init__(self, a: NakayamaAlgebra):
         self.name = name = str(a)
         self.n = n = a.n
         self.cyclic = a.cyclic
-        self.mods = mods = sorted(
-            (Uniserial(a.vertex(t - l + 1), l)
-             for t in range(1, n + 1) for l in range(1, a.kupisch[t - 1] + 1)),
-            key=lambda m: (m.socle, m.length),
-        )
+        self.mods = mods = [Uniserial(*sl) for sl in sorted(
+            (a.vertex(t - l + 1), l) for t in range(1, n + 1)
+            for l in range(1, a.kupisch[t - 1] + 1)
+        )]
         self.index = index = {m: i for i, m in enumerate(mods)}
         self.proj = [index[Uniserial(a.vertex(k - l + 1), l)] for k, l in enumerate(a.kupisch, 1)]
         # P(top M), and K in 0 -> K -> P(top M) -> M -> 0 (-1 on projectives)
@@ -340,12 +350,21 @@ class _Tables:
         return _union(self.tau_hom, mmask)
 
     @cached_property
+    def bad(self) -> list[int]:
+        """The branching rule of the pair search, which adds summands in
+        increasing index order: below a node that adds M_i, the modules
+        still allowed are those after i that are not in bad[i], the modules
+        that cannot sit next to M_i in a tau-rigid module (Hom(M_i, tau N)
+        != 0 or Hom(N, tau M_i) != 0), and the vertices still free are those
+        k with Hom(P(k), M_i) = 0 (proj_hom[i] clear)."""
+        tau_hom = self.tau_hom
+        return [row | col for row, col in zip(tau_hom, _transpose(tau_hom, len(tau_hom)))]
+
+    @cached_property
     def pair_masks(self) -> list[tuple[int, int]]:
         """The tau-tilting pairs in search order, each as its module bitmask
         (over indecomposables) and vertex bitmask (bit k - 1 for P(k))."""
-        n, tau_hom, proj_hom = self.n, self.tau_hom, self.proj_hom
-        # bad[i]: modules that cannot sit next to M_i in a tau-rigid module
-        bad = [row | col for row, col in zip(tau_hom, _transpose(tau_hom, len(tau_hom)))]
+        n, bad, proj_hom = self.n, self.bad, self.proj_hom
         found: list[tuple[int, int]] = []
 
         def dfs(chosen: int, count: int, allowed: int, vmask: int) -> None:
@@ -361,6 +380,41 @@ class _Tables:
 
         dfs(0, 0, _mask(self.rigid), (1 << n) - 1)
         return found
+
+    @cached_property
+    def pair_count(self) -> int:
+        """len(pair_masks), by the same search without listing the pairs.
+        A node's pairs are C(free vertices, summands to go) completed at
+        once plus those below its children, and that count depends on the
+        state (summands to go, modules still allowed, vertices still free)
+        only, not on which summands were chosen, so it is memoized on it.
+        With one summand to go, every free vertex and every allowed module
+        completes exactly one pair, so that level is counted in place."""
+        n, bad, proj_hom, comb = self.n, self.bad, self.proj_hom, math.comb
+        memo: dict[tuple[int, int, int], int] = {}
+
+        def below(need: int, allowed: int, vmask: int) -> int:
+            if need == 1:
+                return vmask.bit_count() + allowed.bit_count()
+            state = (need, allowed, vmask)
+            total = memo.get(state)
+            if total is None:
+                total = comb(vmask.bit_count(), need)
+                after = allowed  # the bits of allowed above i, lowest i first
+                while after:
+                    low = after & -after
+                    after ^= low
+                    i = low.bit_length() - 1
+                    rest, free = after & ~bad[i], vmask & ~proj_hom[i]
+                    left = rest.bit_count() + free.bit_count()
+                    if need == 2:
+                        total += left
+                    elif left >= need - 1:
+                        total += below(need - 1, rest, free)
+                memo[state] = total
+            return total
+
+        return below(n, _mask(self.rigid), (1 << n) - 1)
 
     def tau_pair(self, mm: int, pm: int) -> TauPair:
         """The pair with module bitmask mm and vertex bitmask pm."""
@@ -597,7 +651,7 @@ def _maximal_blocks(t: _Tables, table: np.ndarray) -> tuple[np.ndarray, list[np.
     search order, and their keys: the bytes of each int64 block, whose
     count fixes the size (an object array, since numpy's fixed-width bytes
     would drop trailing zero bytes and merge blocks of different sizes)."""
-    blocks = [table[i[:, None], i] for i in t.maximal_index]
+    blocks = [table.take(i, 0).take(i, 1) for i in t.maximal_index]
     return np.array([b.tobytes() for b in blocks], dtype=object), blocks
 
 
@@ -644,7 +698,7 @@ def sandwich(
 def self_ext_bound(a: NakayamaAlgebra) -> int:
     """Largest self-extension dimension over all bricks (the d_b bound)."""
     t = a._tables
-    return max((t.ext(i, i) for i, b in enumerate(t.brick) if b), default=0)
+    return int(np.diag(t.ext_table)[t.brick].max(initial=0))
 
 
 def bongartz_completion(a: NakayamaAlgebra, m: Uniserial, max_n: int = DEFAULT_MAX_N) -> TauPair:

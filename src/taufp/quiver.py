@@ -162,7 +162,10 @@ def _components(adj: np.ndarray) -> list[list[int]]:
     symmetric adj these are the weak components.
     """
     n = adj.shape[0]
-    succ = [np.nonzero(row)[0].tolist() for row in adj]
+    rows, cols = np.nonzero(adj)  # row-major: rows sorted, columns sorted within a row
+    at = np.searchsorted(rows, np.arange(n + 1)).tolist()
+    cols = cols.tolist()
+    succ = [cols[at[v]:at[v + 1]] for v in range(n)]
     index, low, onstack = [-1] * n, [0] * n, [False] * n
     stack: list[int] = []
     comps: list[list[int]] = []

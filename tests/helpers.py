@@ -356,6 +356,28 @@ def fpdim_reference(names, covers, tol, radius=None):
     return best, (None if witness is None else names[witness]), kept
 
 
+def largest_rho_scan(blocks, radius, tol):
+    """The largest-rho scan over a sequence of square integer blocks, with no
+    bound and no shared radii: each distinct block (by size and entries) is
+    visited at its first position, in order, and radius(block) wins only by
+    more than tol over the best so far.  Returns (value, witness position
+    or None, visits): per distinct block its (size, bytes) key, the bound
+    min(max row sum, max column sum) >= its radius, and the best before it.
+    """
+    best, witness, seen, visits = 0.0, None, set(), []
+    for k, block in enumerate(blocks):
+        block = np.asarray(block, dtype=np.int64)
+        key = (len(block), block.tobytes())
+        if key in seen:
+            continue
+        seen.add(key)
+        visits.append((key, int(min(block.sum(axis=1).max(), block.sum(axis=0).max())), best))
+        rho = radius(block)
+        if rho > best + tol:
+            best, witness = rho, k
+    return best, witness, visits
+
+
 # ---------------------------------------------------------------------------
 # corpora
 

@@ -236,15 +236,26 @@ def test_cyclic_n10_sandwich_time_and_peak_rss():
     assert elapsed < 2 and rss_mb < 150
 
 
-@pytest.mark.stretch
-def test_cyclic_n9_report_time_and_peak_rss():
-    # the pair search still runs, for the bijection count: C(18, 9) pairs
+def test_cyclic_n10_report_time_and_peak_rss():
+    # the pairs are counted, not listed: C(20, 10) pairs and semibricks
     code, doc, elapsed, rss_mb = _fresh_run("nakayama", "report", "--shape",
-                                            "cyclic", "--kupisch", ",".join(["18"] * 9))
+                                            "cyclic", "--kupisch", ",".join(["20"] * 10))
     assert code == 0 and all(doc["verdicts"].values())
-    assert doc["values"]["tau_tilting_pair_count"] == math.comb(18, 9) == 48620
-    assert doc["values"]["semibrick_count"] == 48620
-    assert elapsed < 5 and rss_mb < 300
+    assert doc["values"]["tau_tilting_pair_count"] == math.comb(20, 10) == 184756
+    assert doc["values"]["semibrick_count"] == 184756
+    assert elapsed < 3 and rss_mb < 150
+
+
+@pytest.mark.stretch
+def test_cyclic_n11_report_time_and_peak_rss(monkeypatch):
+    # past the default scan budget of 10: C(22, 11) pairs and semibricks
+    monkeypatch.setenv("TAUFP_BUDGET", "11")
+    code, doc, elapsed, rss_mb = _fresh_run("nakayama", "report", "--shape",
+                                            "cyclic", "--kupisch", ",".join(["22"] * 11))
+    assert code == 0 and all(doc["verdicts"].values())
+    assert doc["values"]["tau_tilting_pair_count"] == math.comb(22, 11) == 705432
+    assert doc["values"]["semibrick_count"] == 705432
+    assert elapsed < 10 and rss_mb < 400
 
 
 def test_report_and_sandwich_build_no_pair_lattice(capsys, monkeypatch):
@@ -257,7 +268,8 @@ def test_report_and_sandwich_build_no_pair_lattice(capsys, monkeypatch):
         code, out, _ = run(capsys, "nakayama", subcmd, "--shape", "cyclic", "--kupisch",
                            "3,3,2", "--json")
         assert code == 0 and json.loads(out)["verdicts"]["sandwich"] is True
-    # report counts the pair masks: it neither names nor sorts the pairs
+    # report counts the pairs: it neither lists, names nor sorts them
+    monkeypatch.setattr(taufp.nakayama._Tables, "pair_masks", property(build))
     monkeypatch.setattr(taufp.nakayama._Tables, "pairs", property(build))
     monkeypatch.setattr(taufp.nakayama.TauPair, "name", build)
     code, out, _ = run(capsys, "nakayama", "report", "--shape", "cyclic", "--kupisch",

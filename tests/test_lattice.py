@@ -8,6 +8,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from taufp import lattice
 from taufp.coxeter import cartan_matrix, weak_order
@@ -16,6 +17,7 @@ from taufp.lattice import (
     FiniteLattice,
     _face_masks,
     _first_occurrences,
+    _first_positions,
     _largest_rho,
     fpdim_lattice,
     from_covers,
@@ -28,7 +30,7 @@ from taufp.preproj import tau_tiltp_model
 from taufp.quiver import Quiver
 from taufp.spectral import spectral_radius
 
-from helpers import fpdim_reference
+from helpers import fpdim_reference, largest_rho_scan
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -423,18 +425,55 @@ def test_largest_rho_takes_first_occurrences_and_the_tol_rule():
     assert _largest_rho(np.array([], dtype=np.int64), block_at, 1e-12) == (0.0, None)
 
 
-def test_fpdim_computes_one_radius_per_distinct_key(monkeypatch):
-    # one spectral radius per distinct (cover count, arrow mask) among the
-    # elements with at least two upper covers, far fewer than those elements
+@pytest.mark.parametrize("scale", [0, 1, 2**40, 2**46, 2**56])
+def test_first_positions_take_one_route_per_key_type(scale):
+    # uint64 keys below 2^54 take the chunked packed sort: one chunk up to
+    # 2^40 here, chunks of 2^11 positions at 2^46 (52-bit keys), where the
+    # last key first occurs in the third chunk; wider keys and Python ints
+    # take one dict: all give the positions of a dict scan
+    rng = np.random.default_rng(7)
+    raw = [k * scale for k in rng.integers(0, 40, 5000).tolist() + [40]]
+    want = sorted({k: i for i, k in reversed(list(enumerate(raw)))}.values())
+    for keys in (np.array(raw, dtype=np.uint64), np.array(raw, dtype=object)):
+        assert _first_positions(keys) == want
+        assert _first_positions(keys[:1]) == [0]
+
+
+_blocks = st.lists(st.integers(1, 4).flatmap(lambda m: st.lists(
+    st.lists(st.integers(0, 3), min_size=m, max_size=m), min_size=m, max_size=m)),
+    min_size=1, max_size=6)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_blocks, st.lists(st.integers(0, 5), min_size=1, max_size=30),
+       st.sampled_from([1e-12, 0.3]))
+def test_pruned_largest_rho_equals_the_unpruned_scan(pool, picks, tol):
+    # keys with repeats index a pool of random blocks; skipping the blocks
+    # whose bound cannot beat the best changes neither value nor witness
+    keys = np.array([p % len(pool) for p in picks], dtype=np.int64)
+    blocks = [np.array(pool[k], dtype=np.int64) for k in keys.tolist()]
+    value, witness, _ = largest_rho_scan(blocks, lambda b: _rho(b, tol), tol)
+    assert _largest_rho(keys, blocks.__getitem__, tol) == (value, witness)
+
+
+def _rho(block, tol=1e-12):
+    return spectral_radius(Quiver(range(len(block)), block), tol=tol)
+
+
+def test_fpdim_computes_one_radius_per_distinct_key(radius_calls):
+    # at most one spectral radius per distinct (cover count, arrow mask)
+    # among the elements with at least two upper covers: 7 distinct keys
+    # among 147 elements, and the bound skips 2 of them
     lat = tau_tiltp_model(cartan_matrix("D", 4))
-    pairs = [(m, int(q)) for m, q in zip(lat._n_dp.tolist(), lat._qmask.tolist()) if m >= 2]
-    calls = []
-
-    def counted(q, tol):
-        calls.append(q)
-        return spectral_radius(q, tol=tol)
-
-    monkeypatch.setattr(lattice, "spectral_radius", counted)
-    value, _ = fpdim_lattice(lat)
+    xs = np.flatnonzero(lat._n_dp >= 2).tolist()
+    pairs = [(int(lat._n_dp[x]), int(lat._qmask[x])) for x in xs]
+    value, witness = fpdim_lattice(lat)
     assert value == pytest.approx(math.sqrt(3), abs=1e-12)  # 2 cos(pi / 6), D4
-    assert len(calls) == len(set(pairs)) < len(pairs) // 10
+    want, k, visits = largest_rho_scan(
+        [lattice._arrows(lat._qmask[x], lat._n_dp[x]) for x in xs], _rho, 1e-12)
+    assert (value, witness) == (want, lat._name(xs[k]))
+    assert (len(pairs), len(set(pairs)), len(visits), len(radius_calls)) == (147, 7, 7, 5)
+    # a distinct block not computed could not win: its bound is <= the best
+    assert len(set(radius_calls)) == len(radius_calls)
+    assert set(radius_calls) <= {key for key, _, _ in visits}
+    assert all(bound <= best for key, bound, best in visits if key not in radius_calls)

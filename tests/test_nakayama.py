@@ -40,7 +40,7 @@ from taufp.nakayama import (
     tau_tilting_pairs,
 )
 from taufp.lattice import q_of
-from taufp.quiver import loop_removed
+from taufp.quiver import Quiver, loop_removed
 from taufp.spectral import spectral_radius
 
 from helpers import (
@@ -48,6 +48,7 @@ from helpers import (
     cyclic_series,
     ext_oracle,
     hom_oracle,
+    largest_rho_scan,
     linear_series,
     nakayama_corpus,
 )
@@ -301,7 +302,22 @@ def test_pairs_come_from_one_mask_search():
     for a in SMALL:
         pairs = tau_tilting_pairs(a)
         assert [p.name() for p in pairs] == list(tau_tiltp_lattice(a).elements), str(a)
-        assert len(a._tables.pair_masks) == len(pairs), str(a)
+        assert len(a._tables.pair_masks) == a._tables.pair_count == len(pairs), str(a)
+
+
+@pytest.mark.stretch
+def test_pair_count_equals_the_listing_n5():
+    n5 = [make_algebra("linear", s) for s in linear_series(5) if len(s) == 5]
+    n5 += [make_algebra("cyclic", s) for s in cyclic_series(5, 10) if len(s) == 5]
+    assert len(n5) == 888
+    for a in n5:
+        assert a._tables.pair_count == len(a._tables.pair_masks), str(a)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_pair_count_is_central_binomial(n):
+    # the count lists no pair, so it reaches n = 10 (184,756 pairs) in tier 1
+    assert make_algebra("cyclic", [2 * n] * n)._tables.pair_count == math.comb(2 * n, n)
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -323,23 +339,30 @@ def test_cyclic_pair_count_beyond_the_pair_budget(n):
     assert len(t.pair_masks) == len(t.semibrick_masks[0]) == math.comb(2 * n, n)
 
 
-def test_fpdim_computes_one_radius_per_distinct_block(monkeypatch):
+def _rho(block, tol=1e-12):
+    return spectral_radius(Quiver(range(len(block)), block), tol=tol)
+
+
+def test_fpdim_computes_one_radius_per_distinct_block(radius_calls):
     # cyclic [3,3,3] has 7 maximal semibricks but only 3 distinct Ext blocks,
-    # here read through the scalar Ext route of ext_quiver
+    # here read through the scalar Ext route of ext_quiver; the first, a
+    # 3-cycle, has radius 1, and the bounds of the other two (1 and 0)
+    # cannot beat it, so only it is computed
     a = make_algebra("cyclic", [3, 3, 3])
     sbs = semibricks(a)
     maximal = [s for s in sbs if not any(s < u for u in sbs)]
-    blocks = {(q.n, q.adj.tobytes()) for q in (ext_quiver(a, s) for s in maximal)}
-    calls = []
+    value, _, visits = largest_rho_scan([ext_quiver(a, s).adj for s in maximal], _rho, 1e-12)
+    assert fpdim_nakayama(a) == value == 1.0
+    assert (len(maximal), len(visits), len(radius_calls)) == (7, 3, 1)
+    assert radius_calls == [visits[0][0]]
+    assert all(bound <= best for key, bound, best in visits if key not in radius_calls)
 
-    def counted(q, tol):
-        calls.append(q)
-        return spectral_radius(q, tol=tol)
 
-    monkeypatch.setattr(lattice, "spectral_radius", counted)
-    assert fpdim_nakayama(a) == 1.0
-    assert (len(maximal), len(calls), len(blocks)) == (7, 3, 3)
-    assert {(q.n, q.adj.tobytes()) for q in calls} == blocks
+def test_self_ext_bound_reads_the_scalar_ext_of_each_brick():
+    # the Ext table's diagonal over the bricks against one ext_dim per brick
+    for a in SMALL:
+        want = max((ext_dim(a, b, b) for b in bricks(a)), default=0)
+        assert self_ext_bound(a) == want, str(a)
 
 
 def test_fpdim_is_the_maximum_over_all_semibricks():
@@ -566,26 +589,24 @@ def test_brick_labels_give_the_cover_quivers_n5_and_cyclic_n8():
     assert _check_brick_label_rule(make_algebra("cyclic", [16] * 8), max_n=8)[1] > 0
 
 
-def test_sandwich_computes_a_shared_block_once(monkeypatch):
+def test_sandwich_computes_a_shared_block_once(radius_calls):
     # cyclic [4,4] has 3 maximal semibricks with 2 distinct Ext blocks and 2
     # distinct loop-free supports; one block is its own support, so the two
-    # scans need 3 radii, not 4
+    # scans share it.  Its radius 1 is computed once, in the support scan,
+    # and the bounds of the other blocks (1 and 0) cannot beat it
     a = make_algebra("cyclic", [4, 4])
     sbs = semibricks(a)
     quivers = [ext_quiver(a, s) for s in sbs if not any(s < u for u in sbs)]
-    ext = {(q.n, q.adj.tobytes()) for q in quivers}
-    support = {(q.n, np.minimum(loop_removed(q).adj, 1).tobytes()) for q in quivers}
-    calls = []
-
-    def counted(q, tol):
-        calls.append(q)
-        return spectral_radius(q, tol=tol)
-
-    monkeypatch.setattr(lattice, "spectral_radius", counted)
-    assert sandwich(a) == (1.0, 1, 1.0)
-    assert (len(quivers), len(ext), len(support), len(ext | support)) == (3, 2, 2, 3)
-    assert len(calls) == 3
-    assert {(q.n, q.adj.tobytes()) for q in calls} == ext | support
+    ext = largest_rho_scan([q.adj for q in quivers], _rho, 1e-12)
+    support = largest_rho_scan([np.minimum(loop_removed(q).adj, 1) for q in quivers],
+                               _rho, 1e-12)
+    assert sandwich(a) == (support[0], 1, ext[0]) == (1.0, 1, 1.0)
+    visits = support[2] + ext[2]
+    assert (len(quivers), len(ext[2]), len(support[2])) == (3, 2, 2)
+    assert len({key for key, _, _ in visits}) == 3
+    shared = support[2][0][0]
+    assert radius_calls == [shared] and shared in {key for key, _, _ in ext[2]}
+    assert all(bound <= best for key, bound, best in visits if key not in radius_calls)
 
 
 def test_cover_quivers_match_loopless_ext_quivers():
