@@ -49,7 +49,7 @@ import numpy as np
 
 from .errors import LatticeError
 from .quiver import Quiver, _check_names
-from .spectral import _check_tol, _radius
+from .spectral import _check_tol, spectral_radius
 
 __all__ = [
     "FiniteLattice",
@@ -415,14 +415,14 @@ def _face_masks(n_dp, labels, arrow) -> np.ndarray:
     return masks[inverse]
 
 
-def _first_occurrences(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For a nonempty array of non-negative int64 keys: the positions of the
-    first occurrences of the distinct keys, in increasing order, and for each
-    position the index among them of its key's first occurrence.
+def _sorted_runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One stable sort of a nonempty array of non-negative int64 keys: the
+    permutation that sorts them, and over the sorted keys the mask of the
+    first of each run of equal keys.
 
-    Both come from one stable sort of the keys.  While every key << b fits
-    63 bits, b the bit width of a position, it sorts keys << b | position,
-    which numpy does many times faster than it argsorts the keys."""
+    While every key << b fits 63 bits, b the bit width of a position, it
+    sorts keys << b | position, which numpy does many times faster than it
+    argsorts the keys."""
     size = len(keys)
     shift = (size - 1).bit_length()
     if int(keys.max()) >> (63 - shift) == 0:
@@ -433,6 +433,16 @@ def _first_occurrences(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         sorted_keys = keys[perm]
     new = np.ones(size, dtype=bool)  # the first of each run of equal sorted keys
     np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=new[1:])
+    return perm, new
+
+
+def _first_occurrences(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For a nonempty array of non-negative int64 keys: the positions of the
+    first occurrences of the distinct keys, in increasing order, and for each
+    position the index among them of its key's first occurrence, both from
+    one _sorted_runs."""
+    size = len(keys)
+    perm, new = _sorted_runs(keys)
     is_first = np.zeros(size, dtype=bool)
     is_first[perm[new]] = True
     index = np.empty(size, dtype=np.int64)
@@ -473,25 +483,19 @@ def _first_positions(keys: np.ndarray) -> list[int]:
     nonempty 1-d array, in increasing order.
 
     Nonnegative integer keys of b < 54 bits (the uint64 arrow masks of
-    fpdim_lattice) are cut into chunks of 2^(63 - b) positions; each chunk
-    is sorted once packed as key << (63 - b) | offset in one int64, the way
-    _first_occurrences packs a whole array, so the first of each run of
-    equal keys is that key's first position in its chunk.  np.unique of
-    these few survivors, in chunk order, keeps the earliest.  At E7 the
-    keys need 49 bits, too many to pack with the 22 bits of 2.9 M positions
-    at once, and numpy argsorts keys many times slower than it sorts them.
-    Other keys (the bytes of Nakayama blocks, Python ints, wider integers)
-    go through one dict, whose insertion order is first-occurrence order."""
+    fpdim_lattice) are cut into chunks of 2^(63 - b) positions, the largest
+    at which _sorted_runs takes its packed sort, and each chunk yields the
+    first position of each of its keys; np.unique of these, in chunk order,
+    keeps the earliest.  At E7 the keys need 49 bits, too many to pack with
+    the 22 bits of 2.9 M positions at once.  Other keys (the bytes of
+    Nakayama blocks, Python ints, wider integers) go through one dict, whose
+    insertion order is first-occurrence order."""
     if keys.dtype.kind in "iu" and int(keys.min()) >= 0 and int(keys.max()) >> 53 == 0:
-        shift = 63 - int(keys.max()).bit_length()
-        step, wide = 1 << shift, keys.astype(np.int64)
+        step, wide = 1 << (63 - int(keys.max()).bit_length()), keys.astype(np.int64)
         firsts = []
         for at in range(0, len(keys), step):
-            chunk = wide[at:at + step]
-            packed = np.sort(chunk << shift | np.arange(len(chunk)))
-            new = np.ones(len(packed), dtype=bool)
-            np.not_equal(packed[1:] >> shift, packed[:-1] >> shift, out=new[1:])
-            firsts.append(at + (packed[new] & (step - 1)))
+            perm, new = _sorted_runs(wide[at:at + step])
+            firsts.append(at + perm[new])
         first = np.concatenate(firsts)
         return np.sort(first[np.unique(keys[first], return_index=True)[1]]).tolist()
     first: dict = {}
@@ -532,7 +536,7 @@ def _largest_rho(keys: np.ndarray, block_at, tol: float,
             if (np.maximum.reduce(np.add.reduce(block, axis=1), initial=0) <= best
                     or np.maximum.reduce(np.add.reduce(block, axis=0), initial=0) <= best):
                 continue
-            rho = radii[key] = _radius(block, tol)
+            rho = radii[key] = spectral_radius(Quiver(range(len(block)), block), tol=tol)
         if rho > best + tol:
             best, witness = rho, k
     return best, witness

@@ -138,8 +138,8 @@ class NakayamaAlgebra:
 
     def vertex(self, v: int) -> int:
         """Normalize a vertex index to 1..n (cyclic identification)."""
-        if self.shape == "cyclic":
-            return (v - 1) % len(self.kupisch) + 1
+        if self.cyclic:
+            return (v - 1) % self.n + 1
         return v
 
     @cached_property
@@ -262,10 +262,11 @@ class _Tables:
         self.name = name = str(a)
         self.n = n = a.n
         self.cyclic = a.cyclic
-        self.mods = mods = [Uniserial(*sl) for sl in sorted(
-            (a.vertex(t - l + 1), l) for t in range(1, n + 1)
-            for l in range(1, a.kupisch[t - 1] + 1)
-        )]
+        self.mods = mods = sorted(
+            (Uniserial(a.vertex(t - l + 1), l)
+             for t in range(1, n + 1) for l in range(1, a.kupisch[t - 1] + 1)),
+            key=lambda m: (m.socle, m.length),
+        )
         self.index = index = {m: i for i, m in enumerate(mods)}
         self.proj = [index[Uniserial(a.vertex(k - l + 1), l)] for k, l in enumerate(a.kupisch, 1)]
         # P(top M), and K in 0 -> K -> P(top M) -> M -> 0 (-1 on projectives)

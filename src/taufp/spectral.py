@@ -3,15 +3,12 @@
 Everything here is deterministic: spectral radii come from shifted power
 iteration with Collatz-Wielandt bracketing on strongly connected blocks
 (found by ``quiver._components``, the one component routine; this module
-holds linear algebra only).  That loop is ``_radius``, on a bare int64
-matrix: ``spectral_radius`` validates a quiver and then calls it, and the
-lattice scans, whose blocks are cut from internal nonnegative tables, call
-it directly.  Characteristic polynomials are computed exactly by
-Faddeev-LeVerrier, in int64 while a bound proves the entries fit and over
-Python integers held in numpy object arrays beyond it, and the
-power-iteration value is certified against them by two exact Sturm counts
-at the ends of an interval around it (primitive pseudo-remainder chains,
-homogeneous evaluation over a power-of-two denominator).  Where
+holds linear algebra only), characteristic polynomials are computed
+exactly by Faddeev-LeVerrier, in int64 while a bound proves the entries
+fit and over Python integers held in numpy object arrays beyond it, and
+the power-iteration value is certified against them by two exact Sturm
+counts at the ends of an interval around it (primitive pseudo-remainder
+chains, homogeneous evaluation over a power-of-two denominator).  Where
 the certificate fails, the largest real root is isolated by Sturm
 bisection in the same integer arithmetic.  Definiteness of integer Gram
 matrices is decided by one fraction-free symmetric (Bareiss) elimination
@@ -312,23 +309,6 @@ def _power_radius(block: np.ndarray, tol: float, max_iter: int = 200000) -> floa
                            f"after {max_iter} steps")
 
 
-def _radius(adj: np.ndarray, tol: float) -> float:
-    """rho of a nonnegative int64 square matrix, within tol, unvalidated.
-
-    Acyclic parts contribute 0, a single vertex its loop count, and each
-    nontrivial strongly connected component its shifted power iteration.
-    spectral_radius calls it after validating a quiver; internal scans whose
-    blocks are cut from nonnegative integer tables call it directly."""
-    rho = 0.0
-    for comp in _components(adj):
-        if len(comp) == 1:
-            v = comp[0]
-            rho = max(rho, float(adj[v, v]))
-        else:
-            rho = max(rho, _power_radius(adj.take(comp, 0).take(comp, 1), tol))
-    return rho
-
-
 def spectral_radius(q: Quiver, tol: float = 1e-12, verify: bool = False) -> float:
     """Largest absolute eigenvalue of the adjacency matrix, within tol.
 
@@ -343,7 +323,13 @@ def spectral_radius(q: Quiver, tol: float = 1e-12, verify: bool = False) -> floa
     _check_tol(tol)
     if q.n == 0:
         return 0.0
-    rho = _radius(q.adj, tol)
+    rho = 0.0
+    for comp in _components(q.adj):
+        if len(comp) == 1:
+            v = comp[0]
+            rho = max(rho, float(q.adj[v, v]))
+            continue
+        rho = max(rho, _power_radius(q.adj.take(comp, 0).take(comp, 1), tol))
     if verify:
         p = char_poly(q)
         if _largest_root_within(p, rho, 10 * tol):

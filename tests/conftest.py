@@ -10,11 +10,11 @@ def radius_calls(monkeypatch):
     """The (size, bytes) of each block whose radius the FP scan kernel
     lattice._largest_rho computes, in order."""
     calls = []
-    radius = lattice._radius
+    radius = lattice.spectral_radius
 
-    def counted(adj, tol):
-        calls.append((len(adj), adj.tobytes()))
-        return radius(adj, tol)
+    def counted(q, *args, **kwargs):
+        calls.append((q.n, q.adj.tobytes()))
+        return radius(q, *args, **kwargs)
 
-    monkeypatch.setattr(lattice, "_radius", counted)
+    monkeypatch.setattr(lattice, "spectral_radius", counted)
     return calls
