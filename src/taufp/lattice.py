@@ -3,10 +3,13 @@
 A lattice is stored by its Hasse diagram: two index arrays over the
 elements, upper[k] covering lower[k].  Names become indices only in
 from_covers; the Weyl BFS and the Nakayama pair order pass index arrays.
-One sort turns the covers into a sorted cover index: the upper covers
-dp(x) of every element x, sorted, in one array with per-element offsets,
-and the upper- and lower-cover counts.  It finds repeated covers and the
-extremes, and q_of, upper_covers and the FP dimension scan read it.  The
+The upper- and lower-cover counts, each in the narrowest integer dtype
+that holds it, give the extremes and the FP dimension scan.  The sorted
+cover index holds the upper covers dp(x) of every element x, sorted, in one
+array with per-element offsets, for q_of and upper_covers.  The
+constructor builds it by one stable sort of all covers, which also finds
+repeated covers; a face-built lattice (below) sorts each element's own
+labelled covers instead, and builds the index only on its first read.  The
 order itself comes from one sweep from the maxima, which builds ancestor
 bitsets (one Python int per element, which makes joins and meets cheap even
 on weak orders with tens of thousands of elements) and rejects cycles and
@@ -78,6 +81,7 @@ class FiniteLattice:
             raise ValueError("duplicate element names")
         self._set_covers(len(self.elements), np.array(upper, dtype=np.int64).reshape(-1),
                          np.array(lower, dtype=np.int64).reshape(-1))
+        self._sort_covers()
         self._sweep()
         self._set_extremes()
         self._qmask = self._certify()
@@ -93,7 +97,12 @@ class FiniteLattice:
         covers form a lattice with those faces (the Weyl face certificate in
         coxeter); here every structural check of the constructor runs but
         the sweep, which waits for the first order query (leq, join, meet,
-        join_all, interval), and the name check.
+        join_all, interval), and the name check.  No two covers above one
+        element share a label (checked), so each element's covers are
+        ordered by a sort of its own at most len(arrow) labelled covers
+        (_face_entries), not by a sort of all the covers; the sorted cover
+        index _dp is built that way on its first read, as the scan of
+        fpdim_lattice reads only the cover counts and the arrow masks.
 
         tree = (parent, gen) names the elements, which are its indices: the
         root 0 has parent -1 and every other k a parent[k] < k, and k is
@@ -106,18 +115,24 @@ class FiniteLattice:
         by induction on the length their parents are equal, and then so are
         they."""
         lat = cls.__new__(cls)
-        lat._tree = tree
-        labels = label[lat._set_covers(len(tree[0]), upper, lower)]
+        lat._tree, lat._label = tree, label
+        lat._set_covers(len(tree[0]), upper, lower)
+        labels = (lat._face_entries() & 15).astype(np.int8)
         lat._set_extremes()
         lat._qmask = _face_masks(lat._n_dp, labels, arrow)
         return lat
 
     def __getattr__(self, name):
-        # only reached for missing attributes: the per-element cover lists,
-        # the name index and (on a face-built lattice) the names, the order,
-        # its positions and its up-sets are built on their first read
+        # only reached for missing attributes: the cover index offsets, the
+        # per-element cover lists, the name index and (on a face-built
+        # lattice) the names, the sorted cover index, the order, its
+        # positions and its up-sets are built on their first read
         if name == "elements":
             self.elements = _words(self._tree)
+        elif name == "_dp":
+            self._dp = self._face_entries() >> 4
+        elif name == "_dp_at":
+            self._dp_at = np.concatenate(([0], np.cumsum(self._n_dp, dtype=np.int64)))
         elif name in ("_parents", "_children"):
             self._cover_lists()
         elif name == "_index":
@@ -130,22 +145,34 @@ class FiniteLattice:
 
     # -- construction helpers -------------------------------------------------
 
-    def _set_covers(self, n: int, up: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    def _set_covers(self, n: int, up: np.ndarray, lo: np.ndarray) -> None:
         """The two cover index arrays over n elements, after checking index
-        ranges, loops and repeated covers, and the sorted cover index: one
-        stable sort by (lower, upper) groups the upper covers of each element
-        x, sorted (the vertex order of Q(x, dp(x))), into _dp[_dp_at[x]:
-        _dp_at[x + 1]]; _n_dp and _n_ds count upper and lower covers.
-        Returns the sort permutation, cover order to index order."""
+        ranges and loops, and the counts _n_dp and _n_ds of upper and lower
+        covers, each in the narrowest integer dtype that holds its maximum
+        (_narrow), so arithmetic on them casts first."""
         self._upper, self._lower = up, lo
-        if len(up) != len(lo) or not np.all((0 <= up) & (up < n) & (0 <= lo) & (lo < n)):
+        if (len(up) != len(lo) or min(up.min(initial=0), lo.min(initial=0)) < 0
+                or max(up.max(initial=0), lo.max(initial=0)) >= n):
             raise ValueError("covers must be two index arrays of one length into elements")
         loops = np.flatnonzero(up == lo)
         if len(loops):
             e = self._name(up[loops[0]])
             raise ValueError(f"cover ({e!r}, {e!r}) relates an element to itself")
-        key = lo.astype(np.int64, copy=False) * n + up
-        order = np.argsort(key, kind="stable")  # a repeat sorts after its first
+        self._n_dp = _narrow(np.bincount(lo, minlength=n))
+        self._n_ds = _narrow(np.bincount(up, minlength=n))
+        self._down: list[int] | None = None
+
+    def _sort_covers(self) -> None:
+        """The sorted cover index, after checking repeated covers: one stable
+        sort by (lower, upper) groups the upper covers of each element x,
+        sorted (the vertex order of Q(x, dp(x))), into _dp[_dp_at[x]:
+        _dp_at[x + 1]], and puts a repeat right after its first, so the
+        earliest repeat in cover order is named.  The generic constructor
+        builds the index this way; a face-built lattice only checks with it
+        when its own per-element sort finds a repeat (_face_entries)."""
+        up, lo = self._upper, self._lower
+        key = lo.astype(np.int64, copy=False) * len(self) + up
+        order = np.argsort(key, kind="stable")
         key = key[order]
         repeat = np.flatnonzero(key[1:] == key[:-1])
         if len(repeat):
@@ -153,11 +180,43 @@ class FiniteLattice:
             raise ValueError(f"duplicate cover ({self._name(up[k])!r}, {self._name(lo[k])!r})")
         del key
         self._dp = up[order]
-        self._n_dp = np.bincount(lo, minlength=n)
-        self._n_ds = np.bincount(up, minlength=n)
-        self._dp_at = np.concatenate(([0], np.cumsum(self._n_dp)))
-        self._down: list[int] | None = None
-        return order
+
+    def _face_entries(self) -> np.ndarray:
+        """The sorted cover index of a face-built lattice, with the labels:
+        the entries upper << 4 | label of the upper covers of each element,
+        element by element, each element's sorted by upper cover.  Labels
+        run below 16, and no two covers above one element share one (on a
+        Weyl lattice the covers above x are the x s_i over its ascents i,
+        or in the opposite order over its right descents; Bjorner-Brenti,
+        GTM 231), so the covers scatter into one row per element at the
+        column of their label, and one sort along the rows orders each
+        element's at most len(arrow) covers, after the negative pads; no
+        sort of all the covers is needed.
+
+        A repeated cover shows as one upper cover twice in a sorted row when
+        its copies carry two labels, and as a row shorter than the element's
+        cover count when they carry one, as do two covers above one element
+        under one label; then _sort_covers names the earliest repeated
+        cover, or ValueError names the first element with two covers under
+        one label."""
+        n, label = len(self), self._label
+        dtype = np.int32 if n < 1 << 27 else np.int64
+        width = int(label.max(initial=-1)) + 1
+        rows = np.full((n, width), -1, dtype=dtype)
+        rows[self._lower, label] = self._upper
+        rows <<= 4
+        rows |= np.arange(width, dtype=dtype)  # the column is the label
+        rows.sort(axis=1)
+        # one upper cover twice in a row: two adjacent entries, not pads,
+        # that differ in the label bits alone (checked on cache-sized blocks)
+        twice = any(np.any((b[:, 1:] ^ b[:, :-1] < 16) & (b[:, :-1] >= 0))
+                    for b in np.split(rows, range(1 << 15, n, 1 << 15)))
+        entries = rows[rows >= 0]
+        if twice or len(entries) != len(self._upper):
+            self._sort_covers()
+            x = np.flatnonzero(np.count_nonzero(rows >= 0, axis=1) != self._n_dp)[0]
+            raise ValueError(f"two covers above {self._name(x)!r} share a label")
+        return entries
 
     def _cover_lists(self) -> None:
         """The per-element lists that the sweep, the join certificate and the
@@ -166,7 +225,7 @@ class FiniteLattice:
         dp, at = self._dp.tolist(), self._dp_at.tolist()
         self._parents: list[list[int]] = [dp[at[x]:at[x + 1]] for x in range(len(self))]
         ds = self._lower[np.argsort(self._upper, kind="stable")].tolist()
-        at = np.concatenate(([0], np.cumsum(self._n_ds))).tolist()
+        at = np.concatenate(([0], np.cumsum(self._n_ds, dtype=np.int64))).tolist()
         self._children: list[list[int]] = [ds[at[x]:at[x + 1]] for x in range(len(self))]
 
     def _dp_of(self, x: int) -> np.ndarray:
@@ -380,6 +439,14 @@ class Covers(Sequence):
         return repr(tuple(self))
 
 
+def _narrow(counts: np.ndarray) -> np.ndarray:
+    """Nonnegative counts in the narrowest signed integer dtype that holds
+    their maximum (int8 on a Weyl lattice: at most rank covers each way)."""
+    top = int(counts.max(initial=0))
+    return counts.astype(next(t for t in (np.int8, np.int16, np.int32, np.int64)
+                              if top <= np.iinfo(t).max))
+
+
 def _no_masks(n_dp) -> np.ndarray:
     """Zero arrow masks, one per element: uint64 while no element has more
     than 8 upper covers (m*m bits fit), else Python ints in an object array."""
@@ -391,19 +458,20 @@ def _face_masks(n_dp, labels, arrow) -> np.ndarray:
     is the number m of upper covers ys of x and labels their labels in the
     order of the sorted cover index (x by x, each ys sorted); bit a*m + b is
     set for the arrow ys[a] -> ys[b] when arrow[labels of ys[a], ys[b]].
-    A mask depends on the row of labels of x alone, so each row is packed
-    into one key, digit a the label of ys[a] plus 1 and 0 past the m covers,
-    in radix max label + 2 (below 10^9 for the labels 0..8 of the Weyl
-    faces); the mask of each distinct key is computed once, on its row
-    read back from the key, and mapped back to the elements."""
+    A mask depends on the row of labels of x alone: the rows, -1 past the m
+    covers, fill one int8 table, and each row is packed into one key, digit
+    a the label of ys[a] plus 1, in radix max label + 2 (below 10^9 for the
+    labels 0..8 of the Weyl faces); the keys are int32 while they fit
+    (radix^width < 2^31, as up to E8).  The mask of each distinct row is
+    computed once and mapped back to the elements."""
     width, radix = int(n_dp.max(initial=0)), int(labels.max(initial=0)) + 2
-    at = np.cumsum(n_dp) - n_dp
-    keys = np.zeros(len(n_dp), dtype=np.int64)
+    rows = np.full((len(n_dp), width), -1, dtype=np.int8)
+    rows[np.arange(width) < n_dp[:, None]] = labels
+    keys = np.zeros(len(n_dp), dtype=np.int32 if radix ** width < 1 << 31 else np.int64)
     for a in range(width):
-        xs = np.flatnonzero(n_dp > a)
-        keys[xs] += (labels[at[xs] + a] + 1).astype(np.int64) * radix ** a
+        keys += (rows[:, a].astype(keys.dtype) + 1) * radix ** a
     first, inverse = _first_occurrences(keys)
-    rows = keys[first, None] // radix ** np.arange(width) % radix - 1
+    rows = rows[first]
     m = np.count_nonzero(rows >= 0, axis=1)
     masks = _no_masks(m)
     one = np.array(1, dtype=masks.dtype)
@@ -416,18 +484,23 @@ def _face_masks(n_dp, labels, arrow) -> np.ndarray:
 
 
 def _sorted_runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One stable sort of a nonempty array of non-negative int64 keys: the
+    """One stable sort of a nonempty array of non-negative integer keys: the
     permutation that sorts them, and over the sorted keys the mask of the
     first of each run of equal keys.
 
     While every key << b fits 63 bits, b the bit width of a position, it
     sorts keys << b | position, which numpy does many times faster than it
-    argsorts the keys."""
+    argsorts the keys; the packed keys take one int64 buffer, shifted, or'ed
+    and sorted in place, which then holds the permutation."""
     size = len(keys)
     shift = (size - 1).bit_length()
     if int(keys.max()) >> (63 - shift) == 0:
-        packed = np.sort(keys << shift | np.arange(size))
-        perm, sorted_keys = packed & ((1 << shift) - 1), packed >> shift
+        perm = keys.astype(np.int64)
+        perm <<= shift
+        perm |= np.arange(size)
+        perm.sort()
+        sorted_keys = perm >> shift
+        perm &= (1 << shift) - 1
     else:
         perm = np.argsort(keys, kind="stable")
         sorted_keys = keys[perm]
@@ -437,7 +510,7 @@ def _sorted_runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _first_occurrences(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For a nonempty array of non-negative int64 keys: the positions of the
+    """For a nonempty array of non-negative integer keys: the positions of the
     first occurrences of the distinct keys, in increasing order, and for each
     position the index among them of its key's first occurrence, both from
     one _sorted_runs."""
@@ -474,7 +547,7 @@ def _words(tree) -> tuple[str, ...]:
 def _arrows(mask, m: int) -> np.ndarray:
     """The m x m adjacency matrix of one arrow mask: entry [a, b] is bit
     a*m + b, the arrow ys[a] -> ys[b] on the sorted upper covers ys."""
-    mask = int(mask)
+    mask, m = int(mask), int(m)
     return np.array([mask >> i & 1 for i in range(m * m)], dtype=np.int64).reshape(m, m)
 
 
@@ -482,16 +555,16 @@ def _first_positions(keys: np.ndarray) -> list[int]:
     """The positions of the first occurrences of the distinct keys of a
     nonempty 1-d array, in increasing order.
 
-    Nonnegative integer keys of b < 54 bits (the uint64 arrow masks of
-    fpdim_lattice) are cut into chunks of 2^(63 - b) positions, the largest
-    at which _sorted_runs takes its packed sort, and each chunk yields the
-    first position of each of its keys; np.unique of these, in chunk order,
-    keeps the earliest.  At E7 the keys need 49 bits, too many to pack with
-    the 22 bits of 2.9 M positions at once.  Other keys (the bytes of
-    Nakayama blocks, Python ints, wider integers) go through one dict, whose
-    insertion order is first-occurrence order."""
-    if keys.dtype.kind in "iu" and int(keys.min()) >= 0 and int(keys.max()) >> 53 == 0:
-        step, wide = 1 << (63 - int(keys.max()).bit_length()), keys.astype(np.int64)
+    Nonnegative 64-bit integer keys of b < 54 bits (the uint64 keys of
+    fpdim_lattice, read as int64 in place) are cut into chunks of 2^(63 - b)
+    positions, the largest at which _sorted_runs takes its packed sort, and
+    each chunk yields the first position of each of its keys; np.unique of
+    these, in chunk order, keeps the earliest.  At E7 the keys need 49 bits,
+    too many to pack with the 22 bits of 2.9 M positions at once.  Other
+    keys (the bytes of Nakayama blocks, Python ints, other integer dtypes)
+    go through one dict, whose insertion order is first-occurrence order."""
+    if keys.dtype in (np.int64, np.uint64) and int(keys.min()) >= 0 and int(keys.max()) >> 53 == 0:
+        step, wide = 1 << (63 - int(keys.max()).bit_length()), keys.view(np.int64)
         firsts = []
         for at in range(0, len(keys), step):
             perm, new = _sorted_runs(wide[at:at + step])
@@ -533,8 +606,9 @@ def _largest_rho(keys: np.ndarray, block_at, tol: float,
         rho = radii.get(key)
         if rho is None:
             block = block_at(k)
-            if (np.maximum.reduce(np.add.reduce(block, axis=1), initial=0) <= best
-                    or np.maximum.reduce(np.add.reduce(block, axis=0), initial=0) <= best):
+            rows = block.tolist()
+            if (max(map(sum, rows), default=0) <= best
+                    or max(map(sum, zip(*rows)), default=0) <= best):
                 continue
             rho = radii[key] = spectral_radius(Quiver(range(len(block)), block), tol=tol)
         if rho > best + tol:
@@ -594,8 +668,9 @@ def fpdim_lattice(lat: FiniteLattice, tol: float = 1e-12) -> tuple[float, str | 
     Maximizes rho(Q(x, dp(x))) over all x below the maximum, reading the
     arrow masks stored by the constructor (no join here); elements with one
     upper cover contribute 0.  An element with m >= 2 covers has the key
-    mask | 1 << (m*m - 1), which fixes m as that bit (a loop) never occurs,
-    and _largest_rho computes one rho per distinct key, at its first element
+    mask | 1 << (m*m - 1), which fixes m as that bit (a loop) never occurs;
+    the keys take one buffer, and a block is read off its key without that
+    bit.  _largest_rho computes one rho per distinct key, at its first element
     in declaration order; a later one wins only by more than tol.  With no
     rho above tol the witness is the first element below the maximum; a
     one-element lattice gives (0.0, None).
@@ -603,12 +678,18 @@ def fpdim_lattice(lat: FiniteLattice, tol: float = 1e-12) -> tuple[float, str | 
     _check_tol(tol)
     if len(lat) == 1:
         return 0.0, None
-    xs = np.flatnonzero(lat._n_dp >= 2)
-    m = lat._n_dp[xs]
-    mask = lat._qmask[xs]
-    keys = mask | np.array(1, dtype=mask.dtype) << (m * m - 1).astype(mask.dtype)
-    rho, k = _largest_rho(keys, lambda i: _arrows(mask[i], m[i]), tol)
-    witness = (1 if lat._max == 0 else 0) if k is None else xs[k]
+    scanned = lat._n_dp >= 2
+    keys, m = lat._qmask[scanned], lat._n_dp[scanned]
+    size = m.astype(keys.dtype)  # m * m would overflow the narrow counts
+    keys |= np.left_shift(1, size * size - 1)
+
+    def block_at(i):
+        block = _arrows(keys[i], m[i])
+        block[-1, -1] = 0  # the size bit, no arrow
+        return block
+
+    rho, k = _largest_rho(keys, block_at, tol)
+    witness = (1 if lat._max == 0 else 0) if k is None else np.flatnonzero(scanned)[k]
     return rho, lat._name(witness)
 
 

@@ -375,10 +375,18 @@ def test_model_fpdim_builds_no_upsets():
     model = tau_tiltp_model(cartan_matrix("D", 5))
     fpdim_lattice(model)
     assert not {"_up", "_pos", "_toporder"} & set(vars(model)) and model._down is None
-    # nor any per-element list or the name index: the scan reads the cover index
-    assert not {"_parents", "_children", "_index"} & set(vars(model))
+    # nor any per-element list, the name index or the sorted cover index: the
+    # scan reads the cover counts and the arrow masks
+    assert not {"_parents", "_children", "_index", "_dp", "_dp_at"} & set(vars(model))
     assert model.leq(model.minimum, model.maximum)
     assert {"_up", "_pos", "_toporder"} <= set(vars(model))
+    # the cover index is built on the first upper_covers or q_of
+    for read in (lambda lat: lat.upper_covers(lat.minimum),
+                 lambda lat: q_of(lat, lat.minimum).labels):
+        lat = tau_tiltp_model(cartan_matrix("D", 5))
+        fpdim_lattice(lat)
+        assert not {"_dp", "_dp_at"} & set(vars(lat))
+        assert len(read(lat)) == 5 and {"_dp", "_dp_at"} <= set(vars(lat))
 
 
 def _sha256(lines) -> str:

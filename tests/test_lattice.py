@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from taufp import lattice
-from taufp.coxeter import cartan_matrix, weak_order
+from taufp.coxeter import _weak_order_covers, cartan_matrix, weak_order
 from taufp.errors import LatticeError
 from taufp.lattice import (
     FiniteLattice,
@@ -389,6 +389,61 @@ def test_face_masks_beyond_64_bits():
     assert fpdim_lattice(lat) == (pytest.approx(2 * math.cos(math.pi / 10), abs=1e-12), "e")
     joined = FiniteLattice(names, up, lo)
     assert joined._qmask.dtype == object and fpdim_lattice(joined) == (0.0, "e")
+
+
+def test_face_route_structural_errors():
+    # the per-element cover sort of the face route runs the checks of the
+    # generic one: A2's covers with a cover repeated (under its own label or
+    # under a free one) or a second cover above one element under one label
+    tree, upper, lower, label = _weak_order_covers(cartan_matrix("A", 2), 100)
+    names = ("e", "1", "2", "12", "21", "121")
+    arrow = np.ones((2, 2), dtype=bool)
+
+    def build(*extra):
+        up, lo, lab = np.array(extra, dtype=np.int64).reshape(-1, 3).T
+        return FiniteLattice._from_faces(tree, np.concatenate([upper, up]),
+                                         np.concatenate([lower, lo]),
+                                         np.concatenate([label, lab]), arrow)
+
+    for extra, named in [
+        ([(3, 1, 1)], "('12', '1')"),  # under its own label
+        ([(3, 1, 0)], "('12', '1')"),  # under a label no cover of '1' has
+        # of two repeats the earlier in cover order is named, though its
+        # lower element sorts after the other's
+        ([(5, 3, 0), (1, 0, 0)], "('121', '12')"),
+    ]:
+        with pytest.raises(ValueError, match=re.escape(f"duplicate cover {named}")):
+            build(*extra)
+    with pytest.raises(ValueError, match="two covers above '1' share a label"):
+        build((4, 1, 1))
+    lat = build()
+    assert lat.elements == names and lat.upper_covers("1") == {"12"}
+    with pytest.raises(ValueError, match=r"cover \('1', '1'\) relates"):
+        build((1, 1, 0))
+
+
+@pytest.mark.parametrize("m, dtype", [(20, np.int8), (130, np.int16)])
+def test_narrow_cover_counts(m, dtype):
+    # the bottom b has m atoms, a_i and a_i+1 lie below c_i and all else
+    # below the top, so Q(b, dp(b)) is the complement of a path on m vertices:
+    # m * m bits overflow int8 at m = 20, and the count itself does at 130
+    atoms, mids = [f"a{i}" for i in range(m)], [f"c{i}" for i in range(m - 1)]
+    names = ["b", *atoms, *mids, "t"]
+    covers = ([(a, "b") for a in atoms] + [("t", c) for c in mids]
+              + [(c, a) for i, c in enumerate(mids) for a in atoms[i:i + 2]])
+    lat = from_covers(names, covers)
+    assert lat._n_dp.dtype == lat._n_ds.dtype == dtype
+    above = {}
+    for x in reversed(names):  # every cover goes up in the list
+        ups = {u for u, l in covers if l == x}
+        assert lat.upper_covers(x) == ups
+        assert lat.lower_covers(x) == {l for u, l in covers if u == x}
+        above[x] = {x}.union(*(above[u] for u in ups))
+    for x, y in itertools.product(names, repeat=2):
+        assert lat.leq(x, y) == (y in above[x])
+    value, witness, _ = fpdim_reference(names, covers, 1e-12)
+    assert witness == "b" and value > m - 4
+    assert fpdim_lattice(lat) == (pytest.approx(value, abs=1e-9), witness)
 
 
 @pytest.mark.parametrize("scale", [1, 2**40, 2**56])
