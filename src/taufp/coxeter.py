@@ -61,12 +61,24 @@ __all__ = [
 DEFAULT_BUDGET = 60000
 
 
+def _degrees(family: str, rank: int) -> tuple[int, ...]:
+    """The degrees of the basic invariants of the Weyl group of a Dynkin
+    type (Humphreys, Reflection Groups and Coxeter Groups, 3.7): their
+    product is the group order and their maximum the Coxeter number."""
+    if family == "A":
+        return tuple(range(2, rank + 2))
+    if family in ("B", "C"):
+        return tuple(range(2, 2 * rank + 1, 2))
+    if family == "D":
+        return (*range(2, 2 * rank - 1, 2), rank)
+    return {("E", 6): (2, 5, 6, 8, 9, 12), ("E", 7): (2, 6, 8, 10, 12, 14, 18),
+            ("E", 8): (2, 8, 12, 14, 18, 20, 24, 30), ("F", 4): (2, 6, 8, 12),
+            ("G", 2): (2, 6)}[family, rank]
+
+
 def _coxeter_number(family: str, rank: int) -> int:
     """h, the order of a Coxeter element; the highest root has height h - 1."""
-    if family == "E":
-        return {6: 12, 7: 18, 8: 30}[rank]
-    return {"A": rank + 1, "B": 2 * rank, "C": 2 * rank, "D": 2 * rank - 2,
-            "F": 12, "G": 6}[family]
+    return max(_degrees(family, rank))
 
 
 def _check_type_rank(family: str, rank: int) -> int:
@@ -202,20 +214,8 @@ def coxeter_exponent(cartan: CartanData, i: int, j: int) -> int:
 
 
 def weyl_order(family: str, rank: int) -> int:
-    """Order of the Weyl group, by the classical product formulas."""
-    n = _check_type_rank(family, rank)
-    fact = math.factorial(n)
-    if family == "A":
-        return fact * (n + 1)
-    if family in ("B", "C"):
-        return (2**n) * fact
-    if family == "D":
-        return (2 ** (n - 1)) * fact
-    if family == "E":
-        return {6: 51840, 7: 2903040, 8: 696729600}[n]
-    if family == "F":
-        return 1152
-    return 12  # G2
+    """Order of the Weyl group: the product of its degrees."""
+    return math.prod(_degrees(family, _check_type_rank(family, rank)))
 
 
 @dataclass(frozen=True, eq=False)

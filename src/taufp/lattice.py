@@ -28,19 +28,25 @@ cover of y v y'.  Weyl weak orders and their opposites are certified by
 their rank-2 faces instead (coxeter checks that each is the 2 m_ij-gon
 x W_ij on the generator labels of the covers), and their cover quivers are
 read off those labels by _from_faces with no join, no bitset and no
-per-element list; each distinct row of labels gets its mask once.  Their
-sweep waits for the first order query, and their names for the first read
-of elements: such a lattice keeps the BFS tree, parent and generator per
-element, and reads a single name (the extremes, the FP dimension witness,
-an error message) off it as a word, so its length, covers count, extremes
-and FP dimension build no name list.  Either way
-each Q(x, dp(x)) is one row-major bitmask over the sorted dp(x), in one
-array that q_of and fpdim_lattice read through _arrows.  fpdim_lattice and
-the Nakayama scans take the largest spectral radius over small integer
-blocks through one kernel, _largest_rho: one radius per distinct key, at
-its first occurrence, and a later block wins only by more than tol; a block
-whose row- and column-sum bound cannot beat the best so far is skipped, and
-scans that share their radii compute a block common to them once.
+per-element list.  Their sweep waits for the first order query, and their
+names for the first read of elements: such a lattice keeps the BFS tree,
+parent and generator per element, and reads a single name (the extremes,
+the FP dimension witness, an error message) off it as a word, so its
+length, covers count, extremes and FP dimension build no name list.
+
+Either way the elements fall into classes with one cover quiver each:
+_qclass holds the class of every element, the classes numbered in order of
+their first elements, and _quivers one key (m, mask) per class, m the
+number of upper covers and mask the arrows of Q(x, dp(x)) as one row-major
+bitmask over the sorted dp(x), which q_of and fpdim_lattice read through
+_arrows.  The generic certificate makes one class per distinct key; the
+face route one per distinct row of labels, so there two classes can share
+a key.  fpdim_lattice and the Nakayama scans take the largest spectral
+radius over small integer blocks through one kernel, _largest_rho: one
+radius per distinct key, at its first occurrence, and a later block wins
+only by more than tol; a block whose row- and column-sum bound cannot beat
+the best so far is skipped, and scans that share their radii compute a
+block common to them once.
 """
 
 from __future__ import annotations
@@ -84,7 +90,7 @@ class FiniteLattice:
         self._sort_covers()
         self._sweep()
         self._set_extremes()
-        self._qmask = self._certify()
+        self._qclass, self._quivers = self._certify()
 
     @classmethod
     def _from_faces(cls, tree, upper, lower, label, arrow) -> FiniteLattice:
@@ -102,7 +108,8 @@ class FiniteLattice:
         ordered by a sort of its own at most len(arrow) labelled covers
         (_face_entries), not by a sort of all the covers; the sorted cover
         index _dp is built that way on its first read, as the scan of
-        fpdim_lattice reads only the cover counts and the arrow masks.
+        fpdim_lattice reads only the cover quiver classes.  The classes are
+        the distinct rows of labels (_face_masks).
 
         tree = (parent, gen) names the elements, which are its indices: the
         root 0 has parent -1 and every other k a parent[k] < k, and k is
@@ -119,7 +126,7 @@ class FiniteLattice:
         lat._set_covers(len(tree[0]), upper, lower)
         labels = (lat._face_entries() & 15).astype(np.int8)
         lat._set_extremes()
-        lat._qmask = _face_masks(lat._n_dp, labels, arrow)
+        lat._qclass, lat._quivers = _face_masks(lat._n_dp, labels, arrow)
         return lat
 
     def __getattr__(self, name):
@@ -302,14 +309,18 @@ class FiniteLattice:
             self._down = down
         return self._down
 
-    def _certify(self) -> np.ndarray:
-        """Join every two upper covers of each element; return the arrows of
-        each Q(x, dp(x)) as a bitmask, bit a*m + b for the arrow ys[a] -> ys[b]
-        on the m sorted upper covers ys.  With the unique extremes already
-        checked, these joins prove the lattice axioms (module docstring)."""
+    def _certify(self) -> tuple[np.ndarray, list[tuple[int, int]]]:
+        """Join every two upper covers of each element; return the cover
+        quiver classes (module docstring): the class of each element, and
+        per class its key (m, mask), mask the arrows of Q(x, dp(x)) with bit
+        a*m + b for the arrow ys[a] -> ys[b] on the m sorted upper covers
+        ys.  One dict numbers the distinct keys in element order.  With the
+        unique extremes already checked, these joins prove the lattice
+        axioms (module docstring)."""
         children = self._children
-        qmask = _no_masks(self._n_dp)
-        for x, ys in enumerate(self._parents):
+        classes: dict[tuple[int, int], int] = {}
+        qclass = []
+        for ys in self._parents:
             m = len(ys)
             mask = 0
             for a in range(m):
@@ -319,8 +330,8 @@ class FiniteLattice:
                         mask |= 1 << (a * m + b)
                     if ys[b] not in ds:
                         mask |= 1 << (b * m + a)
-            qmask[x] = mask
-        return qmask
+            qclass.append(classes.setdefault((m, mask), len(classes)))
+        return np.array(qclass, dtype=np.int32), list(classes)
 
     def _join_idx(self, i: int, j: int) -> int:
         # Bits sit at topological positions, maxima first, so any element of
@@ -447,23 +458,19 @@ def _narrow(counts: np.ndarray) -> np.ndarray:
                               if top <= np.iinfo(t).max))
 
 
-def _no_masks(n_dp) -> np.ndarray:
-    """Zero arrow masks, one per element: uint64 while no element has more
-    than 8 upper covers (m*m bits fit), else Python ints in an object array."""
-    return np.zeros(len(n_dp), dtype=np.uint64 if n_dp.max(initial=0) <= 8 else object)
-
-
-def _face_masks(n_dp, labels, arrow) -> np.ndarray:
-    """The arrow masks of _certify's layout read off cover labels: n_dp[x]
-    is the number m of upper covers ys of x and labels their labels in the
-    order of the sorted cover index (x by x, each ys sorted); bit a*m + b is
-    set for the arrow ys[a] -> ys[b] when arrow[labels of ys[a], ys[b]].
-    A mask depends on the row of labels of x alone: the rows, -1 past the m
-    covers, fill one int8 table, and each row is packed into one key, digit
+def _face_masks(n_dp, labels, arrow) -> tuple[np.ndarray, list[tuple[int, int]]]:
+    """The cover quiver classes of _certify's layout read off cover labels:
+    n_dp[x] is the number m of upper covers ys of x and labels their labels
+    in the order of the sorted cover index (x by x, each ys sorted); bit
+    a*m + b of a class's mask is set for the arrow ys[a] -> ys[b] when
+    arrow[labels of ys[a], ys[b]].  A mask depends on the row of labels of
+    x alone, so the classes are the distinct rows: they fill one int8
+    table, -1 past the m covers, and each row is packed into one key, digit
     a the label of ys[a] plus 1, in radix max label + 2 (below 10^9 for the
     labels 0..8 of the Weyl faces); the keys are int32 while they fit
-    (radix^width < 2^31, as up to E8).  The mask of each distinct row is
-    computed once and mapped back to the elements."""
+    (radix^width < 2^31, as up to E8).  _first_occurrences numbers the
+    distinct rows in element order, and the mask of each is computed once,
+    in uint64 while m*m bits fit (m <= 8), else as Python ints."""
     width, radix = int(n_dp.max(initial=0)), int(labels.max(initial=0)) + 2
     rows = np.full((len(n_dp), width), -1, dtype=np.int8)
     rows[np.arange(width) < n_dp[:, None]] = labels
@@ -471,27 +478,29 @@ def _face_masks(n_dp, labels, arrow) -> np.ndarray:
     for a in range(width):
         keys += (rows[:, a].astype(keys.dtype) + 1) * radix ** a
     first, inverse = _first_occurrences(keys)
+    del keys
     rows = rows[first]
     m = np.count_nonzero(rows >= 0, axis=1)
-    masks = _no_masks(m)
+    masks = np.zeros(len(m), dtype=np.uint64 if width <= 8 else object)
     one = np.array(1, dtype=masks.dtype)
     for a, b in itertools.permutations(range(width), 2):
         # a row holds -1 past its m labels, which arrow reads as its last
         # row or column and m > max(a, b) masks out
         hit = (m > max(a, b)) & arrow[rows[:, a], rows[:, b]]
         masks[hit] |= one << (a * m[hit] + b).astype(masks.dtype)
-    return masks[inverse]
+    return inverse.astype(np.int32), list(zip(m.tolist(), masks.tolist()))
 
 
-def _sorted_runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One stable sort of a nonempty array of non-negative integer keys: the
-    permutation that sorts them, and over the sorted keys the mask of the
-    first of each run of equal keys.
+def _first_occurrences(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For a nonempty array of non-negative integer keys: the positions of the
+    first occurrences of the distinct keys, in increasing order, and for each
+    position the index among them of its key's first occurrence.
 
-    While every key << b fits 63 bits, b the bit width of a position, it
-    sorts keys << b | position, which numpy does many times faster than it
-    argsorts the keys; the packed keys take one int64 buffer, shifted, or'ed
-    and sorted in place, which then holds the permutation."""
+    One stable sort finds the runs of equal keys.  While every key << b fits
+    63 bits, b the bit width of a position, it sorts keys << b | position,
+    which numpy does many times faster than it argsorts the keys; the packed
+    keys take one int64 buffer, shifted, or'ed and sorted in place, which
+    then holds the permutation."""
     size = len(keys)
     shift = (size - 1).bit_length()
     if int(keys.max()) >> (63 - shift) == 0:
@@ -506,16 +515,7 @@ def _sorted_runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         sorted_keys = keys[perm]
     new = np.ones(size, dtype=bool)  # the first of each run of equal sorted keys
     np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=new[1:])
-    return perm, new
-
-
-def _first_occurrences(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For a nonempty array of non-negative integer keys: the positions of the
-    first occurrences of the distinct keys, in increasing order, and for each
-    position the index among them of its key's first occurrence, both from
-    one _sorted_runs."""
-    size = len(keys)
-    perm, new = _sorted_runs(keys)
+    del sorted_keys
     is_first = np.zeros(size, dtype=bool)
     is_first[perm[new]] = True
     index = np.empty(size, dtype=np.int64)
@@ -544,51 +544,24 @@ def _words(tree) -> tuple[str, ...]:
     return tuple(words)
 
 
-def _arrows(mask, m: int) -> np.ndarray:
-    """The m x m adjacency matrix of one arrow mask: entry [a, b] is bit
-    a*m + b, the arrow ys[a] -> ys[b] on the sorted upper covers ys."""
-    mask, m = int(mask), int(m)
+def _arrows(m: int, mask: int) -> np.ndarray:
+    """The m x m adjacency matrix of one class key (m, mask): entry [a, b]
+    is bit a*m + b, the arrow ys[a] -> ys[b] on the sorted upper covers ys."""
     return np.array([mask >> i & 1 for i in range(m * m)], dtype=np.int64).reshape(m, m)
 
 
-def _first_positions(keys: np.ndarray) -> list[int]:
-    """The positions of the first occurrences of the distinct keys of a
-    nonempty 1-d array, in increasing order.
-
-    Nonnegative 64-bit integer keys of b < 54 bits (the uint64 keys of
-    fpdim_lattice, read as int64 in place) are cut into chunks of 2^(63 - b)
-    positions, the largest at which _sorted_runs takes its packed sort, and
-    each chunk yields the first position of each of its keys; np.unique of
-    these, in chunk order, keeps the earliest.  At E7 the keys need 49 bits,
-    too many to pack with the 22 bits of 2.9 M positions at once.  Other
-    keys (the bytes of Nakayama blocks, Python ints, other integer dtypes)
-    go through one dict, whose insertion order is first-occurrence order."""
-    if keys.dtype in (np.int64, np.uint64) and int(keys.min()) >= 0 and int(keys.max()) >> 53 == 0:
-        step, wide = 1 << (63 - int(keys.max()).bit_length()), keys.view(np.int64)
-        firsts = []
-        for at in range(0, len(keys), step):
-            perm, new = _sorted_runs(wide[at:at + step])
-            firsts.append(at + perm[new])
-        first = np.concatenate(firsts)
-        return np.sort(first[np.unique(keys[first], return_index=True)[1]]).tolist()
-    first: dict = {}
-    for k, key in enumerate(keys.tolist()):
-        first.setdefault(key, k)
-    return list(first.values())
-
-
-def _largest_rho(keys: np.ndarray, block_at, tol: float,
+def _largest_rho(keys, block_at, tol: float,
                  radii: dict | None = None) -> tuple[float, int | None]:
     """The largest spectral radius over nonnegative int64 square blocks, and
     the position in keys of the block attaining it, or (0.0, None) if none
     exceeds tol.
 
-    Equal keys (a 1-d array) stand for equal blocks: each distinct key is
-    visited once, at its first position k, in position order; a block wins
-    only by more than tol over the best so far, so ties go to the earliest
-    position.  radii maps keys to the radii already computed and is filled
-    in here, so scans that share it (with keys that stand for equal blocks
-    across them) compute each block once.
+    Equal keys (any hashable values) stand for equal blocks: each distinct
+    key is visited once, at its first position k, in position order; a
+    block wins only by more than tol over the best so far, so ties go to
+    the earliest position.  radii maps keys to the radii already computed
+    and is filled in here, so scans that share it (with keys that stand for
+    equal blocks across them) compute each block once.
 
     A key not in radii reads block_at(k) and first takes the integer bound
     b = min(max row sum, max column sum) >= rho.  If b <= best, rho is not
@@ -598,11 +571,11 @@ def _largest_rho(keys: np.ndarray, block_at, tol: float,
     while a win needs more than best + tol.  A skipped block could never
     have won, so the value and witness are those of the unpruned scan."""
     radii = {} if radii is None else radii
-    best, witness = 0.0, None
-    if not len(keys):
-        return best, witness
-    for k in _first_positions(keys):
-        key = keys[k]
+    best, witness, seen = 0.0, None, set()
+    for k, key in enumerate(keys):
+        if key in seen:
+            continue
+        seen.add(key)
         rho = radii.get(key)
         if rho is None:
             block = block_at(k)
@@ -659,37 +632,29 @@ def q_of(lat: FiniteLattice, x: str, ys=None) -> Quiver:
     if stray:
         raise ValueError(f"{stray[0]!r} is not an upper cover of {x!r}")
     rows = [a for a, y in enumerate(dp) if y in ys]
-    return Quiver([dp[a] for a in rows], _arrows(lat._qmask[ix], len(dp))[np.ix_(rows, rows)])
+    return Quiver([dp[a] for a in rows],
+                  _arrows(*lat._quivers[lat._qclass[ix]])[np.ix_(rows, rows)])
 
 
 def fpdim_lattice(lat: FiniteLattice, tol: float = 1e-12) -> tuple[float, str | None]:
     """FP dimension of a finite lattice, with a witness element.
 
     Maximizes rho(Q(x, dp(x))) over all x below the maximum, reading the
-    arrow masks stored by the constructor (no join here); elements with one
-    upper cover contribute 0.  An element with m >= 2 covers has the key
-    mask | 1 << (m*m - 1), which fixes m as that bit (a loop) never occurs;
-    the keys take one buffer, and a block is read off its key without that
-    bit.  _largest_rho computes one rho per distinct key, at its first element
-    in declaration order; a later one wins only by more than tol.  With no
-    rho above tol the witness is the first element below the maximum; a
-    one-element lattice gives (0.0, None).
+    cover quiver classes stored by the constructor (no join here):
+    _largest_rho takes the class keys (m, mask) in class order, so it
+    computes one rho per distinct key, at its first class, which holds its
+    first element in declaration order; a later one wins only by more than
+    tol.  Elements with at most one upper cover contribute 0, as the bound
+    of their block is 0.  The witness is the first element of the winning
+    class; with no rho above tol it is the first element below the maximum,
+    and a one-element lattice gives (0.0, None).
     """
     _check_tol(tol)
     if len(lat) == 1:
         return 0.0, None
-    scanned = lat._n_dp >= 2
-    keys, m = lat._qmask[scanned], lat._n_dp[scanned]
-    size = m.astype(keys.dtype)  # m * m would overflow the narrow counts
-    keys |= np.left_shift(1, size * size - 1)
-
-    def block_at(i):
-        block = _arrows(keys[i], m[i])
-        block[-1, -1] = 0  # the size bit, no arrow
-        return block
-
-    rho, k = _largest_rho(keys, block_at, tol)
-    witness = (1 if lat._max == 0 else 0) if k is None else np.flatnonzero(scanned)[k]
+    quivers = lat._quivers
+    rho, c = _largest_rho(quivers, lambda c: _arrows(*quivers[c]), tol)
+    witness = (1 if lat._max == 0 else 0) if c is None else int(np.argmax(lat._qclass == c))
     return rho, lat._name(witness)
 
 

@@ -346,10 +346,6 @@ class _Tables:
         except KeyError:
             raise ValueError(f"{m} does not exist over {self.name}") from None
 
-    def tau_down(self, mmask: int) -> int:
-        """Modules N with Hom(N, tau M) != 0 for some summand M in mmask."""
-        return _union(self.tau_hom, mmask)
-
     @cached_property
     def bad(self) -> list[int]:
         """The branching rule of the pair search, which adds summands in
@@ -442,7 +438,7 @@ class _Tables:
         holds = _transpose(mms, len(self.mods))  # per module, the pairs holding it
         vert = _transpose(pms, self.n)
         full = (1 << len(mms)) - 1
-        free = [full & ~_union(holds, self.tau_down(1 << i)) for i in range(len(self.mods))]
+        free = [full & ~_union(holds, d) for d in self.tau_hom]
         lower = []
         for x, (mm, pm) in enumerate(zip(mms, pms)):
             down = full ^ 1 << x
@@ -647,13 +643,12 @@ def ext_quiver(a: NakayamaAlgebra, mods) -> Quiver:
     return Quiver([str(t.mods[i]) for i in idx], [[t.ext(i, j) for j in idx] for i in idx])
 
 
-def _maximal_blocks(t: _Tables, table: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+def _maximal_blocks(t: _Tables, table: np.ndarray) -> tuple[list[bytes], list[np.ndarray]]:
     """The blocks of a module-by-module table on the maximal semibricks, in
     search order, and their keys: the bytes of each int64 block, whose
-    count fixes the size (an object array, since numpy's fixed-width bytes
-    would drop trailing zero bytes and merge blocks of different sizes)."""
+    count fixes the size."""
     blocks = [table.take(i, 0).take(i, 1) for i in t.maximal_index]
-    return np.array([b.tobytes() for b in blocks], dtype=object), blocks
+    return [b.tobytes() for b in blocks], blocks
 
 
 def fpdim_nakayama(
@@ -707,8 +702,9 @@ def bongartz_completion(a: NakayamaAlgebra, m: Uniserial, max_n: int = DEFAULT_M
 
     For a non-projective tau-rigid M over a cyclic algebra this is the
     explicit completion M + sum_{j<l} M(i;j) + sum_{l<=k<n} P(i-1+k) with
-    no projective slot; the result is verified maximal against the full
-    enumeration.  Projective or linear inputs fall back to the search.
+    no projective slot.  The completion is always found by the full
+    enumeration, as the one maximal pair containing M; for a non-projective
+    M over a cyclic algebra the formula is cross-checked against it.
     """
     t = a._tables
     i = t.find(m)

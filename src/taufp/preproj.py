@@ -99,26 +99,20 @@ def dynkin_rho(family: str, rank: int, minimal: bool = True) -> float:
     carries a loop and the radius shifts accordingly.
     """
     n = _check_type_rank(family, rank)
-    if minimal:
-        if family == "A":
-            return 2 * math.cos(math.pi / (n + 1))
-        if family == "B":
-            return 1 + 2 * math.cos(2 * math.pi / (2 * n + 1))
-        if family == "C":
-            return 2 * math.cos(math.pi / (2 * n + 1))
-        if family == "D":
-            return 2 * math.cos(math.pi / (2 * (n - 1)))
-        if family == "E":
-            return 2 * math.cos(math.pi / _coxeter_number("E", n))
-        if family == "F":
-            return (1 + math.sqrt(13)) / 2
-        return (1 + math.sqrt(5)) / 2  # G2
-    if family == "D":
-        return 1 + 2 * math.cos(math.pi / (2 * (n - 1)))
-    if family == "E":
-        return 1 + 2 * math.cos(math.pi / _coxeter_number("E", n))
-    # A, B, C, F4, G2 all collapse onto the A_n shape plus loops
-    return 1 + 2 * math.cos(math.pi / (n + 1))
+    if family in ("A", "D", "E"):
+        # the double Dynkin quiver has rho 2 cos(pi / h); loops add 1
+        r = 2 * math.cos(math.pi / _coxeter_number(family, n))
+        return r if minimal else 1 + r
+    if not minimal:
+        # B, C, F4, G2 all collapse onto the A_n shape plus loops
+        return 1 + 2 * math.cos(math.pi / (n + 1))
+    if family == "B":
+        return 1 + 2 * math.cos(2 * math.pi / (2 * n + 1))
+    if family == "C":
+        return 2 * math.cos(math.pi / (2 * n + 1))
+    if family == "F":
+        return (1 + math.sqrt(13)) / 2
+    return (1 + math.sqrt(5)) / 2  # G2
 
 
 def bn_family_char_polys(n_max: int, tol: float = 1e-9) -> list[IntPolynomial]:

@@ -327,7 +327,8 @@ def test_face_masks_equal_join_masks(fam, rank):
         joined = FiniteLattice(lat.elements, lat._upper, lat._lower)
         for index in ("_dp", "_dp_at", "_n_dp", "_n_ds"):
             assert np.array_equal(getattr(lat, index), getattr(joined, index)), index
-        assert lat._qmask.tolist() == joined._qmask.tolist()
+        assert ([lat._quivers[c] for c in lat._qclass.tolist()]
+                == [joined._quivers[c] for c in joined._qclass.tolist()])
         assert (lat._max, lat._min) == (joined._max, joined._min)
 
 

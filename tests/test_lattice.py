@@ -17,7 +17,6 @@ from taufp.lattice import (
     FiniteLattice,
     _face_masks,
     _first_occurrences,
-    _first_positions,
     _largest_rho,
     fpdim_lattice,
     from_covers,
@@ -364,10 +363,11 @@ def test_face_masks_beyond_64_bits():
     arrow = np.abs(np.subtract.outer(np.arange(9), np.arange(9))) == 1
     shuffle = rng.permutation(9)
     # element 0 has the nine upper covers 1..9, labelled in index order
-    masks = _face_masks(np.array([9] + [0] * 9), label, arrow)
+    qclass, quivers = _face_masks(np.array([9] + [0] * 9), label, arrow)
     want = sum(1 << (a * 9 + b) for a in range(9) for b in range(9)
                if abs(int(label[a]) - int(label[b])) == 1)
-    assert masks.tolist() == [want] + [0] * 9 and want.bit_length() > 64
+    assert qclass.tolist() == [0] + [1] * 9 and quivers == [(9, want), (0, 0)]
+    assert want.bit_length() > 64
     # the same element read through a lattice (the bottom, nine atoms, the
     # top) whose covers come shuffled: the cover index sorts them back; the
     # tree names the bottom e, atom k by its label and the top above atom 1
@@ -378,17 +378,17 @@ def test_face_masks_beyond_64_bits():
                                     arrow)
     names = lat.elements
     assert names == ("e", *(str(g + 1) for g in label), f"{label[0] + 1}{label[1] + 1}")
-    assert lat._qmask[0] == want
+    assert lat._quivers[lat._qclass[0]] == (9, want)
     assert q_of(lat, "e").adj.tolist() == arrow[np.ix_(label, label)].astype(int).tolist()
     assert _face_masks(np.array([8] + [0] * 8), np.arange(8),
-                       arrow)[0] == sum(1 << (a * 8 + b) for a in range(8) for b in range(8)
-                                        if abs(a - b) == 1)
-    # the scan keys such masks in an object array: the atoms carry the path
-    # A9, while the join constructor sees every atom below the top, so no arrow
-    assert lat._qmask.dtype == object
+                       arrow)[1][0] == (8, sum(1 << (a * 8 + b) for a in range(8)
+                                               for b in range(8) if abs(a - b) == 1))
+    # the atoms carry the path A9, while the join constructor sees every
+    # atom below the top, so no arrow
     assert fpdim_lattice(lat) == (pytest.approx(2 * math.cos(math.pi / 10), abs=1e-12), "e")
     joined = FiniteLattice(names, up, lo)
-    assert joined._qmask.dtype == object and fpdim_lattice(joined) == (0.0, "e")
+    assert joined._quivers[joined._qclass[0]] == (9, 0)
+    assert fpdim_lattice(joined) == (0.0, "e")
 
 
 def test_face_route_structural_errors():
@@ -472,26 +472,20 @@ def test_largest_rho_takes_first_occurrences_and_the_tol_rule():
         return np.array([[rhos[k]]])
 
     assert _largest_rho(keys, block_at, 1e-12) == (3.0, 1) and read == [0, 1, 3]
+    # any hashable keys take the same first positions: Python ints past
+    # 2^64, and the int64 bytes of blocks, where those of [[1]] and
+    # [[1, 0], [0, 0]] differ only in trailing zeros and stay distinct
+    one, three = np.array([[1]]).tobytes(), np.array([[3]]).tobytes()
+    for other in ([k << 70 for k in keys.tolist()],
+                  [one, three, one, np.array([[1, 0], [0, 0]]).tobytes(), three]):
+        read.clear()
+        assert _largest_rho(other, block_at, 1e-12) == (3.0, 1) and read == [0, 1, 3]
     # at tol 0.5 a radius must clear the best by more than 0.5: 3 does, 2 not
     assert _largest_rho(keys, block_at, 0.5) == (3.0, 1)
     # 3 at position 1 is within tol of 2 at position 0, so the first stays
     assert _largest_rho(np.array([2, 1]), lambda k: np.array([[k + 2]]), 1.5) == (2.0, 0)
     assert _largest_rho(np.array([2, 1]), lambda k: np.array([[k + 1]]), 2.5) == (0.0, None)
     assert _largest_rho(np.array([], dtype=np.int64), block_at, 1e-12) == (0.0, None)
-
-
-@pytest.mark.parametrize("scale", [0, 1, 2**40, 2**46, 2**56])
-def test_first_positions_take_one_route_per_key_type(scale):
-    # uint64 keys below 2^54 take the chunked packed sort: one chunk up to
-    # 2^40 here, chunks of 2^11 positions at 2^46 (52-bit keys), where the
-    # last key first occurs in the third chunk; wider keys and Python ints
-    # take one dict: all give the positions of a dict scan
-    rng = np.random.default_rng(7)
-    raw = [k * scale for k in rng.integers(0, 40, 5000).tolist() + [40]]
-    want = sorted({k: i for i, k in reversed(list(enumerate(raw)))}.values())
-    for keys in (np.array(raw, dtype=np.uint64), np.array(raw, dtype=object)):
-        assert _first_positions(keys) == want
-        assert _first_positions(keys[:1]) == [0]
 
 
 _blocks = st.lists(st.integers(1, 4).flatmap(lambda m: st.lists(
@@ -521,11 +515,11 @@ def test_fpdim_computes_one_radius_per_distinct_key(radius_calls):
     # among 147 elements, and the bound skips 2 of them
     lat = tau_tiltp_model(cartan_matrix("D", 4))
     xs = np.flatnonzero(lat._n_dp >= 2).tolist()
-    pairs = [(int(lat._n_dp[x]), int(lat._qmask[x])) for x in xs]
+    pairs = [lat._quivers[lat._qclass[x]] for x in xs]
     value, witness = fpdim_lattice(lat)
     assert value == pytest.approx(math.sqrt(3), abs=1e-12)  # 2 cos(pi / 6), D4
     want, k, visits = largest_rho_scan(
-        [lattice._arrows(lat._qmask[x], lat._n_dp[x]) for x in xs], _rho, 1e-12)
+        [lattice._arrows(*key) for key in pairs], _rho, 1e-12)
     assert (value, witness) == (want, lat._name(xs[k]))
     assert (len(pairs), len(set(pairs)), len(visits), len(radius_calls)) == (147, 7, 7, 5)
     # a distinct block not computed could not win: its bound is <= the best
