@@ -692,9 +692,10 @@ def sandwich(
 
 
 def self_ext_bound(a: NakayamaAlgebra) -> int:
-    """Largest self-extension dimension over all bricks (the d_b bound)."""
+    """Largest self-extension dimension over all bricks (the d_b bound), one
+    scalar Ext per brick: no Hom or Ext table is built."""
     t = a._tables
-    return int(np.diag(t.ext_table)[t.brick].max(initial=0))
+    return max((t.ext(i, i) for i, b in enumerate(t.brick) if b), default=0)
 
 
 def bongartz_completion(a: NakayamaAlgebra, m: Uniserial, max_n: int = DEFAULT_MAX_N) -> TauPair:

@@ -7,7 +7,10 @@ construction and safe to share between threads.  Graph components are
 found in one place, ``_components`` (iterative Tarjan): strongly connected
 blocks for ``spectral.spectral_radius``, and weak components, the strong
 ones of ``adj + adj.T``, for ``connected_components`` and
-``classify_underlying_graph``.
+``classify_underlying_graph``.  That classifier decides Dynkin and extended
+Dynkin graphs by the exact sign of their Tits form 2I - A, positive definite
+or positive semidefinite and singular (Assem-Simson-Skowronski, Elements of
+the Representation Theory of Associative Algebras 1, Ch. VII).
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from __future__ import annotations
 import operator
 import re
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -261,90 +265,60 @@ class DynkinClass:
 OTHER = DynkinClass("other")
 
 
-def _arm_lengths(neigh, branch):
-    """Vertex counts of the arms hanging off a branch vertex of a tree."""
-    arms = []
-    for first in neigh[branch]:
-        length = 0
-        prev, cur = branch, first
-        while True:
-            length += 1
-            nxt = [w for w in neigh[cur] if w != prev]
-            if not nxt:
-                break
-            if len(nxt) > 1:
-                return None  # another branch vertex inside the arm
-            prev, cur = cur, nxt[0]
-        arms.append(length)
-    return sorted(arms)
-
-
 def classify_underlying_graph(q: Quiver) -> DynkinClass:
     """Recognize simply-laced Dynkin / extended Dynkin underlying graphs.
 
     Orientation is forgotten; an arrow pair i <-> j contributes a double
     edge of the underlying multigraph.  Loops classify as Other (they never
     occur in separated quivers).  Requires a connected, nonempty quiver.
+
+    The rule is the Tits form, with Gram matrix 2I - A: positive definite
+    for Dynkin graphs, positive semidefinite and singular for extended ones
+    (Assem-Simson-Skowronski, Ch. VII).  More edges than vertices, counted
+    with multiplicity, make neither; as many make ~A(n-1) when every degree
+    is 2.  A tree is eliminated leaves first, in breadth-first order from
+    vertex 0, with exact pivots 2 - sum(1/pivot(c)) over the children c: a
+    pivot <= 0 below the root gives Other, and the root pivot gives Dynkin
+    (> 0), extended (= 0) or Other (< 0).  The family is A without a branch
+    vertex, D when the first one has two leaf neighbours, and E otherwise.
     """
     n = q.n
     if n == 0:
         raise ValueError("cannot classify the empty quiver")
-    mult = q.adj + q.adj.T  # undirected edge multiplicities, i != j
+    clipped = np.minimum(q.adj, 3)  # 3 arrows between two vertices already make Other
+    mult = clipped + clipped.T  # undirected edge multiplicities, i != j
     if len(_components(mult)) != 1:
         raise ValueError("classify_underlying_graph requires a connected quiver")
     if np.diagonal(q.adj).any():
         return OTHER
-    heavy = [(i, j) for i in range(n) for j in range(i + 1, n) if mult[i, j] >= 2]
-    if heavy:
-        # the double edge on two vertices is the A~_1 diagram; anything else
-        # with a multiple edge is out
-        if n == 2 and mult[0, 1] == 2:
-            return DynkinClass("extended", "A", 1)
+    degree = mult.sum(axis=1).tolist()
+    edges = sum(degree) // 2
+    if edges > n:
         return OTHER
-
-    neigh = [list(np.nonzero(mult[i])[0]) for i in range(n)]
-    degrees = [len(nb) for nb in neigh]
-    edges = sum(degrees) // 2
-
     if edges == n:
-        if all(d == 2 for d in degrees):
-            return DynkinClass("extended", "A", n - 1)
-        return OTHER
-    if edges != n - 1:
-        return OTHER
+        return DynkinClass("extended", "A", n - 1) if set(degree) == {2} else OTHER
 
-    # tree from here on
-    maxdeg = max(degrees) if degrees else 0
-    if maxdeg <= 2:
-        return DynkinClass("dynkin", "A", n)
-    if maxdeg >= 4:
-        if maxdeg == 4 and n == 5 and degrees.count(4) == 1:
-            return DynkinClass("extended", "D", 4)
-        return OTHER
-
-    branches = [i for i in range(n) if degrees[i] == 3]
-    if len(branches) == 1:
-        arms = _arm_lengths(neigh, branches[0])
-        if arms is None:
+    # a tree with simple edges from here on
+    neigh = [np.flatnonzero(row).tolist() for row in mult]
+    parent, order = [-1] * n, [0]
+    for v in order:
+        for w in neigh[v]:
+            if w != parent[v]:
+                parent[w] = v
+                order.append(w)
+    pivot = [Fraction(2)] * n
+    for v in reversed(order[1:]):
+        if pivot[v] <= 0:
             return OTHER
-        a, b, c = arms
-        crit = sum(1.0 / (x + 1) for x in arms)
-        if crit > 1.0 + 1e-12:
-            if a == 1 and b == 1:
-                return DynkinClass("dynkin", "D", n)
-            return DynkinClass("dynkin", "E", n)  # (1,2,2),(1,2,3),(1,2,4)
-        if abs(crit - 1.0) <= 1e-12:
-            return DynkinClass("extended", "E", n - 1)  # (2,2,2),(1,3,3),(1,2,5)
+        pivot[parent[v]] -= 1 / pivot[v]
+    if pivot[0] < 0:
         return OTHER
-    if len(branches) == 2:
-        leaves = [i for i in range(n) if degrees[i] == 1]
-        if len(leaves) != 4:
-            return OTHER
-        for b in branches:
-            if sum(1 for w in neigh[b] if degrees[w] == 1) != 2:
-                return OTHER
-        return DynkinClass("extended", "D", n - 1)
-    return OTHER
+    kind, rank = ("dynkin", n) if pivot[0] > 0 else ("extended", n - 1)
+    branch = next((v for v in range(n) if degree[v] >= 3), None)
+    if branch is None:
+        return DynkinClass(kind, "A", rank)
+    leaves = sum(degree[w] == 1 for w in neigh[branch])
+    return DynkinClass(kind, "D" if leaves >= 2 else "E", rank)
 
 
 _BARE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|[0-9]+")

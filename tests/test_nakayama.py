@@ -365,6 +365,19 @@ def test_self_ext_bound_reads_the_scalar_ext_of_each_brick():
         assert self_ext_bound(a) == want, str(a)
 
 
+def test_self_ext_bound_equals_the_ext_table_diagonal_over_the_bricks():
+    for a in SMALL:
+        t = a._tables
+        assert self_ext_bound(a) == np.diag(t.ext_table)[t.brick].max(initial=0), str(a)
+
+
+def test_self_ext_bound_builds_no_quadratic_table():
+    # 2,400 modules: the Hom and Ext tables would hold 5.8 M entries each
+    a = make_algebra("cyclic", [30] * 80)
+    assert self_ext_bound(a) == 0
+    assert not {"hom", "ext_table"} & a._tables.__dict__.keys()
+
+
 def test_fpdim_is_the_maximum_over_all_semibricks():
     scanned = 0
     for a in SMALL:

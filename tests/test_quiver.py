@@ -1,5 +1,8 @@
 """Quiver data type: construction, derived quivers, Dynkin recognition."""
 
+import itertools
+import time
+
 import numpy as np
 import pytest
 
@@ -212,6 +215,116 @@ def test_classify_other_shapes():
     t = tree_quiver([("c", "z"), ("c", "a1"), ("a1", "a2"), ("a2", "a3"),
                      ("c", "b1"), ("b1", "b2"), ("b2", "b3"), ("b3", "b4")])
     assert str(classify_underlying_graph(t)) == "Other"
+
+
+def test_classify_clips_huge_multiplicities():
+    # adj + adj.T would wrap in int64 and read as a simple edge
+    for adj in ([[0, 2**62], [2**62, 0]], [[0, 2**63 - 1], [1, 0]]):
+        assert str(classify_underlying_graph(Quiver(["a", "b"], adj))) == "Other"
+
+
+def _smith_kind(sym):
+    """Kind by Smith (1970): the largest eigenvalue of the symmetric
+    multiplicity matrix is < 2 for Dynkin graphs and = 2 for extended ones."""
+    top = np.linalg.eigvalsh(np.asarray(sym, dtype=float))[..., -1]
+    return np.where(top < 2 - 1e-9, "dynkin", np.where(top <= 2 + 1e-9, "extended", "other"))
+
+
+def _kind(sym):
+    return classify_underlying_graph(Quiver(range(len(sym)), np.triu(sym))).kind
+
+
+def test_classify_kind_matches_smith_on_small_multigraphs():
+    # every connected loop-free graph on <= 5 vertices with pair multiplicities
+    # <= 2, one per isomorphism class: the class of the least base-3 code of
+    # the upper triangle over all relabellings
+    for n in range(1, 6):
+        iu = np.triu_indices(n, 1)
+        mults = np.array(list(itertools.product((0, 1, 2), repeat=len(iu[0]))), dtype=np.int64)
+        sym = np.zeros((len(mults), n, n), dtype=np.int64)
+        sym[:, iu[0], iu[1]] = mults
+        sym += sym.transpose(0, 2, 1)
+        weights = 3 ** np.arange(len(iu[0]))
+        least = np.min([sym[:, p[iu[0]], p[iu[1]]] @ weights
+                        for p in map(np.array, itertools.permutations(range(n)))], axis=0)
+        sym = sym[np.unique(least, return_index=True)[1]]
+        reach = np.linalg.matrix_power(np.eye(n, dtype=np.int64) + (sym > 0), n)
+        sym = sym[(reach > 0).all(axis=(1, 2))]
+        # the connected simple graphs on 1-5 vertices number 1, 1, 2, 6 and 21
+        assert ((sym <= 1).all(axis=(1, 2))).sum() == [1, 1, 2, 6, 21][n - 1]
+        assert [_kind(m) for m in sym] == _smith_kind(sym).tolist()
+
+
+def test_classify_kind_matches_smith_on_random_trees_and_unicyclic_graphs():
+    rng = np.random.default_rng(7)
+    kinds = set()
+    for k in range(400):
+        n = int(rng.integers(2, 61))
+        # mostly path-like, so that Dynkin and extended trees turn up too
+        parents = [v - 1 if rng.random() < 0.9 else int(rng.integers(v)) for v in range(1, n)]
+        sym = np.zeros((n, n), dtype=np.int64)
+        sym[range(1, n), parents] = sym[parents, range(1, n)] = 1
+        if k % 2:
+            i, j = rng.choice(n, 2, replace=False)
+            sym[i, j] = sym[j, i] = 1  # a chord, or a double edge on a tree edge
+        perm = rng.permutation(n)
+        sym = sym[np.ix_(perm, perm)]
+        want = _smith_kind(sym).item()
+        assert _kind(sym) == want, sym.tolist()
+        kinds.add(want)
+    assert kinds == {"dynkin", "extended", "other"}
+
+
+def _arms(*lengths):
+    """Undirected edges of a star with arms of the given vertex counts."""
+    edges, nxt = [], 1
+    for length in lengths:
+        prev = 0
+        for v in range(nxt, nxt + length):
+            edges.append((prev, v))
+            prev = v
+        nxt += length
+    return edges
+
+
+def _diagrams():
+    """(tag, vertex count, undirected edges) of the named diagrams."""
+    for n in range(1, 13):
+        yield f"A{n}", n, [(i, i + 1) for i in range(n - 1)]
+        yield f"~A{n}", n + 1, [(i, (i + 1) % (n + 1)) for i in range(n + 1)]
+    for n in range(4, 13):
+        yield f"D{n}", n, _arms(1, 1, n - 3)
+        yield f"~D{n}", n + 1, [(i, i + 1) for i in range(n - 2)] + [(1, n - 1), (n - 3, n)]
+    for n in (6, 7, 8):
+        yield f"E{n}", n, _arms(1, 2, n - 4)
+    for tag, arms in (("~E6", (2, 2, 2)), ("~E7", (1, 3, 3)), ("~E8", (1, 2, 5))):
+        yield tag, sum(arms) + 1, _arms(*arms)
+
+
+def test_classify_family_and_rank_under_relabelling():
+    # the family rule reads the first branch vertex in index order
+    rng = np.random.default_rng(11)
+    for tag, n, edges in _diagrams():
+        for _ in range(5):
+            perm = rng.permutation(n)
+            adj = np.zeros((n, n), dtype=np.int64)
+            for i, j in edges:
+                i, j = (perm[i], perm[j]) if rng.random() < 0.5 else (perm[j], perm[i])
+                adj[i, j] += 1
+            assert str(classify_underlying_graph(Quiver(range(n), adj))) == tag, adj.tolist()
+
+
+@pytest.mark.parametrize("name, edges", [
+    ("D2000", _arms(1, 1, 1997)),
+    ("~A1999", [(i, (i + 1) % 2000) for i in range(2000)]),
+])
+def test_classify_large_graphs_fast(name, edges):
+    adj = np.zeros((2000, 2000), dtype=np.int64)
+    adj[tuple(zip(*edges))] = 1
+    q = Quiver(range(2000), adj)
+    start = time.perf_counter()
+    assert str(classify_underlying_graph(q)) == name
+    assert time.perf_counter() - start < 1.0
 
 
 def test_classify_requires_connected():
