@@ -14,7 +14,7 @@ order itself comes from one sweep from the maxima, which builds ancestor
 bitsets (one Python int per element, which makes joins and meets cheap even
 on weak orders with tens of thousands of elements) and rejects cycles and
 covers implied by longer paths; it walks per-element cover lists, built
-from the index when first needed, as is the name-to-index dict.
+from the index when first needed, as are the name dict and the down-sets.
 
 Every lattice is certified at construction, at any size, by one of two
 certificates.  The constructor, and so from_covers, JSON input, opposite
@@ -131,9 +131,9 @@ class FiniteLattice:
 
     def __getattr__(self, name):
         # only reached for missing attributes: the cover index offsets, the
-        # per-element cover lists, the name index and (on a face-built
-        # lattice) the names, the sorted cover index, the order, its
-        # positions and its up-sets are built on their first read
+        # per-element cover lists, the name index, the down-sets and (on a
+        # face-built lattice) the names, the sorted cover index, the order,
+        # its positions and its up-sets are built on their first read
         if name == "elements":
             self.elements = _words(self._tree)
         elif name == "_dp":
@@ -146,6 +146,13 @@ class FiniteLattice:
             self._index = {e: i for i, e in enumerate(self.elements)}
         elif name in ("_toporder", "_pos", "_up"):
             self._sweep()
+        elif name == "_down":
+            down = self._down = [0] * len(self)
+            for v in reversed(self._toporder):
+                mask = 1 << self._pos[v]
+                for c in self._children[v]:
+                    mask |= down[c]
+                down[v] = mask
         else:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         return self.__dict__[name]
@@ -167,7 +174,6 @@ class FiniteLattice:
             raise ValueError(f"cover ({e!r}, {e!r}) relates an element to itself")
         self._n_dp = _narrow(np.bincount(lo, minlength=n))
         self._n_ds = _narrow(np.bincount(up, minlength=n))
-        self._down: list[int] | None = None
 
     def _sort_covers(self) -> None:
         """The sorted cover index, after checking repeated covers: one stable
@@ -298,17 +304,6 @@ class FiniteLattice:
                              "by other covers (not transitively reduced)")
         self._toporder, self._pos, self._up = order, pos, up
 
-    def _downsets(self) -> list[int]:
-        if self._down is None:
-            down = [0] * len(self)
-            for v in reversed(self._toporder):
-                mask = 1 << self._pos[v]
-                for c in self._children[v]:
-                    mask |= down[c]
-                down[v] = mask
-            self._down = down
-        return self._down
-
     def _certify(self) -> tuple[np.ndarray, list[tuple[int, int]]]:
         """Join every two upper covers of each element; return the cover
         quiver classes (module docstring): the class of each element, and
@@ -346,7 +341,7 @@ class FiniteLattice:
         raise LatticeError(f"no join for ({a}, {b})", (a, b))
 
     def _meet_idx(self, i: int, j: int) -> int:
-        down = self._downsets()
+        down = self._down
         lb = down[i] & down[j]
         if lb:
             m = self._toporder[(lb & -lb).bit_length() - 1]
@@ -405,13 +400,8 @@ class FiniteLattice:
 
     def interval(self, x: str, y: str) -> list[str]:
         """Elements z with x <= z <= y, in declaration order."""
-        mask = self._up[self.index(x)] & self._downsets()[self.index(y)]
-        found = []
-        while mask:
-            low = mask & -mask
-            found.append(self._toporder[low.bit_length() - 1])
-            mask ^= low
-        return [self.elements[i] for i in sorted(found)]
+        mask = self._up[self.index(x)] & self._down[self.index(y)]
+        return [self.elements[i] for i in sorted(self._toporder[b] for b in _bits(mask))]
 
     @property
     def covers(self) -> Covers:
@@ -448,6 +438,14 @@ class Covers(Sequence):
 
     def __repr__(self):
         return repr(tuple(self))
+
+
+def _bits(mask: int):
+    """Indices of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def _narrow(counts: np.ndarray) -> np.ndarray:

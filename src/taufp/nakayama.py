@@ -74,7 +74,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import BudgetError, ConsistencyError
-from .lattice import FiniteLattice, _largest_rho
+from .lattice import FiniteLattice, _bits, _largest_rho
 from .quiver import Quiver, _integer
 from .spectral import _check_tol
 
@@ -166,10 +166,8 @@ def make_algebra(shape: str, kupisch) -> NakayamaAlgebra:
         if ls[0] != 1:
             raise ValueError("linear Kupisch series must start with l_1 = 1")
         for i in range(1, n):
-            if not 2 <= ls[i] <= ls[i - 1] + 1:
+            if not 2 <= ls[i] <= ls[i - 1] + 1:  # so l_i <= i, by induction from l_1 = 1
                 raise ValueError(f"Kupisch violation at index {i + 1}: l = {ls[i]}")
-            if ls[i] > i + 1:
-                raise ValueError(f"Kupisch violation at index {i + 1}: l = {ls[i]} > {i + 1}")
     else:
         for i in range(n):
             if ls[i] < 2:
@@ -208,14 +206,6 @@ def _hom(a, m: Uniserial, n_: Uniserial):
         return 1 * ((1 <= shift) & (shift <= bound))
     first = (shift - 1) % a.n + 1
     return ((bound - first) // a.n + 1) * (first <= bound)
-
-
-def _bits(mask: int):
-    """Indices of the set bits of mask, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def _row_masks(matrix) -> list[int]:

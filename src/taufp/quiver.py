@@ -69,12 +69,6 @@ class Quiver:
     def n(self) -> int:
         return len(self.labels)
 
-    def index(self, label: str) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise ValueError(f"unknown vertex label {label!r}") from None
-
     def arrow_count(self) -> int:
         return int(self.adj.sum())
 

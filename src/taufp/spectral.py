@@ -427,7 +427,7 @@ def definiteness(g: SymIntMatrix) -> Definiteness:
     means indefinite; a zero row marks a kernel index, one whose column
     lies in the span of the earlier ones.  Each kernel vector is 1 there and
     0 at the other kernel indices, read off the pivot rows by
-    back-substitution and checked to satisfy G v = 0 exactly."""
+    back-substitution in Fractions and checked to satisfy G v = 0 exactly."""
     n = g.n
     m = np.array(g.rows, dtype=object).reshape(n, n)  # Python ints, exact
     prev = 1
@@ -450,16 +450,12 @@ def definiteness(g: SymIntMatrix) -> Definiteness:
         return Definiteness("positive_definite")
     kernel = []
     for f in free:
-        w = [0] * n  # the kernel vector is w / w[f], kept integral
-        w[f] = 1
+        v = [Fraction(0)] * n
+        v[f] = Fraction(1)
         for p in reversed([p for p in pivots if p < f]):
             row = m[p]
-            s = sum(row[j] * w[j] for j in range(p + 1, f + 1) if w[j])
-            k = math.gcd(s, row[p])
-            if k != row[p]:
-                w = [x * (row[p] // k) for x in w]
-            w[p] = -s // k
-        if any(g.apply(w)):
+            v[p] = Fraction(-sum(row[j] * v[j] for j in range(p + 1, f + 1) if v[j]), row[p])
+        if any(g.apply(v)):
             raise ConsistencyError("kernel vector fails G v = 0")
-        kernel.append(tuple(Fraction(x, w[f]) for x in w))
+        kernel.append(tuple(v))
     return Definiteness("psd_singular", tuple(kernel))

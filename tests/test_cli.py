@@ -19,6 +19,10 @@ import taufp.cli as cli
 import taufp.lattice
 import taufp.nakayama
 import taufp.preproj
+from taufp.coxeter import cartan_matrix
+from taufp.errors import ConsistencyError
+from taufp.preproj import gabriel_quiver
+from taufp.quiver import to_dot
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -383,6 +387,33 @@ def test_budget_env_override(capsys, monkeypatch):
     monkeypatch.setenv("TAUFP_BUDGET", "6")
     code, out, _ = run(capsys, "coxeter", "order", "--type", "A", "--rank", 2)
     assert code == 0 and "order: 6" in out
+
+
+def _consistency_failure(*args, **kwargs):
+    raise ConsistencyError("brick labels disagree")
+
+
+B3_DOT = json.dumps(to_dot(gabriel_quiver(cartan_matrix("B", 3))))
+
+
+@pytest.mark.parametrize("budget, failing, argv, code, stream, text", [
+    ("abc", None, ["coxeter", "order", "--type", "A", "--rank", 2], 2, "err",
+     "invalid input: TAUFP_BUDGET must be an integer, got 'abc'\n"),
+    (None, "sandwich", ["nakayama", "sandwich", "--shape", "cyclic", "--kupisch", "2,2"], 1,
+     "err", "consistency failure: brick labels disagree\n"),
+    (None, None, ["preproj", "quiver", "--type", "B", "--rank", 3, "--dot", "--json"], 0, "out",
+     f'"dot": {B3_DOT}'),
+])
+def test_rare_exit_paths(capsys, monkeypatch, budget, failing, argv, code, stream, text):
+    if budget is None:
+        monkeypatch.delenv("TAUFP_BUDGET", raising=False)
+    else:
+        monkeypatch.setenv("TAUFP_BUDGET", budget)
+    if failing:
+        monkeypatch.setattr(taufp.nakayama, failing, _consistency_failure)
+    got, out, err = run(capsys, *argv)
+    assert got == code
+    assert text in (out if stream == "out" else err)
 
 
 def test_package_reexports_every_public_callable():

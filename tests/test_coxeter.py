@@ -57,12 +57,16 @@ def test_symmetrizers():
     assert cartan_matrix("G", 2).symmetrizer_diag == (3, 1)
     assert cartan_matrix("F", 4).symmetrizer_diag == (2, 2, 1, 1)
     assert cartan_matrix("A", 4, multiplier=2).symmetrizer_diag == (2, 2, 2, 2)
-    # D C symmetric for every type, any multiplier
-    for fam, rank in RANK2PLUS + [("A", 1), ("E", 6), ("D", 5)]:
+    # D C symmetric for every type, any multiplier: cartan_matrix does not
+    # check this itself, so this is the check of its two tables
+    types = ([("A", r) for r in range(1, 13)] + [(f, r) for f in "BC" for r in range(2, 13)]
+             + [("D", r) for r in range(4, 13)] + [("E", r) for r in (6, 7, 8)]
+             + [("F", 4), ("G", 2)])
+    for fam, rank in types:
         for c in (1, 2, 3):
             cd = cartan_matrix(fam, rank, multiplier=c)
             dc = np.diag(cd.symmetrizer_diag) @ cd.cartan
-            assert np.array_equal(dc, dc.T)
+            assert np.array_equal(dc, dc.T), (fam, rank, c)
     with pytest.raises(ValueError):
         cartan_matrix("A", 2, multiplier=0)
 
@@ -375,7 +379,7 @@ def test_face_built_order_queries_equal_generic(fam, rank):
 def test_model_fpdim_builds_no_upsets():
     model = tau_tiltp_model(cartan_matrix("D", 5))
     fpdim_lattice(model)
-    assert not {"_up", "_pos", "_toporder"} & set(vars(model)) and model._down is None
+    assert not {"_up", "_pos", "_toporder"} & set(vars(model)) and "_down" not in vars(model)
     # nor any per-element list, the name index or the sorted cover index: the
     # scan reads the cover counts and the arrow masks
     assert not {"_parents", "_children", "_index", "_dp", "_dp_at"} & set(vars(model))

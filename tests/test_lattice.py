@@ -143,6 +143,17 @@ def test_q_of_errors():
         q_of(d, "bot", ["top"])
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda d: d.index("side"), "unknown element 'side'"),
+    (lambda d: d.join_all([]), "join of an empty set"),
+    (lambda d: q_of(d, "bot", ["a", "a"]), "Y has repeated elements"),
+])
+def test_input_checks_name_the_fault(call, message):
+    with pytest.raises(ValueError) as err:
+        call(diamond())
+    assert str(err.value) == message
+
+
 def test_q_of_subset_is_subquiver():
     # on random subsets Y of dp(x), Q(x, Y) embeds in Q(x, dp(x))
     lat = load_fixture("example31.json")

@@ -84,6 +84,25 @@ def test_make_algebra_validation():
             make_algebra(shape, series)
 
 
+def test_make_algebra_accepts_exactly_the_documented_series():
+    # the docstring's rule, with i 0-based here: linear l_1 = 1 and
+    # 2 <= l_i <= min(l_{i-1} + 1, i); cyclic l_i >= 2 and l_i <= l_{i-1} + 1 mod n
+    def valid(shape, ls):
+        if shape == "linear":
+            return ls[0] == 1 and all(2 <= ls[i] <= min(ls[i - 1] + 1, i + 1)
+                                      for i in range(1, len(ls)))
+        return all(2 <= l <= ls[i - 1] + 1 for i, l in enumerate(ls))
+
+    for n in range(1, 6):
+        for ls in itertools.product(range(8), repeat=n):
+            for shape in ("linear", "cyclic"):
+                try:
+                    accepted = make_algebra(shape, ls).kupisch == ls
+                except ValueError:
+                    accepted = False
+                assert accepted == valid(shape, ls), (shape, ls)
+
+
 def test_indecomposables():
     assert [str(m) for m in indecomposables(L12)] == ["M(1;1)", "M(1;2)", "M(2;1)"]
     assert len(indecomposables(C222)) == 6
@@ -105,6 +124,15 @@ def test_module_existence():
                 lambda: projective_module(C333, 1.5), lambda: projective_module(L12, "1")):
         with pytest.raises(ValueError, match="must be an integer"):
             bad()
+
+
+@pytest.mark.parametrize("k", [0, 3, -1])
+def test_projective_module_range_check_names_the_vertex(k):
+    # a linear algebra has no cyclic identification, so every vertex
+    # outside 1..n is refused
+    with pytest.raises(ValueError) as err:
+        projective_module(L12, k)
+    assert str(err.value) == f"vertex {k} out of range"
 
 
 def test_tau():

@@ -350,6 +350,26 @@ def test_dynkin_class_invariants():
     assert str(DynkinClass("extended", "D", 4.0)) == "~D4"
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: Quiver(["a", "a"], np.zeros((2, 2))), "duplicate vertex labels"),
+    (lambda: Quiver(["a", "b"], [[0]]), "adjacency matrix shape (1, 1) does not match 2 labels"),
+    (lambda: Quiver(["a"], [[-1]]), "arrow multiplicities must be nonnegative"),
+    (lambda: build_quiver(["a"], [("a", "a")]),
+     "arrow ('a', 'a') is not a (src, dst, mult) triple"),
+    (lambda: build_quiver(["a"], [("b", "a", 1)]), "unknown vertex label 'b'"),
+    (lambda: DynkinClass("affine", "A", 2), "bad kind 'affine'"),
+    (lambda: DynkinClass("other", "A"), "'other' carries no family or rank"),
+    (lambda: DynkinClass("other", None, 3), "'other' carries no family or rank"),
+    (lambda: DynkinClass("dynkin", "B", 3), "bad family 'B'"),
+    (lambda: DynkinClass("dynkin", "A", 0), "A family needs rank >= 1"),
+    (lambda: DynkinClass("extended", "A", 0), "A~ family needs rank >= 1"),
+])
+def test_input_checks_name_the_fault(build, message):
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == message
+
+
 # -- DOT and JSON ------------------------------------------------------------
 
 def test_to_dot():

@@ -455,6 +455,18 @@ def test_definiteness_exact():
         SymIntMatrix(((0, 1), (2, 0)))
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: SymIntMatrix(((1, 2),)), "matrix is not square"),
+    (lambda: SymIntMatrix(((1, 2), (3, 4), (5, 6))), "matrix is not square"),
+    (lambda: SymIntMatrix(((1, 0), (0, 1))).apply([1]), "dimension mismatch"),
+    (lambda: SymIntMatrix(((1, 0), (0, 1))).apply([1, 2, 3]), "dimension mismatch"),
+])
+def test_input_checks_name_the_fault(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
+
+
 def test_definiteness_random_cross_check():
     rng = np.random.default_rng(41)
     for _ in range(120):
