@@ -3,7 +3,14 @@
 Everything here is deterministic: spectral radii come from shifted power
 iteration with Collatz-Wielandt bracketing on strongly connected blocks
 (found by ``quiver._components``, the one component routine; this module
-holds linear algebra only), characteristic polynomials are computed
+holds linear algebra only).  A block of at most 32 vertices whose bracket
+from the all-ones vector does not close restarts once from the row sums
+of B^256, B = block + I, computed by 8 squarings each divided by its
+largest entry.  The squarings cost 30-45 us, against 7-12 us per power
+step, and the blocks of the A-G table grid (12-82 steps from the
+all-ones vector) and dense random blocks of 3-14 vertices (9-114 steps)
+then close by step 2.  The bracket holds for any positive vector, so the
+start changes no contract.  Characteristic polynomials are computed
 exactly by Faddeev-LeVerrier, in int64 while a bound proves the entries
 fit and over Python integers held in numpy object arrays beyond it, and
 the power-iteration value is certified against them by two exact Sturm
@@ -288,8 +295,20 @@ def _power_radius(block: np.ndarray, tol: float, max_iter: int = 200000) -> floa
     """rho of a strongly connected nonnegative integer block.
 
     Iterates B = block + I (primitive: positive diagonal) from the all-ones
-    vector; min_i (Bx)_i/x_i and max_i (Bx)_i/x_i bracket rho(B), and the
-    bracket tightens to below tol for primitive B.
+    vector; min_i (Bx)_i/x_i and max_i (Bx)_i/x_i bracket rho(B) for every
+    positive x, and the bracket tightens to below tol for primitive B.
+
+    Squared start: when the first bracket does not close and the block has
+    at most 32 vertices, the iterate is replaced once by the row sums of
+    B^256, computed by 8 squarings of B, each divided by its largest entry
+    (if a row sum underflows to 0, the power iterate is kept).  The 8
+    squarings cost 30-45 us at 2-32 vertices against 7-12 us for one power
+    step (numpy 2.4, 2 vCPUs), and stand for 256 steps.  Of the 190 blocks
+    of the A-G weak-order grid (2-6 vertices), the 159 that square took
+    12-82 steps from the all-ones vector; 600 dense random blocks of 3-14
+    vertices took 9-114.  All now close by step 2, and their values moved
+    by at most 3.5e-13.  A regular block, whose all-ones vector is its
+    Perron vector, closes at step 1 and never squares.
     """
     n = block.shape[0]
     b = block.astype(np.float64)
@@ -302,6 +321,14 @@ def _power_radius(block: np.ndarray, tol: float, max_iter: int = 200000) -> floa
         if hi - lo < tol:
             return (lo + hi) / 2.0 - 1.0
         x = y / np.maximum.reduce(y)
+        if step == 1 and n <= 32:
+            p = b
+            for _ in range(8):  # p = B^256 over its largest entry
+                p = p @ p
+                p /= p.max() or 1.0  # a product underflowed to 0 stays 0
+            s = p.sum(axis=1)
+            if np.logical_and.reduce(s):
+                x = s / s.max()
         if not np.logical_and.reduce(x):  # a ratio would be inf or nan: no bracket
             raise ConsistencyError(f"power iteration on a {n}-vertex block: "
                                    f"the iterate underflowed to 0 after {step} steps")

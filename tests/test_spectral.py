@@ -10,8 +10,9 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 import taufp.spectral
+from taufp.coxeter import cartan_matrix
 from taufp.errors import ConsistencyError
-from taufp.preproj import bn_family_char_polys, dynkin_rho
+from taufp.preproj import bn_family_char_polys, dynkin_rho, gabriel_quiver
 from taufp.quiver import Quiver, build_quiver, connected_components
 from taufp.spectral import (
     _largest_root_within,
@@ -361,6 +362,80 @@ def test_power_iteration_failure_names_block_and_steps():
                                                "failed to converge after 50 steps"):
         _power_radius(adj, 1e-12, max_iter=50)
     assert _power_radius(adj, 1e-12) == pytest.approx(2 ** (1 / n), abs=1e-9)
+
+
+@pytest.mark.parametrize("adj", [
+    gabriel_quiver(cartan_matrix("E", 6)).adj,
+    gabriel_quiver(cartan_matrix("C", 4, multiplier=2)).adj,  # a loop at every vertex
+    _dense_strongly_connected(14, seed=0).adj,
+], ids=["E6", "C4-loops", "dense14"])
+def test_squared_start_closes_by_step_two(adj):
+    # from the all-ones vector alone these take 43, 30 and 22 steps; from the
+    # row sums of B^256 the second bracket closes
+    want = float(np.abs(np.linalg.eigvals(adj.astype(float))).max())
+    assert _power_radius(adj, 1e-12, max_iter=2) == pytest.approx(want, abs=1e-11)
+
+
+def _double_path(n, forward, loops=False):
+    adj = np.zeros((n, n), dtype=np.int64)
+    adj[np.arange(n - 1), np.arange(1, n)] = forward
+    adj[np.arange(1, n), np.arange(n - 1)] = 1
+    if loops:  # every column sum is forward + 1, so the left Perron vector is flat
+        adj[0, 0], adj[n - 1, n - 1] = forward, 1
+    return adj
+
+
+@pytest.mark.parametrize("adj, message", [
+    # the right Perron vector (forward^-i) spans 342 decades: row sums of B^256
+    # underflow to 0, so the power iterate is kept and underflows as before
+    (_double_path(20, 10**18, loops=True),
+     "20-vertex block: the iterate underflowed to 0 after 37 steps"),
+    # both Perron vectors span 279 decades: a scaled product underflows to
+    # the zero matrix, which must not turn into 0/0
+    (_double_path(32, 10**18), "32-vertex block failed to converge after 50 steps"),
+])
+def test_squared_start_underflow_keeps_the_power_iterate(adj, message):
+    with pytest.raises(ConsistencyError, match=message):
+        _power_radius(adj, 1e-6, max_iter=50)
+
+
+def test_regular_block_closes_at_step_one():
+    # the all-ones vector is the Perron vector of a directed cycle
+    cycle = np.roll(np.eye(5, dtype=np.int64), 1, axis=1)
+    assert _power_radius(cycle, 1e-12, max_iter=1) == 1.0
+
+
+@st.composite
+def strongly_connected_blocks(draw):
+    """Adjacency matrices of 2-32 vertices, strongly connected: a directed
+    cycle with one arrow of multiplicity up to 10**6, the double quiver of a
+    random tree (period 2), or a dense block around a Hamiltonian cycle."""
+    n = draw(st.integers(2, 32))
+    kind = draw(st.sampled_from(["cycle", "tree", "dense"]))
+    if kind == "cycle":
+        adj = np.roll(np.eye(n, dtype=np.int64), 1, axis=1)
+        adj[0, 1] = draw(st.integers(1, 10**6))
+        return adj
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "tree":
+        adj = np.zeros((n, n), dtype=np.int64)
+        for v in range(1, n):
+            u = int(rng.integers(0, v))
+            adj[u, v], adj[v, u] = rng.integers(1, 4, size=2)
+        return adj
+    return _dense_strongly_connected(n, seed=int(rng.integers(0, 2**32))).adj
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(strongly_connected_blocks())
+def test_verified_radius_of_strongly_connected_blocks(adj):
+    # an absolute 1e-12 is below float64 resolution at large rho, so tol
+    # scales with the row-sum bound on rho
+    tol = 1e-12 * max(1, int(adj.sum(axis=1).max()))
+    q = Quiver([f"v{i}" for i in range(len(adj))], adj)
+    rho = spectral_radius(q, tol=tol, verify=True)  # raises if Sturm disagrees
+    want = float(np.abs(np.linalg.eigvals(adj.astype(float))).max())
+    assert rho == pytest.approx(want, rel=1e-9)
 
 
 def test_dynkin_rho_values():
