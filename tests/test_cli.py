@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import hashlib
 import importlib
 import io
 import json
@@ -610,6 +611,40 @@ def test_reports_match_golden(monkeypatch):
     for argv in GOLDEN_CASES:
         key = " ".join(argv)
         _same_report(_golden_run(argv), golden[key], key)
+
+
+# sha256 of the --json reports of each coxeter subcommand over the table grid,
+# one report per line in TABLE_TYPES order, and of the library's FP dimension
+# (repr of the value, then the witness) of the tau-tilting model at
+# multipliers 1-3: exact bytes, so not even the last digit of a value moves
+WEYL_GRID_DIGESTS = {
+    "lattice": "61081a45f6ba29ac462ad5f8ae888c3b2ab8cdf8aa2445c615cb6c09567e1313",
+    "order": "a9313f0e5f9b1d48020547543f2314e2995880e34beb24c91472a421c86cfc68",
+    "longest": "18be17e45f843b9385ea4bcc68308e2c03a104ef0d2805b07c6dde4cdd82cca9",
+    "fpdim": "aff9c849712df5624544a214d2087c8a95c496d0e7ccdb60839d978dc3d7ed6f",
+    "fpdim_lattice": "06d2666ebd587916c460ff0cdde3f015ef20a43eb318eee8a12d2c23f4d6a0e9",
+}
+
+
+def _weyl_grid_lines(what):
+    if what == "fpdim_lattice":
+        for fam, rank in taufp.preproj.TABLE_TYPES:
+            for mult in (1, 2, 3):
+                model = taufp.preproj.tau_tiltp_model(cartan_matrix(fam, rank, multiplier=mult))
+                value, witness = taufp.lattice.fpdim_lattice(model)
+                yield f"{fam}{rank} {mult} {value!r} {witness}"
+        return
+    for fam, rank in taufp.preproj.TABLE_TYPES:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(["coxeter", what, "--type", fam, "--rank", str(rank), "--json"]) == 0
+        yield out.getvalue()
+
+
+@pytest.mark.parametrize("what", sorted(WEYL_GRID_DIGESTS))
+def test_weyl_grid_reports_are_byte_identical(what):
+    digest = hashlib.sha256("\n".join(_weyl_grid_lines(what)).encode()).hexdigest()
+    assert digest == WEYL_GRID_DIGESTS[what]
 
 
 if __name__ == "__main__":
