@@ -19,12 +19,13 @@ lex-minimal reduced words, spelled off that tree one at a time where a
 single name is read and all at once on the first read of its elements;
 matrices are built from the names only when an element is asked for.
 
-Each cover keeps the generator s_i it multiplies by.  Every rank-2
-interval of the weak order is a coset x W_ij, a 2 m_ij-gon (Bjorner-Brenti,
-GTM 231, 3.2), and a face certificate checks exactly that on the labelled
-covers; the cover quiver Q(x, dp(x)) is then the Coxeter graph (m_ij >= 3)
-induced on the labels of the covers of x, so the lattice reads its arrows
-off the labels and computes no join.
+The covers are kept once, as the table of right descents: x s_i for each
+generator s_i and each x with descent i.  Every rank-2 interval of the weak
+order is a coset x W_ij, a 2 m_ij-gon (Bjorner-Brenti, GTM 231, 3.2), and a
+face certificate checks exactly that on the table; the cover quiver
+Q(x, dp(x)) is then the Coxeter graph (m_ij >= 3) induced on the ascents of
+x, or on its descents in the opposite order, so the lattice reads its arrows
+off the table and computes no join.
 """
 
 from __future__ import annotations
@@ -347,10 +348,12 @@ def _weak_order_covers(cartan: CartanData, budget: int):
     is parent[k] s_i for the 0-based generator i = gen[k], parent[k] being
     the element that first reached it, and the identity 0 has parent -1;
     read back along the tree, the generators spell the lex-minimal reduced
-    word that names k (lattice._word).  Then the covers (w s_i, w) in the
-    same scan order, as index arrays upper and lower, with the generator i
-    of each cover as label.  Indices are int32 (|E8| < 2^31) and generators
-    int8.
+    word that names k (lattice._word).  Then the int32 descent table down,
+    one row per generator: down[i, x] is x s_i where i is a right descent
+    of x, else -1, and one more column of -1 follows the elements, so a walk
+    that steps onto -1 stays there.  Each level is scattered straight into
+    it, one entry per cover (x s_i, x); no other copy of the covers is kept.
+    Indices are int32 (|E8| < 2^31) and generators int8.
 
     Each element is its vector v = w^{-1} rho (module docstring), and a
     level is deduplicated on one int64 key per vector.  v_i = <rho, b> for
@@ -359,8 +362,8 @@ def _weak_order_covers(cartan: CartanData, budget: int):
     radix 2h - 1 pack v into a key below (2h - 1)^rank, at most 59^8 < 2^48
     (E8) up to rank 9.  Names take one digit per generator, so a rank above
     9 raises BudgetError, as does a group order above the budget, both
-    before any work; the element count and the rank-2 faces (_check_faces)
-    are certified before the covers are returned.
+    before any work; the element and cover counts, the entries of the table
+    and the rank-2 faces (_check_faces) are certified before it is returned.
     """
     rank, total = cartan.rank, weyl_order(cartan.family, cartan.rank)
     if total > budget:
@@ -376,11 +379,10 @@ def _weak_order_covers(cartan: CartanData, budget: int):
     step = cartan.cartan @ radix
     parent = np.full(total, -1, dtype=np.int32)
     gen = np.full(total, -1, dtype=np.int8)
+    down = np.full((rank, total + 1), -1, dtype=np.int32)
     # w -> w w0 turns the ascents of w into descents, so half of all
     # (element, generator) pairs are covers
     n_covers = total * rank // 2
-    upper, lower = np.empty(n_covers, dtype=np.int32), np.empty(n_covers, dtype=np.int32)
-    label = np.empty(n_covers, dtype=np.int8)
     vecs = np.ones((1, rank), dtype=np.int64)
     keys = vecs @ radix + (h - 1) * radix.sum()
     start, n, k = 0, 1, 0  # the last level holds elements start..n-1; k covers so far
@@ -390,31 +392,20 @@ def _weak_order_covers(cartan: CartanData, budget: int):
             break
         prods = keys[src] - vecs[src, g] * step[g]
         first, slot = _first_occurrences(prods)
-        end = k + len(src)
-        upper[k:end], lower[k:end], label[k:end] = slot + n, src + start, g
+        down[g, slot + n] = src + start
         src, g = src[first], g[first]
         parent[n:n + len(first)], gen[n:n + len(first)] = src + start, g
         vecs = vecs[src] - vecs[src, g][:, None] * cartan.cartan[g]
         keys = prods[first]
-        start, n, k = n, n + len(first), end
+        start, n, k = n, n + len(first), k + len(prods)
     if (n, k) != (total, n_covers):
         raise AssertionError(f"BFS found {n} elements and {k} covers of {cartan.name}, "
                              f"expected {total} and {n_covers}")
-    tree = (parent, gen)
-    _check_faces(cartan, tree, _down_table(cartan, total, upper, lower, label))
-    return tree, upper, lower, label
-
-
-def _down_table(cartan: CartanData, n: int, upper, lower, label) -> np.ndarray:
-    """The int32 table of right descents from the labelled covers (x, x s_i),
-    one row per generator: down[i, x] is x s_i where i is a descent of x,
-    else -1.  One more column of -1 follows the n elements, so a walk that
-    steps onto -1 stays there."""
-    down = np.full((cartan.rank, n + 1), -1, dtype=np.int32)
-    down[label, upper] = lower
-    if np.count_nonzero(down >= 0) != len(upper):
+    if np.count_nonzero(down >= 0) != n_covers:
         raise ConsistencyError(f"{cartan.name}: two covers below one element share a label")
-    return down
+    tree = (parent, gen)
+    _check_faces(cartan, tree, down)
+    return tree, down
 
 
 def _check_faces(cartan: CartanData, tree, down: np.ndarray) -> None:
@@ -441,14 +432,13 @@ def _check_faces(cartan: CartanData, tree, down: np.ndarray) -> None:
 
 
 def _weak_order_lattice(cartan: CartanData, budget: int, dual: bool) -> FiniteLattice:
-    """The weak order (dual=False) or its opposite through the face route:
-    the covers of each element carry their generators, and two of them span
-    an arrow of Q(x, dp(x)) exactly when m_ij >= 3 (module docstring).  The
-    lattice keeps the BFS tree and names its elements on first read."""
-    tree, upper, lower, label = _weak_order_covers(cartan, budget)
-    if dual:
-        upper, lower = lower, upper
-    return FiniteLattice._from_faces(tree, upper, lower, label, _coxeter_matrix(cartan) >= 3)
+    """The weak order (dual=False) or its opposite from the descent table
+    alone: the upper covers of x are x s_i over its ascents i, or over its
+    right descents in the opposite order, and two of them span an arrow of
+    Q(x, dp(x)) exactly when m_ij >= 3 (module docstring).  The lattice
+    keeps the BFS tree and names its elements on first read."""
+    tree, down = _weak_order_covers(cartan, budget)
+    return FiniteLattice._from_descents(tree, down, _coxeter_matrix(cartan) >= 3, dual)
 
 
 def weak_order(cartan: CartanData, budget: int = DEFAULT_BUDGET) -> WeakOrder:

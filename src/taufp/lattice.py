@@ -2,14 +2,12 @@
 
 A lattice is stored by its Hasse diagram: two index arrays over the
 elements, upper[k] covering lower[k].  Names become indices only in
-from_covers; the Weyl BFS and the Nakayama pair order pass index arrays.
-The upper- and lower-cover counts, each in the narrowest integer dtype
-that holds it, give the extremes and the FP dimension scan.  The sorted
-cover index holds the upper covers dp(x) of every element x, sorted, in one
-array with per-element offsets, for q_of and upper_covers.  The
-constructor builds it by one stable sort of all covers, which also finds
-repeated covers; a face-built lattice (below) sorts each element's own
-labelled covers instead, and builds the index only on its first read.  The
+from_covers; the Nakayama pair order passes index arrays.  The upper- and
+lower-cover counts, each in the narrowest integer dtype that holds it, give
+the extremes and the FP dimension scan.  The sorted cover index holds the
+upper covers dp(x) of every element x, sorted, in one array with
+per-element offsets, for q_of and upper_covers.  The constructor builds it
+by one stable sort of all covers, which also finds repeated covers.  The
 order itself comes from one sweep from the maxima, which builds ancestor
 bitsets (one Python int per element, which makes joins and meets cheap even
 on weak orders with tens of thousands of elements) and rejects cycles and
@@ -24,39 +22,42 @@ have a join (Bjorner-Edelman-Ziegler, DCG 5 (1990), Lemma 2.1), so it
 computes exactly those joins and raises LatticeError on the first one
 missing.  The same joins give the cover quivers: Q(x, dp(x)) has vertices
 the upper covers y of x and an arrow y -> y' exactly when y is not a lower
-cover of y v y'.  Weyl weak orders and their opposites are certified by
-their rank-2 faces instead (coxeter checks that each is the 2 m_ij-gon
-x W_ij on the generator labels of the covers), and their cover quivers are
-read off those labels by _from_faces with no join, no bitset and no
-per-element list.  Their sweep waits for the first order query, and their
-names for the first read of elements: such a lattice keeps the BFS tree,
-parent and generator per element, and reads a single name (the extremes,
-the FP dimension witness, an error message) off it as a word, so its
-length, covers count, extremes and FP dimension build no name list.
+cover of y v y'.  Weyl weak orders and their opposites are held by their
+table of right descents instead (_from_descents), whose rank-2 faces
+coxeter certifies (each is the 2 m_ij-gon x W_ij); their cover quivers are
+the Coxeter graph induced on the generators of the covers, read off the
+table with no join, no bitset and no per-element list.  Such a lattice
+keeps the BFS tree, parent and generator per element, and the table; its
+covers, sorted cover index and names are derived on their first read, and
+its sweep waits for the first order query.  It reads a single name (the
+extremes, the FP dimension witness, an error message) off the tree as a
+word, so its length, extremes and FP dimension build no name list and no
+cover array.
 
 Either way the elements fall into classes with one cover quiver each:
 _qclass holds the class of every element, the classes numbered in order of
 their first elements, and _quivers one key (m, mask) per class, m the
 number of upper covers and mask the arrows of Q(x, dp(x)) as one row-major
-bitmask over the sorted dp(x), which q_of and fpdim_lattice read through
-_arrows.  The generic certificate makes one class per distinct key; the
-face route one per distinct row of labels, so there two classes can share
-a key.  fpdim_lattice and the Nakayama scans take the largest spectral
-radius over small integer blocks through one kernel, _largest_rho: one
-radius per distinct key, at its first occurrence, and a later block wins
-only by more than tol; a block whose row- and column-sum bound cannot beat
-the best so far is skipped, and scans that share their radii compute a
-block common to them once.
+bitmask over the sorted dp(x) of the class's first element, which
+fpdim_lattice reads through _arrows; q_of reads the key of x itself
+(_key).  The generic certificate makes one class per distinct key; a
+descent-built lattice one per set of generators of the upper covers, at
+most 2^rank, so there two classes can share a key and one class can hold
+one block in several vertex orders.  fpdim_lattice and the Nakayama scans
+take the largest spectral radius over small integer blocks through one
+kernel, _largest_rho: one radius per distinct key, at its first
+occurrence, and a later block wins only by more than tol; a block whose
+row- and column-sum bound cannot beat the best so far is skipped, and scans
+that share their radii compute a block common to them once.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Sequence
 
 import numpy as np
 
-from .errors import LatticeError
+from .errors import ConsistencyError, LatticeError
 from .quiver import Quiver, _check_names
 from .spectral import _check_tol, spectral_radius
 
@@ -71,7 +72,7 @@ __all__ = [
 ]
 
 
-# one digit per label of a tree name (FiniteLattice._from_faces)
+# one digit per label of a tree name (FiniteLattice._from_descents)
 _DIGITS = "123456789"
 
 
@@ -93,23 +94,28 @@ class FiniteLattice:
         self._qclass, self._quivers = self._certify()
 
     @classmethod
-    def _from_faces(cls, tree, upper, lower, label, arrow) -> FiniteLattice:
-        """A lattice whose cover quivers are read off labelled rank-2 faces.
+    def _from_descents(cls, tree, down, arrow, dual: bool) -> FiniteLattice:
+        """A right weak order (dual=False) or its opposite, from its table of
+        right descents alone.
 
-        upper and lower are integer index arrays, label an integer array
-        with label[k] the label of cover k; covers labelled s and t above one
-        element span the arrow s -> t of its cover quiver exactly when the
-        boolean array arrow has arrow[s, t].  The caller certifies that the
-        covers form a lattice with those faces (the Weyl face certificate in
-        coxeter); here every structural check of the constructor runs but
-        the sweep, which waits for the first order query (leq, join, meet,
-        join_all, interval), and the name check.  No two covers above one
-        element share a label (checked), so each element's covers are
-        ordered by a sort of its own at most len(arrow) labelled covers
-        (_face_entries), not by a sort of all the covers; the sorted cover
-        index _dp is built that way on its first read, as the scan of
-        fpdim_lattice reads only the cover quiver classes.  The classes are
-        the distinct rows of labels (_face_masks).
+        down is an int32 (rank, n + 1) table: down[i, x] is x s_i where i is
+        a descent of x, else -1, and the last column is -1.  The covers are
+        (x s_i, x) over the ascents i of x, reversed when dual; the ascent
+        table up, up[i, x] = x s_i, is one scatter of down (_flip), built
+        here for the weak order and on first read for its opposite.  So
+        dp(x) is the x s_i over one set of generators i, the ascents of x
+        (its descents when dual), and Q(x, dp(x)) is the Coxeter graph
+        induced on that set: an arrow over i -> j exactly when the boolean
+        array arrow has arrow[i, j] (m_ij >= 3; Bjorner-Brenti, GTM 231,
+        3.2).  The class of x is the set, as a rank-bit mask, so there are at
+        most 2^rank classes; their first elements come from one scatter of
+        minima into a 2^rank table, and a class's key is its block in the
+        sorted dp order of its first element (_key).  The caller certifies
+        the lattice and its faces (the Weyl face certificate in coxeter);
+        here only the extremes are checked.  The sorted cover index, the
+        covers in BFS scan order (x ascending, then the generator) and the
+        lower-cover counts are derived on first read, and the sweep waits
+        for the first order query (leq, join, meet, join_all, interval).
 
         tree = (parent, gen) names the elements, which are its indices: the
         root 0 has parent -1 and every other k a parent[k] < k, and k is
@@ -122,22 +128,47 @@ class FiniteLattice:
         by induction on the length their parents are equal, and then so are
         they."""
         lat = cls.__new__(cls)
-        lat._tree, lat._label = tree, label
-        lat._set_covers(len(tree[0]), upper, lower)
-        labels = (lat._face_entries() & 15).astype(np.int8)
+        lat._tree, lat._descent, lat._arrow, lat._dual = tree, down, arrow, dual
+        n, rank = down.shape[1] - 1, len(down)
+        mask = np.zeros(n, dtype=np.int16)
+        for i, row in enumerate(lat._moves):
+            mask |= (row[:n] >= 0) * np.int16(1 << i)
+        lat._n_dp = _narrow(np.array([k.bit_count() for k in range(1 << rank)]))[mask]
         lat._set_extremes()
-        lat._qclass, lat._quivers = _face_masks(lat._n_dp, labels, arrow)
+        # the first element of each set: one scatter of the least index
+        first = np.full(1 << rank, n, dtype=np.int32)
+        np.minimum.at(first, mask, np.arange(n, dtype=np.int32))
+        first = np.sort(first[first < n])
+        number = np.zeros(1 << rank, dtype=np.int16)
+        number[mask[first]] = np.arange(len(first))
+        lat._qclass = number[mask]
+        lat._quivers = [lat._key(x) for x in first.tolist()]
         return lat
 
     def __getattr__(self, name):
         # only reached for missing attributes: the cover index offsets, the
         # per-element cover lists, the name index, the down-sets and (on a
-        # face-built lattice) the names, the sorted cover index, the order,
-        # its positions and its up-sets are built on their first read
+        # descent-built lattice) the names, the ascent table, the covers,
+        # their lower counts, the sorted cover index, the order, its
+        # positions and its up-sets are built on their first read
         if name == "elements":
             self.elements = _words(self._tree)
+        elif name == "_ascent":
+            self._ascent = _flip(self._descent)
+        elif name == "_n_ds":
+            # every generator is an ascent or a descent of x
+            self._n_ds = _narrow(len(self._arrow) - self._n_dp)
         elif name == "_dp":
-            self._dp = self._face_entries() >> 4
+            rows = self._moves[:, :len(self)].T.copy()
+            rows.sort(axis=1)
+            self._dp = rows[rows >= 0]
+        elif name in ("_upper", "_lower"):
+            # (x s_i, x) over the ascents i of x, x ascending, then i
+            up = self._ascent[:, :len(self)].T
+            shorter = np.repeat(np.arange(len(self), dtype=np.int32),
+                                self._n_ds if self._dual else self._n_dp)
+            longer = up[up >= 0]
+            self._upper, self._lower = (shorter, longer) if self._dual else (longer, shorter)
         elif name == "_dp_at":
             self._dp_at = np.concatenate(([0], np.cumsum(self._n_dp, dtype=np.int64)))
         elif name in ("_parents", "_children"):
@@ -181,8 +212,8 @@ class FiniteLattice:
         sorted (the vertex order of Q(x, dp(x))), into _dp[_dp_at[x]:
         _dp_at[x + 1]], and puts a repeat right after its first, so the
         earliest repeat in cover order is named.  The generic constructor
-        builds the index this way; a face-built lattice only checks with it
-        when its own per-element sort finds a repeat (_face_entries)."""
+        builds the index this way; a descent-built lattice sorts the columns
+        of its table instead."""
         up, lo = self._upper, self._lower
         key = lo.astype(np.int64, copy=False) * len(self) + up
         order = np.argsort(key, kind="stable")
@@ -194,43 +225,6 @@ class FiniteLattice:
         del key
         self._dp = up[order]
 
-    def _face_entries(self) -> np.ndarray:
-        """The sorted cover index of a face-built lattice, with the labels:
-        the entries upper << 4 | label of the upper covers of each element,
-        element by element, each element's sorted by upper cover.  Labels
-        run below 16, and no two covers above one element share one (on a
-        Weyl lattice the covers above x are the x s_i over its ascents i,
-        or in the opposite order over its right descents; Bjorner-Brenti,
-        GTM 231), so the covers scatter into one row per element at the
-        column of their label, and one sort along the rows orders each
-        element's at most len(arrow) covers, after the negative pads; no
-        sort of all the covers is needed.
-
-        A repeated cover shows as one upper cover twice in a sorted row when
-        its copies carry two labels, and as a row shorter than the element's
-        cover count when they carry one, as do two covers above one element
-        under one label; then _sort_covers names the earliest repeated
-        cover, or ValueError names the first element with two covers under
-        one label."""
-        n, label = len(self), self._label
-        dtype = np.int32 if n < 1 << 27 else np.int64
-        width = int(label.max(initial=-1)) + 1
-        rows = np.full((n, width), -1, dtype=dtype)
-        rows[self._lower, label] = self._upper
-        rows <<= 4
-        rows |= np.arange(width, dtype=dtype)  # the column is the label
-        rows.sort(axis=1)
-        # one upper cover twice in a row: two adjacent entries, not pads,
-        # that differ in the label bits alone (checked on cache-sized blocks)
-        twice = any(np.any((b[:, 1:] ^ b[:, :-1] < 16) & (b[:, :-1] >= 0))
-                    for b in np.split(rows, range(1 << 15, n, 1 << 15)))
-        entries = rows[rows >= 0]
-        if twice or len(entries) != len(self._upper):
-            self._sort_covers()
-            x = np.flatnonzero(np.count_nonzero(rows >= 0, axis=1) != self._n_dp)[0]
-            raise ValueError(f"two covers above {self._name(x)!r} share a label")
-        return entries
-
     def _cover_lists(self) -> None:
         """The per-element lists that the sweep, the join certificate and the
         down-sets walk: _parents[x] the sorted upper covers of x, as in the
@@ -241,12 +235,32 @@ class FiniteLattice:
         at = np.concatenate(([0], np.cumsum(self._n_ds, dtype=np.int64))).tolist()
         self._children: list[list[int]] = [ds[at[x]:at[x + 1]] for x in range(len(self))]
 
+    @property
+    def _moves(self) -> np.ndarray:
+        """The table of upper covers of a descent-built lattice: dp(x) is
+        column x of it, past its -1 entries."""
+        return self._descent if self._dual else self._ascent
+
+    def _key(self, x: int) -> tuple[int, int]:
+        """Q(x, dp(x)) as a key (m, mask) on the sorted dp(x) = ys: bit
+        a*m + b for the arrow ys[a] -> ys[b].  A descent-built lattice reads
+        it off arrow on the generators i of the covers x s_i, in the order
+        of the x s_i; so does the key of a class, at its first element."""
+        if "_descent" not in self.__dict__:
+            return self._quivers[self._qclass[x]]
+        col = self._moves[:, x]
+        gens = np.flatnonzero(col >= 0)
+        gens = gens[np.argsort(col[gens])]
+        m = len(gens)
+        a, b = np.nonzero(self._arrow[np.ix_(gens, gens)])
+        return m, sum(1 << k for k in (a * m + b).tolist())
+
     def _dp_of(self, x: int) -> np.ndarray:
         """The sorted upper covers of element x, a view into the index."""
         return self._dp[self._dp_at[x]:self._dp_at[x + 1]]
 
     def _name(self, k) -> str:
-        """The name of element k; a face-built lattice whose names are not
+        """The name of element k; a descent-built lattice whose names are not
         built yet reads it off its tree."""
         names = self.__dict__.get("elements")
         return _word(self._tree, k) if names is None else names[k]
@@ -406,38 +420,42 @@ class FiniteLattice:
     @property
     def covers(self) -> Covers:
         """The (upper, lower) name pairs in cover order."""
-        return Covers(self, self._upper, self._lower)
+        return Covers(self)
 
     def __repr__(self):
-        return f"FiniteLattice({len(self)} elements, {len(self._upper)} covers)"
+        return f"FiniteLattice({len(self)} elements, {len(self.covers)} covers)"
 
 
 class Covers(Sequence):
     """(upper, lower) name pairs in cover order, viewed through the index
-    arrays of a lattice (len costs nothing and builds no name); equal to any
-    sequence of the same pairs."""
+    arrays of a lattice (len counts them off the cover counts, so it builds
+    no name and no array); equal to any sequence of the same pairs."""
 
-    def __init__(self, lat, upper, lower):
-        self._lat, self._upper, self._lower = lat, upper, lower
+    def __init__(self, lat):
+        self._lat = lat
 
     def __len__(self):
-        return len(self._upper)
+        return int(self._lat._n_dp.sum(dtype=np.int64))
 
     def __getitem__(self, k):
+        lat = self._lat
         if isinstance(k, slice):
-            return tuple(Covers(self._lat, self._upper[k], self._lower[k]))
-        names = self._lat.elements
-        return names[self._upper[k]], names[self._lower[k]]
+            return tuple(_named_pairs(lat, lat._upper[k], lat._lower[k]))
+        return lat.elements[lat._upper[k]], lat.elements[lat._lower[k]]
 
     def __iter__(self):
-        name = self._lat.elements.__getitem__
-        return zip(map(name, self._upper.tolist()), map(name, self._lower.tolist()))
+        return _named_pairs(self._lat, self._lat._upper, self._lat._lower)
 
     def __eq__(self, other):
         return isinstance(other, Sequence) and tuple(self) == tuple(other)
 
     def __repr__(self):
         return repr(tuple(self))
+
+
+def _named_pairs(lat, upper, lower):
+    name = lat.elements.__getitem__
+    return zip(map(name, upper.tolist()), map(name, lower.tolist()))
 
 
 def _bits(mask: int):
@@ -456,37 +474,18 @@ def _narrow(counts: np.ndarray) -> np.ndarray:
                               if top <= np.iinfo(t).max))
 
 
-def _face_masks(n_dp, labels, arrow) -> tuple[np.ndarray, list[tuple[int, int]]]:
-    """The cover quiver classes of _certify's layout read off cover labels:
-    n_dp[x] is the number m of upper covers ys of x and labels their labels
-    in the order of the sorted cover index (x by x, each ys sorted); bit
-    a*m + b of a class's mask is set for the arrow ys[a] -> ys[b] when
-    arrow[labels of ys[a], ys[b]].  A mask depends on the row of labels of
-    x alone, so the classes are the distinct rows: they fill one int8
-    table, -1 past the m covers, and each row is packed into one key, digit
-    a the label of ys[a] plus 1, in radix max label + 2 (below 10^9 for the
-    labels 0..8 of the Weyl faces); the keys are int32 while they fit
-    (radix^width < 2^31, as up to E8).  _first_occurrences numbers the
-    distinct rows in element order, and the mask of each is computed once,
-    in uint64 while m*m bits fit (m <= 8), else as Python ints."""
-    width, radix = int(n_dp.max(initial=0)), int(labels.max(initial=0)) + 2
-    rows = np.full((len(n_dp), width), -1, dtype=np.int8)
-    rows[np.arange(width) < n_dp[:, None]] = labels
-    keys = np.zeros(len(n_dp), dtype=np.int32 if radix ** width < 1 << 31 else np.int64)
-    for a in range(width):
-        keys += (rows[:, a].astype(keys.dtype) + 1) * radix ** a
-    first, inverse = _first_occurrences(keys)
-    del keys
-    rows = rows[first]
-    m = np.count_nonzero(rows >= 0, axis=1)
-    masks = np.zeros(len(m), dtype=np.uint64 if width <= 8 else object)
-    one = np.array(1, dtype=masks.dtype)
-    for a, b in itertools.permutations(range(width), 2):
-        # a row holds -1 past its m labels, which arrow reads as its last
-        # row or column and m > max(a, b) masks out
-        hit = (m > max(a, b)) & arrow[rows[:, a], rows[:, b]]
-        masks[hit] |= one << (a * m[hit] + b).astype(masks.dtype)
-    return inverse.astype(np.int32), list(zip(m.tolist(), masks.tolist()))
+def _flip(table: np.ndarray) -> np.ndarray:
+    """The inverse of a table of moves, x -> table[i, x] where that is not -1,
+    with a last column of -1: flip[i, table[i, x]] = x, one scatter per row.
+    Two moves of one row onto one element would leave fewer entries, which
+    raises ConsistencyError."""
+    flip = np.full_like(table, -1)
+    for i, row in enumerate(table):
+        x = np.flatnonzero(row >= 0)
+        flip[i, row[x]] = x
+    if np.count_nonzero(flip >= 0) != np.count_nonzero(table >= 0):
+        raise ConsistencyError("two covers above one element share a label")
+    return flip
 
 
 def _first_occurrences(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -522,7 +521,7 @@ def _first_occurrences(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _word(tree, k) -> str:
-    """The name of element k of a labelled tree (FiniteLattice._from_faces):
+    """The name of element k of a labelled tree (FiniteLattice._from_descents):
     its labels from the root, 1-based, one digit each; the root is 'e'."""
     parent, gen = tree
     letters = []
@@ -630,8 +629,7 @@ def q_of(lat: FiniteLattice, x: str, ys=None) -> Quiver:
     if stray:
         raise ValueError(f"{stray[0]!r} is not an upper cover of {x!r}")
     rows = [a for a, y in enumerate(dp) if y in ys]
-    return Quiver([dp[a] for a in rows],
-                  _arrows(*lat._quivers[lat._qclass[ix]])[np.ix_(rows, rows)])
+    return Quiver([dp[a] for a in rows], _arrows(*lat._key(ix))[np.ix_(rows, rows)])
 
 
 def fpdim_lattice(lat: FiniteLattice, tol: float = 1e-12) -> tuple[float, str | None]:

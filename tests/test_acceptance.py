@@ -149,7 +149,7 @@ def test_criterion03_coxeter_end_to_end():
 
 
 def test_criterion03_f4_e6():
-    # the face route builds E6 in about 0.3 s, so both run in the default suite
+    # the descent table builds E6 in about 0.02 s, so both run in the default suite
     started = time.perf_counter()
     _coxeter_end_to_end("F", 4)
     _coxeter_end_to_end("E", 6)

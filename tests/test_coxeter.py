@@ -10,7 +10,6 @@ import pytest
 
 from taufp.coxeter import (
     _check_faces,
-    _down_table,
     _weak_order_covers,
     apply_generator,
     cartan_matrix,
@@ -324,22 +323,30 @@ FACE_TYPES = [t for t in TABLE_TYPES if t != ("E", 6)] + [
 
 @pytest.mark.parametrize("fam, rank", FACE_TYPES)
 def test_face_masks_equal_join_masks(fam, rank):
-    # the cover quivers read off the labelled faces are the ones the generic
-    # constructor computes from joins (Bjorner-Edelman-Ziegler), both ways up
+    # the cover quivers read off the descent table are the ones the generic
+    # constructor computes from joins (Bjorner-Edelman-Ziegler), both ways
+    # up, element by element in each element's own dp order; the table's
+    # sorted cover index and cover counts are those of its derived covers
     cd = cartan_matrix(fam, rank)
     for lat in (tau_tiltp_model(cd), weak_order(cd).lattice):
         joined = FiniteLattice(lat.elements, lat._upper, lat._lower)
         for index in ("_dp", "_dp_at", "_n_dp", "_n_ds"):
             assert np.array_equal(getattr(lat, index), getattr(joined, index)), index
-        assert ([lat._quivers[c] for c in lat._qclass.tolist()]
+        assert ([lat._key(x) for x in range(len(lat))]
                 == [joined._quivers[c] for c in joined._qclass.tolist()])
         assert (lat._max, lat._min) == (joined._max, joined._min)
+        # a class is one set of generators, and its key is its first element's
+        firsts = [int(np.argmax(lat._qclass == c)) for c in range(len(lat._quivers))]
+        assert firsts == sorted(firsts) and lat._quivers == [lat._key(x) for x in firsts]
+        gens = lat._descent if lat._dual else lat._ascent
+        sets = (gens[:, :len(lat)] >= 0).T
+        assert len(np.unique(sets, axis=0)) == len(firsts)
+        assert np.array_equal(sets, sets[firsts][lat._qclass])
 
 
 def test_face_certificate_names_a_broken_face():
     cd = cartan_matrix("A", 3)
-    tree, upper, lower, label = _weak_order_covers(cd, 100)
-    down = _down_table(cd, len(tree[0]), upper, lower, label)
+    tree, down = _weak_order_covers(cd, 100)
     _check_faces(cd, tree, down)
     top = len(tree[0]) - 1  # w0, where every generator is a descent
     down[[0, 1], top] = down[[1, 0], top]
@@ -348,16 +355,18 @@ def test_face_certificate_names_a_broken_face():
         _check_faces(cd, tree, down)
     # every step still goes down, but 121 -> 12 -> 1 -> 2 ends apart from 121 -> 21 -> 2 -> e
     a2 = cartan_matrix("A", 2)
-    tree2, *covers2 = _weak_order_covers(a2, 100)
+    tree2, down = _weak_order_covers(a2, 100)
     names2 = weak_order(a2).lattice.elements
-    down = _down_table(a2, len(tree2[0]), *covers2)
     down[0, names2.index("1")] = names2.index("2")
     with pytest.raises(ConsistencyError, match=r"A2: the \(1, 2\) face below '121'"):
         _check_faces(a2, tree2, down)
-    label = label.copy()
-    label[-1] = label[-2]  # two covers of one element under one generator
-    with pytest.raises(ConsistencyError, match="share a label"):
-        _down_table(cd, len(tree[0]), upper, lower, label)
+    # two elements step down to one element under one generator: the ascent
+    # table would get two covers above it with that label
+    tree, down = _weak_order_covers(cd, 100)
+    x, y = np.flatnonzero(down[0] >= 0)[:2]
+    down[0, y] = down[0, x]
+    with pytest.raises(ConsistencyError, match="two covers above one element share a label"):
+        FiniteLattice._from_descents(tree, down, np.ones((3, 3), dtype=bool), dual=False)
 
 
 @pytest.mark.parametrize("fam, rank", [("A", 3), ("D", 4)])
@@ -380,9 +389,10 @@ def test_model_fpdim_builds_no_upsets():
     model = tau_tiltp_model(cartan_matrix("D", 5))
     fpdim_lattice(model)
     assert not {"_up", "_pos", "_toporder"} & set(vars(model)) and "_down" not in vars(model)
-    # nor any per-element list, the name index or the sorted cover index: the
-    # scan reads the cover counts and the arrow masks
-    assert not {"_parents", "_children", "_index", "_dp", "_dp_at"} & set(vars(model))
+    # nor any per-element list, the name index, the sorted cover index, the
+    # cover arrays or the ascent table: the scan reads the class keys
+    assert not {"_parents", "_children", "_index", "_dp", "_dp_at", "_upper", "_lower",
+                "_ascent"} & set(vars(model))
     assert model.leq(model.minimum, model.maximum)
     assert {"_up", "_pos", "_toporder"} <= set(vars(model))
     # the cover index is built on the first upper_covers or q_of

@@ -11,11 +11,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from taufp import lattice
-from taufp.coxeter import _weak_order_covers, cartan_matrix, weak_order
+from taufp.coxeter import cartan_matrix, weak_order
 from taufp.errors import LatticeError
 from taufp.lattice import (
     FiniteLattice,
-    _face_masks,
     _first_occurrences,
     _largest_rho,
     fpdim_lattice,
@@ -366,73 +365,6 @@ def test_example_fixture_shapes():
     assert fpdim_lattice(lat) == (2.0, "x")
 
 
-def test_face_masks_beyond_64_bits():
-    # nine labelled upper covers put bits up to 9 * 8 + 7 = 79 in the mask of
-    # the bottom, past any uint64; the labels are a path s1 - s2 - ... - s9
-    rng = np.random.default_rng(9)
-    label = rng.permutation(9)
-    arrow = np.abs(np.subtract.outer(np.arange(9), np.arange(9))) == 1
-    shuffle = rng.permutation(9)
-    # element 0 has the nine upper covers 1..9, labelled in index order
-    qclass, quivers = _face_masks(np.array([9] + [0] * 9), label, arrow)
-    want = sum(1 << (a * 9 + b) for a in range(9) for b in range(9)
-               if abs(int(label[a]) - int(label[b])) == 1)
-    assert qclass.tolist() == [0] + [1] * 9 and quivers == [(9, want), (0, 0)]
-    assert want.bit_length() > 64
-    # the same element read through a lattice (the bottom, nine atoms, the
-    # top) whose covers come shuffled: the cover index sorts them back; the
-    # tree names the bottom e, atom k by its label and the top above atom 1
-    tree = (np.array([-1] + [0] * 9 + [1]), np.concatenate([[-1], label, [label[1]]]))
-    up = np.concatenate([np.arange(1, 10)[shuffle], np.full(9, 10)])
-    lo = np.concatenate([np.zeros(9, dtype=np.int64), np.arange(1, 10)])
-    lat = FiniteLattice._from_faces(tree, up, lo, np.concatenate([label[shuffle], label]),
-                                    arrow)
-    names = lat.elements
-    assert names == ("e", *(str(g + 1) for g in label), f"{label[0] + 1}{label[1] + 1}")
-    assert lat._quivers[lat._qclass[0]] == (9, want)
-    assert q_of(lat, "e").adj.tolist() == arrow[np.ix_(label, label)].astype(int).tolist()
-    assert _face_masks(np.array([8] + [0] * 8), np.arange(8),
-                       arrow)[1][0] == (8, sum(1 << (a * 8 + b) for a in range(8)
-                                               for b in range(8) if abs(a - b) == 1))
-    # the atoms carry the path A9, while the join constructor sees every
-    # atom below the top, so no arrow
-    assert fpdim_lattice(lat) == (pytest.approx(2 * math.cos(math.pi / 10), abs=1e-12), "e")
-    joined = FiniteLattice(names, up, lo)
-    assert joined._quivers[joined._qclass[0]] == (9, 0)
-    assert fpdim_lattice(joined) == (0.0, "e")
-
-
-def test_face_route_structural_errors():
-    # the per-element cover sort of the face route runs the checks of the
-    # generic one: A2's covers with a cover repeated (under its own label or
-    # under a free one) or a second cover above one element under one label
-    tree, upper, lower, label = _weak_order_covers(cartan_matrix("A", 2), 100)
-    names = ("e", "1", "2", "12", "21", "121")
-    arrow = np.ones((2, 2), dtype=bool)
-
-    def build(*extra):
-        up, lo, lab = np.array(extra, dtype=np.int64).reshape(-1, 3).T
-        return FiniteLattice._from_faces(tree, np.concatenate([upper, up]),
-                                         np.concatenate([lower, lo]),
-                                         np.concatenate([label, lab]), arrow)
-
-    for extra, named in [
-        ([(3, 1, 1)], "('12', '1')"),  # under its own label
-        ([(3, 1, 0)], "('12', '1')"),  # under a label no cover of '1' has
-        # of two repeats the earlier in cover order is named, though its
-        # lower element sorts after the other's
-        ([(5, 3, 0), (1, 0, 0)], "('121', '12')"),
-    ]:
-        with pytest.raises(ValueError, match=re.escape(f"duplicate cover {named}")):
-            build(*extra)
-    with pytest.raises(ValueError, match="two covers above '1' share a label"):
-        build((4, 1, 1))
-    lat = build()
-    assert lat.elements == names and lat.upper_covers("1") == {"12"}
-    with pytest.raises(ValueError, match=r"cover \('1', '1'\) relates"):
-        build((1, 1, 0))
-
-
 @pytest.mark.parametrize("m, dtype", [(20, np.int8), (130, np.int16)])
 def test_narrow_cover_counts(m, dtype):
     # the bottom b has m atoms, a_i and a_i+1 lie below c_i and all else
@@ -522,8 +454,9 @@ def _rho(block, tol=1e-12):
 
 def test_fpdim_computes_one_radius_per_distinct_key(radius_calls):
     # at most one spectral radius per distinct (cover count, arrow mask)
-    # among the elements with at least two upper covers: 7 distinct keys
-    # among 147 elements, and the bound skips 2 of them
+    # among the elements with at least two upper covers: their classes, one
+    # per descent set, have 6 distinct keys among 147 elements, and the
+    # bound skips 2 of them
     lat = tau_tiltp_model(cartan_matrix("D", 4))
     xs = np.flatnonzero(lat._n_dp >= 2).tolist()
     pairs = [lat._quivers[lat._qclass[x]] for x in xs]
@@ -532,7 +465,7 @@ def test_fpdim_computes_one_radius_per_distinct_key(radius_calls):
     want, k, visits = largest_rho_scan(
         [lattice._arrows(*key) for key in pairs], _rho, 1e-12)
     assert (value, witness) == (want, lat._name(xs[k]))
-    assert (len(pairs), len(set(pairs)), len(visits), len(radius_calls)) == (147, 7, 7, 5)
+    assert (len(pairs), len(set(pairs)), len(visits), len(radius_calls)) == (147, 6, 6, 4)
     # a distinct block not computed could not win: its bound is <= the best
     assert len(set(radius_calls)) == len(radius_calls)
     assert set(radius_calls) <= {key for key, _, _ in visits}
