@@ -15,17 +15,11 @@ from taufp import (
     gabriel_quiver,
     largest_real_root,
 )
-
-GRID = (
-    [("A", r) for r in range(1, 7)]
-    + [("B", r) for r in (2, 3, 4)]
-    + [("C", r) for r in (2, 3, 4)]
-    + [("D", 4), ("D", 5), ("E", 6), ("F", 4), ("G", 2)]
-)
+from taufp.preproj import TABLE_TYPES
 
 for label, mult in (("minimal symmetrizer", 1), ("non-minimal symmetrizer", 2)):
     print(f"--- {label} ---")
-    for fam, rank in GRID:
+    for fam, rank in TABLE_TYPES:
         cd = cartan_matrix(fam, rank, multiplier=mult)
         q = gabriel_quiver(cd)
         loops = [q.labels[i] for i in range(q.n) if q.adj[i, i]]

@@ -14,18 +14,14 @@ radix, and a key moves along the same rule, so each level is deduplicated
 by one sort of the keys of its products.  A product over an ascent is one
 longer, so no element can repeat across levels.  The search keeps the tree
 of first parents and generators and makes no per-element Python object.
-The order is returned as a FiniteLattice whose element names are
-lex-minimal reduced words, spelled off that tree one at a time where a
-single name is read and all at once on the first read of its elements;
-matrices are built from the names only when an element is asked for.
 
 The covers are kept once, as the table of right descents: x s_i for each
 generator s_i and each x with descent i.  Every rank-2 interval of the weak
 order is a coset x W_ij, a 2 m_ij-gon (Bjorner-Brenti, GTM 231, 3.2), and a
-face certificate checks exactly that on the table; the cover quiver
-Q(x, dp(x)) is then the Coxeter graph (m_ij >= 3) induced on the ascents of
-x, or on its descents in the opposite order, so the lattice reads its arrows
-off the table and computes no join.
+face certificate checks exactly that on the table.  The order and its
+opposite are returned as a _WeylLattice, the FiniteLattice held by that
+tree and table alone; matrices are built from the element names only when
+an element is asked for.
 """
 
 from __future__ import annotations
@@ -38,7 +34,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import BudgetError, ConsistencyError
-from .lattice import FiniteLattice, _first_occurrences, _word
+from .lattice import FiniteLattice, _narrow
 from .quiver import _integer
 
 __all__ = [
@@ -338,6 +334,38 @@ class WeakOrder:
         return self.elements[name]
 
 
+def _first_occurrences(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For a nonempty array of non-negative integer keys: the positions of the
+    first occurrences of the distinct keys, in increasing order, and for each
+    position the index among them of its key's first occurrence.
+
+    One stable sort finds the runs of equal keys.  While every key << b fits
+    63 bits, b the bit width of a position, it sorts keys << b | position,
+    which numpy does many times faster than it argsorts the keys; the packed
+    keys take one int64 buffer, shifted, or'ed and sorted in place, which
+    then holds the permutation."""
+    size = len(keys)
+    shift = (size - 1).bit_length()
+    if int(keys.max()) >> (63 - shift) == 0:
+        perm = keys.astype(np.int64)
+        perm <<= shift
+        perm |= np.arange(size)
+        perm.sort()
+        sorted_keys = perm >> shift
+        perm &= (1 << shift) - 1
+    else:
+        perm = np.argsort(keys, kind="stable")
+        sorted_keys = keys[perm]
+    new = np.ones(size, dtype=bool)  # the first of each run of equal sorted keys
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=new[1:])
+    del sorted_keys
+    is_first = np.zeros(size, dtype=bool)
+    is_first[perm[new]] = True
+    index = np.empty(size, dtype=np.int64)
+    index[perm] = (np.cumsum(is_first) - 1)[perm[new]][np.cumsum(new) - 1]
+    return np.flatnonzero(is_first), index
+
+
 def _weak_order_covers(cartan: CartanData, budget: int):
     """Level-batched BFS of (W, <=_R) from the identity along ascents.
 
@@ -348,7 +376,7 @@ def _weak_order_covers(cartan: CartanData, budget: int):
     is parent[k] s_i for the 0-based generator i = gen[k], parent[k] being
     the element that first reached it, and the identity 0 has parent -1;
     read back along the tree, the generators spell the lex-minimal reduced
-    word that names k (lattice._word).  Then the int32 descent table down,
+    word that names k (_word).  Then the int32 descent table down,
     one row per generator: down[i, x] is x s_i where i is a right descent
     of x, else -1, and one more column of -1 follows the elements, so a walk
     that steps onto -1 stays there.  Each level is scattered straight into
@@ -431,14 +459,150 @@ def _check_faces(cartan: CartanData, tree, down: np.ndarray) -> None:
             )
 
 
-def _weak_order_lattice(cartan: CartanData, budget: int, dual: bool) -> FiniteLattice:
-    """The weak order (dual=False) or its opposite from the descent table
-    alone: the upper covers of x are x s_i over its ascents i, or over its
-    right descents in the opposite order, and two of them span an arrow of
-    Q(x, dp(x)) exactly when m_ij >= 3 (module docstring).  The lattice
-    keeps the BFS tree and names its elements on first read."""
-    tree, down = _weak_order_covers(cartan, budget)
-    return FiniteLattice._from_descents(tree, down, _coxeter_matrix(cartan) >= 3, dual)
+# one digit per generator of an element name (_word)
+_DIGITS = "123456789"
+
+
+class _WeylLattice(FiniteLattice):
+    """The right weak order of a Weyl group (dual=False) or its opposite,
+    held by the BFS tree and the certified descent table of
+    _weak_order_covers alone.
+
+    The covers are (x s_i, x) over the ascents i of x, reversed when dual.
+    _moves is the table of upper covers: the ascent table up[i, x] = x s_i,
+    one scatter of the descent table (_flip), or the descent table itself
+    when dual.  So dp(x), column x of _moves, is the x s_i over one set of
+    generators i, and Q(x, dp(x)) is the Coxeter graph induced on that set:
+    an arrow i -> j exactly when m_ij >= 3 (_arrow; module docstring), with
+    no join, no bitset and no per-element list.  The class of x is the set,
+    as a rank-bit mask, so there are at most 2^rank classes; two of them can
+    share a key, and one can hold one block in several vertex orders.  Their
+    first elements come from one scatter of minima into a 2^rank table, and
+    a class's key is its block in the sorted dp order of its first element
+    (_key).  Only the extremes are checked here.
+
+    The elements are the indices of the tree, each named by its lex-minimal
+    reduced word, the generators along its tree path, one digit each
+    (_word).  The names are built on the first read of elements; until then
+    _name walks the tree and index walks a name up the ascent table, so the
+    extremes, the FP dimension, upper_covers and q_of build no name list.
+    Distinct elements have distinct (parent, gen), so by induction on the
+    length they have distinct names.  The covers in BFS scan order (x
+    ascending, then the generator), their lower counts, the sorted cover
+    index and the ascent table when dual are derived on first read, and the
+    sweep waits for the first order query (leq, join, meet, interval).
+    """
+
+    def __init__(self, cartan: CartanData, budget: int, dual: bool):
+        self._tree, down = _weak_order_covers(cartan, budget)
+        self._arrow, self._dual = _coxeter_matrix(cartan) >= 3, dual
+        self._moves = down if dual else _flip(down)
+        n, rank = down.shape[1] - 1, cartan.rank
+        mask = np.zeros(n, dtype=np.int16)
+        for i, row in enumerate(self._moves):
+            mask |= (row[:n] >= 0) * np.int16(1 << i)
+        self._n_dp = _narrow(np.array([k.bit_count() for k in range(1 << rank)]))[mask]
+        self._set_extremes()
+        # the first element of each set: one scatter of the least index
+        first = np.full(1 << rank, n, dtype=np.int32)
+        np.minimum.at(first, mask, np.arange(n, dtype=np.int32))
+        first = np.sort(first[first < n])
+        number = np.zeros(1 << rank, dtype=np.int16)
+        number[mask[first]] = np.arange(len(first))
+        self._qclass = number[mask]
+        self._quivers = [self._key(x) for x in first.tolist()]
+
+    def __getattr__(self, name):
+        # the names, the ascent table, the lower-cover counts, the sorted
+        # cover index and the covers; everything else as on any lattice
+        if name == "elements":
+            self.elements = _words(self._tree)
+        elif name == "_ascent":
+            self._ascent = _flip(self._moves) if self._dual else self._moves
+        elif name == "_n_ds":
+            # every generator is an ascent or a descent of x
+            self._n_ds = _narrow(len(self._arrow) - self._n_dp)
+        elif name == "_dp":
+            rows = self._moves[:, :len(self)].T.copy()
+            rows.sort(axis=1)
+            self._dp = rows[rows >= 0]
+        elif name in ("_upper", "_lower"):
+            # (x s_i, x) over the ascents i of x, x ascending, then i
+            up = self._ascent[:, :len(self)].T
+            shorter = np.repeat(np.arange(len(self), dtype=np.int32),
+                                self._n_ds if self._dual else self._n_dp)
+            longer = up[up >= 0]
+            self._upper, self._lower = (shorter, longer) if self._dual else (longer, shorter)
+        else:
+            return super().__getattr__(name)
+        return self.__dict__[name]
+
+    def _key(self, x: int) -> tuple[int, int]:
+        # the arrows over the generators i of the covers x s_i, sorted by x s_i
+        col = self._moves[:, x]
+        gens = np.flatnonzero(col >= 0)
+        gens = gens[np.argsort(col[gens])]
+        m = len(gens)
+        a, b = np.nonzero(self._arrow[np.ix_(gens, gens)])
+        return m, sum(1 << k for k in (a * m + b).tolist())
+
+    def _dp_of(self, x: int) -> np.ndarray:
+        col = self._moves[:, x]
+        return np.sort(col[col >= 0])
+
+    def _name(self, k) -> str:
+        names = self.__dict__.get("elements")
+        return _word(self._tree, k) if names is None else names[k]
+
+    def index(self, name) -> int:
+        # once the names are built, as on any lattice; before, only the tree
+        # path of an element spells its name: each digit i steps from x to
+        # the ascent x s_i, whose tree parent must be x by generator i
+        if "elements" in self.__dict__:
+            return super().index(name)
+        (parent, gen), up = self._tree, self._ascent
+        word, x = str(name), 0
+        for i in [] if word == "e" else [_DIGITS.find(c) for c in word] or [-1]:
+            y = up.item(i, x) if 0 <= i < len(up) else -1
+            if y < 0 or parent.item(y) != x or gen.item(y) != i:
+                raise ValueError(f"unknown element {name!r}")
+            x = y
+        return x
+
+
+def _flip(table: np.ndarray) -> np.ndarray:
+    """The inverse of a table of moves, x -> table[i, x] where that is not -1,
+    with a last column of -1: flip[i, table[i, x]] = x, one scatter per row.
+    Two moves of one row onto one element would leave fewer entries, which
+    raises ConsistencyError."""
+    flip = np.full_like(table, -1)
+    for i, row in enumerate(table):
+        x = np.flatnonzero(row >= 0)
+        flip[i, row[x]] = x
+    if np.count_nonzero(flip >= 0) != np.count_nonzero(table >= 0):
+        raise ConsistencyError("two covers above one element share a label")
+    return flip
+
+
+def _word(tree, k) -> str:
+    """The name of element k of the BFS tree (parent, gen): its generators
+    from the root, 1-based, one digit each; the root is 'e'."""
+    parent, gen = tree
+    letters = []
+    while parent[k] >= 0:
+        letters.append(_DIGITS[gen[k]])
+        k = parent[k]
+    return "".join(reversed(letters)) or "e"
+
+
+def _words(tree) -> tuple[str, ...]:
+    """Every name of the BFS tree, in index order: each extends its parent's
+    by one digit."""
+    words = [""]
+    for p, g in zip(tree[0][1:].tolist(), tree[1][1:].tolist()):
+        words.append(words[p] + _DIGITS[g])
+    words[0] = "e"
+    return tuple(words)
 
 
 def weak_order(cartan: CartanData, budget: int = DEFAULT_BUDGET) -> WeakOrder:
@@ -447,7 +611,7 @@ def weak_order(cartan: CartanData, budget: int = DEFAULT_BUDGET) -> WeakOrder:
     Covers are (w s_i, w) for each ascent i, so upper means longer.  Raises
     BudgetError up front when the group order exceeds the budget.
     """
-    return WeakOrder(cartan, _weak_order_lattice(cartan, budget, dual=False))
+    return WeakOrder(cartan, _WeylLattice(cartan, budget, dual=False))
 
 
 def longest_element(order: WeakOrder) -> WeylElement:
@@ -456,9 +620,13 @@ def longest_element(order: WeakOrder) -> WeylElement:
 
 
 def parabolic_longest(order: WeakOrder, js) -> WeylElement:
-    """w0(J): the join of the generators s_j, j in J."""
+    """w0(J), the join of the s_j, j in J: a walk up from e along the least
+    ascent s_j, j in J, while there is one.  [e, w0(J)]_R is W_J, so the walk
+    ends at w0(J) and spells its lex-minimal reduced word, its lattice name."""
     js = sorted(set(_generator(order.cartan.rank, j) for j in js))
     if not js:
         raise ValueError("J must be nonempty")
-    name = order.lattice.join_all([str(j) for j in js])
-    return _from_word(order.cartan, tuple(map(int, name)))
+    w = identity_element(order.cartan)
+    while ascents := [j for j in js if is_ascent(w, j)]:
+        w = apply_generator(order.cartan, w, ascents[0])
+    return w

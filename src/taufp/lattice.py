@@ -14,38 +14,25 @@ on weak orders with tens of thousands of elements) and rejects cycles and
 covers implied by longer paths; it walks per-element cover lists, built
 from the index when first needed, as are the name dict and the down-sets.
 
-Every lattice is certified at construction, at any size, by one of two
-certificates.  The constructor, and so from_covers, JSON input, opposite
-and the Nakayama pair lattices, uses the generic one: a bounded finite
-poset is a lattice as soon as any two upper covers of a common element
-have a join (Bjorner-Edelman-Ziegler, DCG 5 (1990), Lemma 2.1), so it
-computes exactly those joins and raises LatticeError on the first one
-missing.  The same joins give the cover quivers: Q(x, dp(x)) has vertices
-the upper covers y of x and an arrow y -> y' exactly when y is not a lower
-cover of y v y'.  Weyl weak orders and their opposites are held by their
-table of right descents instead (_from_descents), whose rank-2 faces
-coxeter certifies (each is the 2 m_ij-gon x W_ij); their cover quivers are
-the Coxeter graph induced on the generators of the covers, read off the
-table with no join, no bitset and no per-element list.  Such a lattice
-keeps the BFS tree, parent and generator per element, and the table; its
-covers, sorted cover index and names are derived on their first read, and
-its sweep waits for the first order query.  It reads a single name (the
-extremes, the FP dimension witness, an error message) off the tree as a
-word, so its length, extremes and FP dimension build no name list and no
-cover array.
+Every lattice is certified at construction, at any size: a bounded finite
+poset is a lattice as soon as any two upper covers of a common element have
+a join (Bjorner-Edelman-Ziegler, DCG 5 (1990), Lemma 2.1), so the
+constructor, and so from_covers, JSON input, opposite and the Nakayama pair
+lattices, computes exactly those joins and raises LatticeError on the first
+one missing.  The same joins give the cover quivers: Q(x, dp(x)) has
+vertices the upper covers y of x and an arrow y -> y' exactly when y is not
+a lower cover of y v y'.
 
-Either way the elements fall into classes with one cover quiver each:
-_qclass holds the class of every element, the classes numbered in order of
-their first elements, and _quivers one key (m, mask) per class, m the
-number of upper covers and mask the arrows of Q(x, dp(x)) as one row-major
-bitmask over the sorted dp(x) of the class's first element, which
-fpdim_lattice reads through _arrows; q_of reads the key of x itself
-(_key).  The generic certificate makes one class per distinct key; a
-descent-built lattice one per set of generators of the upper covers, at
-most 2^rank, so there two classes can share a key and one class can hold
-one block in several vertex orders.  fpdim_lattice and the Nakayama scans
-take the largest spectral radius over small integer blocks through one
-kernel, _largest_rho: one radius per distinct key, at its first
+The elements fall into classes with one cover quiver each: _qclass holds
+the class of every element, the classes numbered in order of their first
+elements, and _quivers one key (m, mask) per class, m the number of upper
+covers and mask the arrows of Q(x, dp(x)) as one row-major bitmask over the
+sorted dp(x) of the class's first element, which fpdim_lattice reads
+through _arrows and q_of through _key.  The certificate makes one class per
+distinct key; a subclass that stores its order otherwise (the weak orders
+of coxeter) may let two classes share a key.  fpdim_lattice and the
+Nakayama scans take the largest spectral radius over small integer blocks
+through one kernel, _largest_rho: one radius per distinct key, at its first
 occurrence, and a later block wins only by more than tol; a block whose
 row- and column-sum bound cannot beat the best so far is skipped, and scans
 that share their radii compute a block common to them once.
@@ -57,7 +44,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .errors import ConsistencyError, LatticeError
+from .errors import LatticeError
 from .quiver import Quiver, _check_names
 from .spectral import _check_tol, spectral_radius
 
@@ -70,10 +57,6 @@ __all__ = [
     "lattice_to_dict",
     "lattice_from_dict",
 ]
-
-
-# one digit per label of a tree name (FiniteLattice._from_descents)
-_DIGITS = "123456789"
 
 
 class FiniteLattice:
@@ -93,83 +76,11 @@ class FiniteLattice:
         self._set_extremes()
         self._qclass, self._quivers = self._certify()
 
-    @classmethod
-    def _from_descents(cls, tree, down, arrow, dual: bool) -> FiniteLattice:
-        """A right weak order (dual=False) or its opposite, from its table of
-        right descents alone.
-
-        down is an int32 (rank, n + 1) table: down[i, x] is x s_i where i is
-        a descent of x, else -1, and the last column is -1.  The covers are
-        (x s_i, x) over the ascents i of x, reversed when dual; the ascent
-        table up, up[i, x] = x s_i, is one scatter of down (_flip), built
-        here for the weak order and on first read for its opposite.  So
-        dp(x) is the x s_i over one set of generators i, the ascents of x
-        (its descents when dual), and Q(x, dp(x)) is the Coxeter graph
-        induced on that set: an arrow over i -> j exactly when the boolean
-        array arrow has arrow[i, j] (m_ij >= 3; Bjorner-Brenti, GTM 231,
-        3.2).  The class of x is the set, as a rank-bit mask, so there are at
-        most 2^rank classes; their first elements come from one scatter of
-        minima into a 2^rank table, and a class's key is its block in the
-        sorted dp order of its first element (_key).  The caller certifies
-        the lattice and its faces (the Weyl face certificate in coxeter);
-        here only the extremes are checked.  The sorted cover index, the
-        covers in BFS scan order (x ascending, then the generator) and the
-        lower-cover counts are derived on first read, and the sweep waits
-        for the first order query (leq, join, meet, join_all, interval).
-
-        tree = (parent, gen) names the elements, which are its indices: the
-        root 0 has parent -1 and every other k a parent[k] < k, and k is
-        named by the labels gen along its path from the root, one digit each
-        (_word), so labels run from 0 to 8.  The names are built on the first
-        read of elements; until then _name walks the tree.  They need no
-        duplicate check when, as in the Weyl BFS (k = parent[k] s_gen[k],
-        distinct vectors), distinct elements have distinct (parent, gen):
-        two elements with one name have one length and one last label, so
-        by induction on the length their parents are equal, and then so are
-        they."""
-        lat = cls.__new__(cls)
-        lat._tree, lat._descent, lat._arrow, lat._dual = tree, down, arrow, dual
-        n, rank = down.shape[1] - 1, len(down)
-        mask = np.zeros(n, dtype=np.int16)
-        for i, row in enumerate(lat._moves):
-            mask |= (row[:n] >= 0) * np.int16(1 << i)
-        lat._n_dp = _narrow(np.array([k.bit_count() for k in range(1 << rank)]))[mask]
-        lat._set_extremes()
-        # the first element of each set: one scatter of the least index
-        first = np.full(1 << rank, n, dtype=np.int32)
-        np.minimum.at(first, mask, np.arange(n, dtype=np.int32))
-        first = np.sort(first[first < n])
-        number = np.zeros(1 << rank, dtype=np.int16)
-        number[mask[first]] = np.arange(len(first))
-        lat._qclass = number[mask]
-        lat._quivers = [lat._key(x) for x in first.tolist()]
-        return lat
-
     def __getattr__(self, name):
         # only reached for missing attributes: the cover index offsets, the
-        # per-element cover lists, the name index, the down-sets and (on a
-        # descent-built lattice) the names, the ascent table, the covers,
-        # their lower counts, the sorted cover index, the order, its
-        # positions and its up-sets are built on their first read
-        if name == "elements":
-            self.elements = _words(self._tree)
-        elif name == "_ascent":
-            self._ascent = _flip(self._descent)
-        elif name == "_n_ds":
-            # every generator is an ascent or a descent of x
-            self._n_ds = _narrow(len(self._arrow) - self._n_dp)
-        elif name == "_dp":
-            rows = self._moves[:, :len(self)].T.copy()
-            rows.sort(axis=1)
-            self._dp = rows[rows >= 0]
-        elif name in ("_upper", "_lower"):
-            # (x s_i, x) over the ascents i of x, x ascending, then i
-            up = self._ascent[:, :len(self)].T
-            shorter = np.repeat(np.arange(len(self), dtype=np.int32),
-                                self._n_ds if self._dual else self._n_dp)
-            longer = up[up >= 0]
-            self._upper, self._lower = (shorter, longer) if self._dual else (longer, shorter)
-        elif name == "_dp_at":
+        # per-element cover lists, the name index, the down-sets, the order,
+        # its positions and its up-sets are built on their first read
+        if name == "_dp_at":
             self._dp_at = np.concatenate(([0], np.cumsum(self._n_dp, dtype=np.int64)))
         elif name in ("_parents", "_children"):
             self._cover_lists()
@@ -211,9 +122,7 @@ class FiniteLattice:
         sort by (lower, upper) groups the upper covers of each element x,
         sorted (the vertex order of Q(x, dp(x))), into _dp[_dp_at[x]:
         _dp_at[x + 1]], and puts a repeat right after its first, so the
-        earliest repeat in cover order is named.  The generic constructor
-        builds the index this way; a descent-built lattice sorts the columns
-        of its table instead."""
+        earliest repeat in cover order is named."""
         up, lo = self._upper, self._lower
         key = lo.astype(np.int64, copy=False) * len(self) + up
         order = np.argsort(key, kind="stable")
@@ -235,35 +144,17 @@ class FiniteLattice:
         at = np.concatenate(([0], np.cumsum(self._n_ds, dtype=np.int64))).tolist()
         self._children: list[list[int]] = [ds[at[x]:at[x + 1]] for x in range(len(self))]
 
-    @property
-    def _moves(self) -> np.ndarray:
-        """The table of upper covers of a descent-built lattice: dp(x) is
-        column x of it, past its -1 entries."""
-        return self._descent if self._dual else self._ascent
-
     def _key(self, x: int) -> tuple[int, int]:
         """Q(x, dp(x)) as a key (m, mask) on the sorted dp(x) = ys: bit
-        a*m + b for the arrow ys[a] -> ys[b].  A descent-built lattice reads
-        it off arrow on the generators i of the covers x s_i, in the order
-        of the x s_i; so does the key of a class, at its first element."""
-        if "_descent" not in self.__dict__:
-            return self._quivers[self._qclass[x]]
-        col = self._moves[:, x]
-        gens = np.flatnonzero(col >= 0)
-        gens = gens[np.argsort(col[gens])]
-        m = len(gens)
-        a, b = np.nonzero(self._arrow[np.ix_(gens, gens)])
-        return m, sum(1 << k for k in (a * m + b).tolist())
+        a*m + b for the arrow ys[a] -> ys[b]."""
+        return self._quivers[self._qclass[x]]
 
     def _dp_of(self, x: int) -> np.ndarray:
         """The sorted upper covers of element x, a view into the index."""
         return self._dp[self._dp_at[x]:self._dp_at[x + 1]]
 
     def _name(self, k) -> str:
-        """The name of element k; a descent-built lattice whose names are not
-        built yet reads it off its tree."""
-        names = self.__dict__.get("elements")
-        return _word(self._tree, k) if names is None else names[k]
+        return self.elements[k]
 
     def _set_extremes(self) -> None:
         maxima = np.flatnonzero(self._n_dp == 0).tolist()
@@ -405,7 +296,7 @@ class FiniteLattice:
 
     def upper_covers(self, x: str) -> set[str]:
         """dp(x): the elements covering x."""
-        return {self.elements[p] for p in self._dp_of(self.index(x)).tolist()}
+        return {self._name(p) for p in self._dp_of(self.index(x)).tolist()}
 
     def lower_covers(self, x: str) -> set[str]:
         """ds(x): the elements covered by x."""
@@ -472,73 +363,6 @@ def _narrow(counts: np.ndarray) -> np.ndarray:
     top = int(counts.max(initial=0))
     return counts.astype(next(t for t in (np.int8, np.int16, np.int32, np.int64)
                               if top <= np.iinfo(t).max))
-
-
-def _flip(table: np.ndarray) -> np.ndarray:
-    """The inverse of a table of moves, x -> table[i, x] where that is not -1,
-    with a last column of -1: flip[i, table[i, x]] = x, one scatter per row.
-    Two moves of one row onto one element would leave fewer entries, which
-    raises ConsistencyError."""
-    flip = np.full_like(table, -1)
-    for i, row in enumerate(table):
-        x = np.flatnonzero(row >= 0)
-        flip[i, row[x]] = x
-    if np.count_nonzero(flip >= 0) != np.count_nonzero(table >= 0):
-        raise ConsistencyError("two covers above one element share a label")
-    return flip
-
-
-def _first_occurrences(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For a nonempty array of non-negative integer keys: the positions of the
-    first occurrences of the distinct keys, in increasing order, and for each
-    position the index among them of its key's first occurrence.
-
-    One stable sort finds the runs of equal keys.  While every key << b fits
-    63 bits, b the bit width of a position, it sorts keys << b | position,
-    which numpy does many times faster than it argsorts the keys; the packed
-    keys take one int64 buffer, shifted, or'ed and sorted in place, which
-    then holds the permutation."""
-    size = len(keys)
-    shift = (size - 1).bit_length()
-    if int(keys.max()) >> (63 - shift) == 0:
-        perm = keys.astype(np.int64)
-        perm <<= shift
-        perm |= np.arange(size)
-        perm.sort()
-        sorted_keys = perm >> shift
-        perm &= (1 << shift) - 1
-    else:
-        perm = np.argsort(keys, kind="stable")
-        sorted_keys = keys[perm]
-    new = np.ones(size, dtype=bool)  # the first of each run of equal sorted keys
-    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=new[1:])
-    del sorted_keys
-    is_first = np.zeros(size, dtype=bool)
-    is_first[perm[new]] = True
-    index = np.empty(size, dtype=np.int64)
-    index[perm] = (np.cumsum(is_first) - 1)[perm[new]][np.cumsum(new) - 1]
-    return np.flatnonzero(is_first), index
-
-
-def _word(tree, k) -> str:
-    """The name of element k of a labelled tree (FiniteLattice._from_descents):
-    its labels from the root, 1-based, one digit each; the root is 'e'."""
-    parent, gen = tree
-    letters = []
-    while parent[k] >= 0:
-        letters.append(_DIGITS[gen[k]])
-        k = parent[k]
-    return "".join(reversed(letters)) or "e"
-
-
-def _words(tree) -> tuple[str, ...]:
-    """Every name of a labelled tree, in index order: each extends its
-    parent's by one digit."""
-    words = [""]
-    for p, g in zip(tree[0][1:].tolist(), tree[1][1:].tolist()):
-        words.append(words[p] + _DIGITS[g])
-    words[0] = "e"
-    return tuple(words)
 
 
 def _arrows(m: int, mask: int) -> np.ndarray:
@@ -619,7 +443,7 @@ def q_of(lat: FiniteLattice, x: str, ys=None) -> Quiver:
     never multiple.
     """
     ix = lat.index(x)
-    dp = [lat.elements[y] for y in lat._dp_of(ix).tolist()]
+    dp = [lat._name(y) for y in lat._dp_of(ix).tolist()]
     ys = dp if ys is None else [str(y) for y in ys]
     if not ys:
         raise ValueError("Y must be nonempty")

@@ -15,8 +15,8 @@ import math
 
 import numpy as np
 
-from .coxeter import (CartanData, DEFAULT_BUDGET, _check_type_rank, _coxeter_number,
-                      _weak_order_lattice, cartan_matrix)
+from .coxeter import (CartanData, DEFAULT_BUDGET, _WeylLattice, _check_type_rank,
+                      _coxeter_number, cartan_matrix)
 from .errors import ConsistencyError
 from .lattice import FiniteLattice
 from .quiver import Quiver
@@ -87,9 +87,9 @@ def tau_tiltp_model(cartan: CartanData, budget: int = DEFAULT_BUDGET) -> FiniteL
     the weak-order BFS with each cover reversed, so only one lattice is
     built; its elements and covers are in the order of
     opposite(weak_order(cartan).lattice), and its cover quivers are read off
-    the certified rank-2 faces (coxeter module docstring).
+    the certified rank-2 faces (coxeter._WeylLattice).
     """
-    return _weak_order_lattice(cartan, budget, dual=True)
+    return _WeylLattice(cartan, budget, dual=True)
 
 
 def dynkin_rho(family: str, rank: int, minimal: bool = True) -> float:

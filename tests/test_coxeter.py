@@ -10,6 +10,7 @@ import pytest
 
 from taufp.coxeter import (
     _check_faces,
+    _flip,
     _weak_order_covers,
     apply_generator,
     cartan_matrix,
@@ -185,6 +186,22 @@ def test_longest_and_parabolic():
         parabolic_longest(wa2, [])
 
 
+@pytest.mark.parametrize("fam, rank", [("A", 3), ("B", 3), ("D", 4), ("F", 4), ("G", 2)])
+def test_parabolic_longest_is_the_join_of_its_generators(fam, rank):
+    w = weak_order(cartan_matrix(fam, rank))
+    for size in range(1, rank + 1):
+        for js in itertools.combinations(range(1, rank + 1), size):
+            name = w.lattice.join_all([str(j) for j in js])
+            assert parabolic_longest(w, js) == w.element(name)
+            assert parabolic_longest(w, js).word == tuple(map(int, name))
+
+
+def test_parabolic_longest_makes_no_lattice_sweep():
+    w = weak_order(cartan_matrix("E", 6))
+    assert parabolic_longest(w, [1, 2, 3]).word == (1, 2, 1, 3, 2, 1)
+    assert "_up" not in vars(w.lattice)
+
+
 def test_b_and_c_give_the_same_weak_order():
     # the Coxeter matrices agree, so the lattices coincide element for element
     wb = weak_order(cartan_matrix("B", 3))
@@ -338,8 +355,7 @@ def test_face_masks_equal_join_masks(fam, rank):
         # a class is one set of generators, and its key is its first element's
         firsts = [int(np.argmax(lat._qclass == c)) for c in range(len(lat._quivers))]
         assert firsts == sorted(firsts) and lat._quivers == [lat._key(x) for x in firsts]
-        gens = lat._descent if lat._dual else lat._ascent
-        sets = (gens[:, :len(lat)] >= 0).T
+        sets = (lat._moves[:, :len(lat)] >= 0).T
         assert len(np.unique(sets, axis=0)) == len(firsts)
         assert np.array_equal(sets, sets[firsts][lat._qclass])
 
@@ -366,23 +382,41 @@ def test_face_certificate_names_a_broken_face():
     x, y = np.flatnonzero(down[0] >= 0)[:2]
     down[0, y] = down[0, x]
     with pytest.raises(ConsistencyError, match="two covers above one element share a label"):
-        FiniteLattice._from_descents(tree, down, np.ones((3, 3), dtype=bool), dual=False)
+        _flip(down)
 
 
 @pytest.mark.parametrize("fam, rank", [("A", 3), ("D", 4)])
 def test_face_built_order_queries_equal_generic(fam, rank):
-    lat = weak_order(cartan_matrix(fam, rank)).lattice
-    generic = FiniteLattice(lat.elements, lat._upper, lat._lower)
-    for x, y in itertools.product(lat.elements, repeat=2):
-        assert lat.leq(x, y) == generic.leq(x, y)
-        assert lat.join(x, y) == generic.join(x, y)
-        assert lat.meet(x, y) == generic.meet(x, y)
-        assert lat.interval(x, y) == generic.interval(x, y)
-    for x in lat.elements:
-        assert lat.upper_covers(x) == generic.upper_covers(x)
-        assert lat.lower_covers(x) == generic.lower_covers(x)
-        if x != lat.maximum:
-            assert q_of(lat, x) == q_of(generic, x)
+    cd = cartan_matrix(fam, rank)
+    for build in (lambda: weak_order(cd).lattice, lambda: tau_tiltp_model(cd)):
+        lat = build()
+        assert isinstance(lat, FiniteLattice)
+        generic = FiniteLattice(lat.elements, lat._upper, lat._lower)
+        for x, y in itertools.product(lat.elements, repeat=2):
+            assert lat.leq(x, y) == generic.leq(x, y)
+            assert lat.join(x, y) == generic.join(x, y)
+            assert lat.meet(x, y) == generic.meet(x, y)
+            assert lat.interval(x, y) == generic.interval(x, y)
+        for x in lat.elements:
+            assert lat.upper_covers(x) == generic.upper_covers(x)
+            assert lat.lower_covers(x) == generic.lower_covers(x)
+            if x != lat.maximum:
+                assert q_of(lat, x) == q_of(generic, x)
+        # before its names are built, a lattice walks each name up its table
+        walked = build()
+        assert [walked.index(x) for x in lat.elements] == list(range(len(lat)))
+        assert walked.index("e") == 0
+        # a non-canonical word of s1 s3, a non-reduced word, digits out of
+        # range, a letter, the empty name and a non-string fail as on the
+        # generic lattice
+        for bad in ["31", "11", str(rank + 1), "0", "1x", "x", "", 3.5]:
+            with pytest.raises(ValueError) as want:
+                generic.index(bad)
+            for named in (walked, lat):
+                with pytest.raises(ValueError) as got:
+                    named.index(bad)
+                assert str(got.value) == str(want.value)
+        assert "elements" not in vars(walked)
 
 
 def test_model_fpdim_builds_no_upsets():
@@ -395,13 +429,14 @@ def test_model_fpdim_builds_no_upsets():
                 "_ascent"} & set(vars(model))
     assert model.leq(model.minimum, model.maximum)
     assert {"_up", "_pos", "_toporder"} <= set(vars(model))
-    # the cover index is built on the first upper_covers or q_of
+    # upper_covers and q_of read one column of the table, and name only the
+    # covers: no cover index, no name list and no name index
     for read in (lambda lat: lat.upper_covers(lat.minimum),
                  lambda lat: q_of(lat, lat.minimum).labels):
         lat = tau_tiltp_model(cartan_matrix("D", 5))
         fpdim_lattice(lat)
-        assert not {"_dp", "_dp_at"} & set(vars(lat))
-        assert len(read(lat)) == 5 and {"_dp", "_dp_at"} <= set(vars(lat))
+        assert len(read(lat)) == 5
+        assert not {"_dp", "_dp_at", "elements", "_index"} & set(vars(lat))
 
 
 def _sha256(lines) -> str:

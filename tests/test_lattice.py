@@ -11,11 +11,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from taufp import lattice
-from taufp.coxeter import cartan_matrix, weak_order
+from taufp.coxeter import _first_occurrences, cartan_matrix, weak_order
 from taufp.errors import LatticeError
 from taufp.lattice import (
     FiniteLattice,
-    _first_occurrences,
     _largest_rho,
     fpdim_lattice,
     from_covers,
