@@ -26,6 +26,7 @@ an element is asked for.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -372,9 +373,9 @@ def _weak_order_covers(cartan: CartanData, budget: int):
     Elements are numbered in declaration order: BFS order, and within a
     level the order in which they are first reached, scanning the previous
     level in order and each element's ascents by generator, which is lex
-    order of the words.  Returns the BFS tree, (parent, gen): element k > 0
-    is parent[k] s_i for the 0-based generator i = gen[k], parent[k] being
-    the element that first reached it, and the identity 0 has parent -1;
+    order of the words, so parent is sorted.  Returns the BFS tree, (parent,
+    gen): element k > 0 is parent[k] s_i for the 0-based generator i = gen[k],
+    parent[k] the element that first reached it, and parent[0] is -1;
     read back along the tree, the generators spell the lex-minimal reduced
     word that names k (_word).  Then the int32 descent table down,
     one row per generator: down[i, x] is x s_i where i is a right descent
@@ -484,7 +485,7 @@ class _WeylLattice(FiniteLattice):
     The elements are the indices of the tree, each named by its lex-minimal
     reduced word, the generators along its tree path, one digit each
     (_word).  The names are built on the first read of elements; until then
-    _name walks the tree and index walks a name up the ascent table, so the
+    _name walks up the tree, and index always walks a name down it, so the
     extremes, the FP dimension, upper_covers and q_of build no name list.
     Distinct elements have distinct (parent, gen), so by induction on the
     length they have distinct names.  The covers in BFS scan order (x
@@ -555,16 +556,22 @@ class _WeylLattice(FiniteLattice):
         return _word(self._tree, k) if names is None else names[k]
 
     def index(self, name) -> int:
-        # once the names are built, as on any lattice; before, only the tree
-        # path of an element spells its name: each digit i steps from x to
-        # the ascent x s_i, whose tree parent must be x by generator i
-        if "elements" in self.__dict__:
-            return super().index(name)
-        (parent, gen), up = self._tree, self._ascent
-        word, x = str(name), 0
-        for i in [] if word == "e" else [_DIGITS.find(c) for c in word] or [-1]:
-            y = up.item(i, x) if 0 <= i < len(up) else -1
-            if y < 0 or parent.item(y) != x or gen.item(y) != i:
+        # a name walks down the tree: parent is sorted (_weak_order_covers), so
+        # the children of x are one run, at most rank long, that a binary search
+        # finds, and digit i steps to the one by generator i; memoryviews read
+        # plain ints
+        word = str(name)
+        if word == "e":
+            return 0
+        if not word:
+            raise ValueError(f"unknown element {name!r}")
+        parent, gen = map(memoryview, self._tree)
+        x = 0
+        for i in map(_DIGITS.find, word):
+            y = bisect.bisect_left(parent, x)
+            while y < len(parent) and parent[y] == x and gen[y] != i:
+                y += 1
+            if y == len(parent) or parent[y] != x:
                 raise ValueError(f"unknown element {name!r}")
             x = y
         return x
@@ -627,6 +634,6 @@ def parabolic_longest(order: WeakOrder, js) -> WeylElement:
     if not js:
         raise ValueError("J must be nonempty")
     w = identity_element(order.cartan)
-    while ascents := [j for j in js if is_ascent(w, j)]:
-        w = apply_generator(order.cartan, w, ascents[0])
+    while (j := next((j for j in js if is_ascent(w, j)), None)) is not None:
+        w = apply_generator(order.cartan, w, j)
     return w

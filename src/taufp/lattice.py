@@ -260,7 +260,6 @@ class FiniteLattice:
     def __len__(self) -> int:
         return len(self._n_dp)
 
-
     def index(self, name: str) -> int:
         try:
             return self._index[str(name)]

@@ -261,11 +261,13 @@ REFERENCE_TYPES = [t for t in TABLE_TYPES if t != ("E", 6)] + [
 @pytest.mark.parametrize("fam, rank", REFERENCE_TYPES)
 def test_weak_order_matches_reference_bfs(fam, rank):
     # the level-batched BFS keeps the names, declaration order, cover order,
-    # words and matrices of the plain one-element-at-a-time search
+    # words and matrices of the plain one-element-at-a-time search, and
+    # each name walks down the tree to its own index
     cd = cartan_matrix(fam, rank)
     w = weak_order(cd)
     names, covers, words, mats = weak_order_reference(cd.cartan)
     assert w.lattice.elements == tuple(names)
+    assert [w.lattice.index(x) for x in names] == list(range(len(names)))
     assert w.lattice.covers == tuple(covers)
     assert list(w.elements) == names
     for name, word, mat in zip(names, words, mats):
@@ -402,7 +404,8 @@ def test_face_built_order_queries_equal_generic(fam, rank):
             assert lat.lower_covers(x) == generic.lower_covers(x)
             if x != lat.maximum:
                 assert q_of(lat, x) == q_of(generic, x)
-        # before its names are built, a lattice walks each name up its table
+        # a lattice walks each name down its BFS tree, before and after its
+        # names are built
         walked = build()
         assert [walked.index(x) for x in lat.elements] == list(range(len(lat)))
         assert walked.index("e") == 0
@@ -416,7 +419,8 @@ def test_face_built_order_queries_equal_generic(fam, rank):
                 with pytest.raises(ValueError) as got:
                     named.index(bad)
                 assert str(got.value) == str(want.value)
-        assert "elements" not in vars(walked)
+        # the walk reads the tree alone: no names and no ascent table
+        assert not {"elements", "_ascent"} & set(vars(walked))
 
 
 def test_model_fpdim_builds_no_upsets():
