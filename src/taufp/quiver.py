@@ -157,47 +157,48 @@ def _components(adj: np.ndarray) -> list[list[int]]:
 
     Roots are taken in index order and successors in increasing order; each
     component lists its vertices in the order they leave the stack.  For a
-    symmetric adj these are the weak components.
+    symmetric adj these are the weak components.  A vertex whose component
+    has left the stack gets index n, above every low-link, so one comparison
+    updates a low-link without an on-stack test.
     """
     n = adj.shape[0]
-    rows, cols = np.nonzero(adj)  # row-major: rows sorted, columns sorted within a row
-    at = np.searchsorted(rows, np.arange(n + 1)).tolist()
-    cols = cols.tolist()
-    succ = [cols[at[v]:at[v + 1]] for v in range(n)]
-    index, low, onstack = [-1] * n, [0] * n, [False] * n
+    flat = np.flatnonzero(adj != 0)  # row-major: v * n + w, increasing
+    at = np.searchsorted(flat, np.arange(n + 1) * n).tolist()  # row starts
+    cols = (flat % n).tolist()
+    succ = [iter(cols[at[v]:at[v + 1]]) for v in range(n)]
+    index, low = [-1] * n, [0] * n
     stack: list[int] = []
     comps: list[list[int]] = []
     counter = 0
     for root in range(n):
         if index[root] != -1:
             continue
-        work = [(root, 0)]
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        work = [root]
         while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                onstack[v] = True
-            for k in range(pi, len(succ[v])):
-                w = succ[v][k]
+            v = work[-1]
+            for w in succ[v]:  # resumes where v's last descent left off
                 if index[w] == -1:
-                    work[-1] = (v, k + 1)
-                    work.append((w, 0))
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    work.append(w)
                     break
-                if onstack[w]:
-                    low[v] = min(low[v], index[w])
+                if index[w] < low[v]:
+                    low[v] = index[w]
             else:
                 work.pop()
-                if work:
-                    parent = work[-1][0]
-                    low[parent] = min(low[parent], low[v])
                 if low[v] == index[v]:
-                    at = stack.index(v)
-                    comps.append(stack[at:][::-1])
-                    for w in stack[at:]:
-                        onstack[w] = False
-                    del stack[at:]
+                    comp, w = [], -1
+                    while w != v:
+                        w = stack.pop()
+                        index[w] = n
+                        comp.append(w)
+                    comps.append(comp)
+                elif low[v] < low[work[-1]]:  # not a root, so v has a parent
+                    low[work[-1]] = low[v]
     return comps
 
 

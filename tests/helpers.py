@@ -170,6 +170,44 @@ def canonical_form(q) -> tuple:
 
 
 # ---------------------------------------------------------------------------
+# Component reference: Tarjan's algorithm as he wrote it, recursive and with
+# an explicit on-stack set, over plain nested lists.
+
+
+def tarjan_reference(adj) -> list[list[int]]:
+    """Strongly connected components of the digraph with an arrow i -> j
+    wherever adj[i][j] != 0: roots in index order, successors in increasing
+    order, each component in the order its vertices leave the stack."""
+    n = len(adj)
+    index, low, on_stack = {}, {}, set()
+    stack, comps = [], []
+
+    def visit(v):
+        index[v] = low[v] = len(index)
+        stack.append(v)
+        on_stack.add(v)
+        for w in range(n):
+            if not adj[v][w]:
+                continue
+            if w not in index:
+                visit(w)
+                low[v] = min(low[v], low[w])
+            elif w in on_stack:
+                low[v] = min(low[v], index[w])
+        if low[v] == index[v]:
+            comp = []
+            while not comp or comp[-1] != v:
+                comp.append(stack.pop())
+                on_stack.discard(comp[-1])
+            comps.append(comp)
+
+    for v in range(n):
+        if v not in index:
+            visit(v)
+    return comps
+
+
+# ---------------------------------------------------------------------------
 # Sturm reference: classical Sturm bisection over Fractions, kept as the
 # reference the integer route in taufp.spectral must match float for float.
 

@@ -5,10 +5,12 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from taufp.quiver import (
     DynkinClass,
     Quiver,
+    _components,
     build_quiver,
     classify_underlying_graph,
     connected_components,
@@ -18,6 +20,8 @@ from taufp.quiver import (
     separated_quiver,
     to_dot,
 )
+
+from helpers import tarjan_reference
 
 
 def path_quiver(n):
@@ -142,6 +146,44 @@ def test_components_empty_and_isolated():
     q = build_quiver(["a", "b", "c"], [("a", "b", 1), ("b", "a", 1)])
     comps = connected_components(q)
     assert [c.labels for c in comps] == [("a", "b"), ("c",)]
+
+
+@st.composite
+def block_digraphs(draw):
+    """Up to 40 vertices in up to 6 groups, shuffled: arrows inside a group
+    with one density, forward between groups with another, backward ones
+    rarely (they merge groups), loops and multiplicities up to 2^62."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(0, 40))
+    group = rng.integers(0, draw(st.integers(1, 6)), n)
+    p_in, p_fwd = draw(st.floats(0, 0.6)), draw(st.floats(0, 0.2))
+    r = rng.random((n, n))
+    before = group[:, None] < group[None, :]
+    arrows = np.where(group[:, None] == group[None, :], r < p_in,
+                      np.where(before, r < p_fwd, r < 0.01))
+    mult = rng.integers(1, 4, (n, n))
+    mult[rng.random((n, n)) < 0.05] = 2**62
+    perm = rng.permutation(n)
+    return (arrows * mult)[np.ix_(perm, perm)].astype(np.int64)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(block_digraphs())
+def test_components_equal_recursive_tarjan(adj):
+    # the list order and the order within each component, for the strong
+    # components and for the weak ones (2^62 + 2^62 wraps in adj + adj.T,
+    # to a nonzero entry, as connected_components relies on)
+    assert _components(adj) == tarjan_reference(adj.tolist())
+    sym = adj + adj.T
+    assert _components(sym) == tarjan_reference(sym.tolist())
+
+
+def test_components_of_a_long_path_need_no_recursion():
+    # 1,200 nested descents: a recursive search would pass Python's limit
+    n = 1200
+    adj = np.zeros((n, n), dtype=np.int64)
+    adj[np.arange(n - 1), np.arange(1, n)] = 1
+    assert _components(adj) == [[v] for v in reversed(range(n))]
 
 
 # -- Dynkin classification ---------------------------------------------------

@@ -17,6 +17,9 @@ from taufp.quiver import Quiver, build_quiver, connected_components
 from taufp.spectral import (
     _largest_root_within,
     _power_radius,
+    _primitive,
+    _square_free_chain,
+    _sturm_chain,
     IntPolynomial,
     SymIntMatrix,
     char_poly,
@@ -144,8 +147,8 @@ def _dense_strongly_connected(n, seed):
 
 @pytest.mark.parametrize("n", [24, 32, 48, pytest.param(60, marks=pytest.mark.stretch)])
 def test_verify_dense_size_ceiling(n):
-    # exact char-poly and Sturm certificate on dense quivers; ~0.01 s, 0.05 s,
-    # 0.6 s, 1.6 s, most of it the characteristic polynomial
+    # exact char-poly and its certificate on dense quivers; ~0.01 s, 0.03 s,
+    # 0.25 s, 0.7 s, nearly all of it the characteristic polynomial
     q = _dense_strongly_connected(n, seed=n)
     want = float(np.abs(np.linalg.eigvals(q.adj.astype(float))).max())
     assert spectral_radius(q, verify=True) == pytest.approx(want, abs=1e-9)
@@ -154,17 +157,22 @@ def test_verify_dense_size_ceiling(n):
 B2 = build_quiver(["1", "2"], [("1", "1", 1), ("1", "2", 1), ("2", "1", 1)])  # x^2 - x - 1
 
 
-def _count_fallbacks(monkeypatch):
-    """Count the calls of the Sturm-bisection fallback of verify=True."""
+def _count_calls(monkeypatch, name):
+    """Count the calls of a module-level function of taufp.spectral."""
     calls = []
-    bisect = taufp.spectral.largest_real_root
+    f = getattr(taufp.spectral, name)
 
     def counted(*args, **kwargs):
         calls.append(args)
-        return bisect(*args, **kwargs)
+        return f(*args, **kwargs)
 
-    monkeypatch.setattr(taufp.spectral, "largest_real_root", counted)
+    monkeypatch.setattr(taufp.spectral, name, counted)
     return calls
+
+
+def _count_fallbacks(monkeypatch):
+    """Count the calls of the Sturm-bisection fallback of verify=True."""
+    return _count_calls(monkeypatch, "largest_real_root")
 
 
 def test_verify_mismatch_names_both_values_size_and_stage(monkeypatch):
@@ -234,6 +242,63 @@ def test_largest_root_within_matches_sympy_intervals(coeffs, radius, offset, at_
     inside = [lo < r <= hi for r in (a, b)]
     assert inside[0] == inside[1]  # the isolating interval straddles no end
     assert _largest_root_within(p, center, radius) == inside[0]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(integer_polys())
+def test_square_free_chain_needs_one_euclid_on_square_free_input(coeffs):
+    # the chain starts at the primitive square-free part with the sign of
+    # lc(p) (sympy's, independently) and is that polynomial's Sturm chain;
+    # only a repeated factor costs the division and a second chain
+    p = IntPolynomial(coeffs)
+    if p.degree <= 0:
+        return
+    x = sympy.Symbol("x")
+    poly = sympy.Poly(list(reversed(coeffs)), x)
+    part = [int(c) for c in reversed(poly.sqf_part().primitive()[1].all_coeffs())]
+    if (part[-1] > 0) != (coeffs[-1] > 0):
+        part = [-c for c in part]
+    with pytest.MonkeyPatch.context() as m:
+        divisions = _count_calls(m, "_exact_quotient")
+        chain = _square_free_chain(p)
+    assert chain[0] == part
+    assert chain == _sturm_chain(part)
+    assert len(divisions) == (poly.degree() != len(part) - 1)
+    if not divisions:
+        assert chain == _sturm_chain(_primitive(list(coeffs)))
+
+
+def test_dense_strongly_connected_quivers_verify_by_the_filter(monkeypatch):
+    # a simple Perron root: the Taylor-shift filter decides, no Sturm chain
+    chains = _count_calls(monkeypatch, "_sturm_chain")
+    rng = np.random.default_rng(5)
+    for n in range(3, 15):
+        for _ in range(3):
+            q = _dense_strongly_connected(n, seed=int(rng.integers(0, 2**32)))
+            want = float(np.abs(np.linalg.eigvals(q.adj.astype(float))).max())
+            assert spectral_radius(q, verify=True) == pytest.approx(want, abs=1e-9)
+    assert chains == []
+
+
+@pytest.mark.parametrize("center, inside", [
+    (3.0, True),  # the filter accepts
+    (1.0, False),  # P(lo) < 0, but the shift has a sign change: roots 2, 3 above hi
+    (3.5, False),  # no root above hi, but P(lo) > 0: none in (lo, hi] either
+])
+def test_filter_needs_both_sign_tests(center, inside):
+    p = IntPolynomial((-6, 11, -6, 1))  # (x - 1)(x - 2)(x - 3)
+    assert _largest_root_within(p, center, 0.25) is inside
+
+
+def test_double_top_root_reaches_the_chain_without_fallback(monkeypatch):
+    # (x^3 - 1)^2: P(lo) has the sign of lc, so the Sturm counts decide, and
+    # they accept without the bisection
+    chains = _count_calls(monkeypatch, "_sturm_chain")
+    fallbacks = _count_fallbacks(monkeypatch)
+    q = _disjoint_cycles(3, 3)
+    assert _largest_root_within(char_poly(q), 1.0, 1e-11)
+    assert spectral_radius(q, verify=True) == 1.0
+    assert chains and fallbacks == []
 
 
 def test_spectral_radius_loops_only():
@@ -493,6 +558,32 @@ def test_gram_examples():
     assert gram_matrix(build_quiver(["x"], [])).rows == ((4,),)
     with pytest.raises(ValueError):
         gram_matrix(build_quiver(["1", "2", "3"], [("1", "2", 1), ("2", "3", 1)]))
+
+
+@pytest.mark.parametrize("column, exact_path", [
+    ([2**31 - 1], "int64"),  # 1 * (2^31 - 1)^2 < 2^62
+    ([2**31], "object"),  # exactly 2^62
+    ([2**31 - 1] * 3, "object"),  # 3 sources: the sum passes 2^63
+    ([3] * 5, "int64"),
+])
+def test_gram_products_are_exact_on_both_sides_of_the_int64_bound(column, exact_path):
+    # two sinks: t_j gets column[i] - j arrows from source s_i
+    k = len(column)
+    a = [[column[i] - j for j in range(2)] for i in range(k)]
+    labels = [f"s{i}" for i in range(k)] + ["t0", "t1"]
+    arrows = [(f"s{i}", f"t{j}", a[i][j]) for i in range(k) for j in range(2)]
+    want = tuple(tuple(4 * (j == l) - sum(a[i][j] * a[i][l] for i in range(k))
+                       for l in range(2)) for j in range(2))
+    assert (len(column) * max(max(r) for r in a) ** 2 >= 2**62) == (exact_path == "object")
+    assert gram_matrix(build_quiver(labels, arrows)).rows == want
+
+
+def test_gram_mixed_vertex_found_beyond_int64_degree_sums():
+    # in-degree 2^63 wraps to a negative int64 sum; the vertex is still mixed
+    q = build_quiver(["a", "b", "m", "t"],
+                     [("a", "m", 2**62), ("b", "m", 2**62), ("m", "t", 1)])
+    with pytest.raises(ValueError, match="mixed vertices: \\['m'\\]"):
+        gram_matrix(q)
 
 
 def test_gram_matches_quadratic_form():
