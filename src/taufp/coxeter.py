@@ -488,10 +488,11 @@ class _WeylLattice(FiniteLattice):
     _name walks up the tree, and index always walks a name down it, so the
     extremes, the FP dimension, upper_covers and q_of build no name list.
     Distinct elements have distinct (parent, gen), so by induction on the
-    length they have distinct names.  The covers in BFS scan order (x
-    ascending, then the generator), their lower counts, the sorted cover
-    index and the ascent table when dual are derived on first read, and the
-    sweep waits for the first order query (leq, join, meet, interval).
+    length they have distinct names.  The cover arrays in BFS scan order (x
+    ascending, then the generator) are derived on first read, through a
+    temporary ascent table when dual, and so are the per-element cover lists
+    of the sweep, which waits for the first order query (leq, join, meet,
+    interval).
     """
 
     def __init__(self, cartan: CartanData, budget: int, dual: bool):
@@ -503,6 +504,8 @@ class _WeylLattice(FiniteLattice):
         for i, row in enumerate(self._moves):
             mask |= (row[:n] >= 0) * np.int16(1 << i)
         self._n_dp = _narrow(np.array([k.bit_count() for k in range(1 << rank)]))[mask]
+        # every generator is an ascent or a descent of x
+        self._n_ds = _narrow(rank - self._n_dp)
         self._set_extremes()
         # the first element of each set: one scatter of the least index
         first = np.full(1 << rank, n, dtype=np.int32)
@@ -514,22 +517,12 @@ class _WeylLattice(FiniteLattice):
         self._quivers = [self._key(x) for x in first.tolist()]
 
     def __getattr__(self, name):
-        # the names, the ascent table, the lower-cover counts, the sorted
-        # cover index and the covers; everything else as on any lattice
+        # the names and the cover arrays; everything else as on any lattice
         if name == "elements":
             self.elements = _words(self._tree)
-        elif name == "_ascent":
-            self._ascent = _flip(self._moves) if self._dual else self._moves
-        elif name == "_n_ds":
-            # every generator is an ascent or a descent of x
-            self._n_ds = _narrow(len(self._arrow) - self._n_dp)
-        elif name == "_dp":
-            rows = self._moves[:, :len(self)].T.copy()
-            rows.sort(axis=1)
-            self._dp = rows[rows >= 0]
         elif name in ("_upper", "_lower"):
             # (x s_i, x) over the ascents i of x, x ascending, then i
-            up = self._ascent[:, :len(self)].T
+            up = (_flip(self._moves) if self._dual else self._moves)[:, :len(self)].T
             shorter = np.repeat(np.arange(len(self), dtype=np.int32),
                                 self._n_ds if self._dual else self._n_dp)
             longer = up[up >= 0]
@@ -547,9 +540,9 @@ class _WeylLattice(FiniteLattice):
         a, b = np.nonzero(self._arrow[np.ix_(gens, gens)])
         return m, sum(1 << k for k in (a * m + b).tolist())
 
-    def _dp_of(self, x: int) -> np.ndarray:
+    def _dp_of(self, x: int) -> list[int]:
         col = self._moves[:, x]
-        return np.sort(col[col >= 0])
+        return sorted(col[col >= 0].tolist())
 
     def _name(self, k) -> str:
         names = self.__dict__.get("elements")

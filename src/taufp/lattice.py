@@ -1,18 +1,18 @@
 """Finite lattices from Hasse covers, and their Frobenius-Perron dimension.
 
-A lattice is stored by its Hasse diagram: two index arrays over the
-elements, upper[k] covering lower[k].  Names become indices only in
-from_covers; the Nakayama pair order passes index arrays.  The upper- and
-lower-cover counts, each in the narrowest integer dtype that holds it, give
-the extremes and the FP dimension scan.  The sorted cover index holds the
-upper covers dp(x) of every element x, sorted, in one array with
-per-element offsets, for q_of and upper_covers.  The constructor builds it
-by one stable sort of all covers, which also finds repeated covers.  The
-order itself comes from one sweep from the maxima, which builds ancestor
-bitsets (one Python int per element, which makes joins and meets cheap even
-on weak orders with tens of thousands of elements) and rejects cycles and
-covers implied by longer paths; it walks per-element cover lists, built
-from the index when first needed, as are the name dict and the down-sets.
+A lattice is given by its Hasse diagram: two index arrays over the
+elements, upper[k] covering lower[k], kept for input and export.  Names
+become indices only in from_covers; the Nakayama pair order passes index
+arrays.  The upper- and lower-cover counts, each in the narrowest integer
+dtype that holds it, give the extremes and the FP dimension scan.  The
+covers are worked on as per-element lists, _parents[x] the sorted upper
+covers dp(x) and _children[x] the lower covers of x, which the constructor
+builds by one stable sort of all covers that also finds repeated covers.
+The order itself comes from one sweep from the maxima along those lists,
+which builds ancestor bitsets (one Python int per element, which makes
+joins and meets cheap even on weak orders with tens of thousands of
+elements) and rejects cycles and covers implied by longer paths; the name
+dict and the down-sets are built when first needed.
 
 Every lattice is certified at construction, at any size: a bounded finite
 poset is a lattice as soon as any two upper covers of a common element have
@@ -69,20 +69,17 @@ class FiniteLattice:
             raise ValueError("a lattice needs at least one element")
         if len(set(self.elements)) != len(self.elements):
             raise ValueError("duplicate element names")
-        self._set_covers(len(self.elements), np.array(upper, dtype=np.int64).reshape(-1),
-                         np.array(lower, dtype=np.int64).reshape(-1))
-        self._sort_covers()
+        self._set_covers(len(self.elements), upper, lower)
+        self._cover_lists()
         self._sweep()
         self._set_extremes()
         self._qclass, self._quivers = self._certify()
 
     def __getattr__(self, name):
-        # only reached for missing attributes: the cover index offsets, the
-        # per-element cover lists, the name index, the down-sets, the order,
-        # its positions and its up-sets are built on their first read
-        if name == "_dp_at":
-            self._dp_at = np.concatenate(([0], np.cumsum(self._n_dp, dtype=np.int64)))
-        elif name in ("_parents", "_children"):
+        # only reached for missing attributes: the cover lists of a subclass,
+        # the name index, the down-sets, the order, its positions and its
+        # up-sets are built on their first read
+        if name in ("_parents", "_children"):
             self._cover_lists()
         elif name == "_index":
             self._index = {e: i for i, e in enumerate(self.elements)}
@@ -101,13 +98,14 @@ class FiniteLattice:
 
     # -- construction helpers -------------------------------------------------
 
-    def _set_covers(self, n: int, up: np.ndarray, lo: np.ndarray) -> None:
-        """The two cover index arrays over n elements, after checking index
-        ranges and loops, and the counts _n_dp and _n_ds of upper and lower
-        covers, each in the narrowest integer dtype that holds its maximum
-        (_narrow), so arithmetic on them casts first."""
-        self._upper, self._lower = up, lo
-        if (len(up) != len(lo) or min(up.min(initial=0), lo.min(initial=0)) < 0
+    def _set_covers(self, n: int, upper, lower) -> None:
+        """The two cover index arrays over n elements (_index_array), after
+        checking index ranges and loops, and the counts _n_dp and _n_ds of
+        upper and lower covers, each in the narrowest integer dtype that holds
+        its maximum (_narrow), so arithmetic on them casts first."""
+        self._upper, self._lower = up, lo = _index_array(upper), _index_array(lower)
+        if (up is None or lo is None or len(up) != len(lo)
+                or min(up.min(initial=0), lo.min(initial=0)) < 0
                 or max(up.max(initial=0), lo.max(initial=0)) >= n):
             raise ValueError("covers must be two index arrays of one length into elements")
         loops = np.flatnonzero(up == lo)
@@ -117,12 +115,12 @@ class FiniteLattice:
         self._n_dp = _narrow(np.bincount(lo, minlength=n))
         self._n_ds = _narrow(np.bincount(up, minlength=n))
 
-    def _sort_covers(self) -> None:
-        """The sorted cover index, after checking repeated covers: one stable
-        sort by (lower, upper) groups the upper covers of each element x,
-        sorted (the vertex order of Q(x, dp(x))), into _dp[_dp_at[x]:
-        _dp_at[x + 1]], and puts a repeat right after its first, so the
-        earliest repeat in cover order is named."""
+    def _cover_lists(self) -> None:
+        """The per-element cover lists, after checking repeated covers:
+        _parents[x] the upper covers dp(x) of x, sorted (the vertex order of
+        Q(x, dp(x))), and _children[x] the lower covers of x in cover order.
+        One stable sort by (lower, upper) groups each dp(x) and puts a repeat
+        right after its first, so the earliest repeat in cover order is named."""
         up, lo = self._upper, self._lower
         key = lo.astype(np.int64, copy=False) * len(self) + up
         order = np.argsort(key, kind="stable")
@@ -132,26 +130,17 @@ class FiniteLattice:
             k = order[repeat + 1].min()  # the earliest repeat in cover order
             raise ValueError(f"duplicate cover ({self._name(up[k])!r}, {self._name(lo[k])!r})")
         del key
-        self._dp = up[order]
-
-    def _cover_lists(self) -> None:
-        """The per-element lists that the sweep, the join certificate and the
-        down-sets walk: _parents[x] the sorted upper covers of x, as in the
-        index, and _children[x] the lower covers of x in cover order."""
-        dp, at = self._dp.tolist(), self._dp_at.tolist()
-        self._parents: list[list[int]] = [dp[at[x]:at[x + 1]] for x in range(len(self))]
-        ds = self._lower[np.argsort(self._upper, kind="stable")].tolist()
-        at = np.concatenate(([0], np.cumsum(self._n_ds, dtype=np.int64))).tolist()
-        self._children: list[list[int]] = [ds[at[x]:at[x + 1]] for x in range(len(self))]
+        self._parents: list[list[int]] = _split(up[order], self._n_dp)
+        self._children: list[list[int]] = _split(lo[np.argsort(up, kind="stable")], self._n_ds)
 
     def _key(self, x: int) -> tuple[int, int]:
         """Q(x, dp(x)) as a key (m, mask) on the sorted dp(x) = ys: bit
         a*m + b for the arrow ys[a] -> ys[b]."""
         return self._quivers[self._qclass[x]]
 
-    def _dp_of(self, x: int) -> np.ndarray:
-        """The sorted upper covers of element x, a view into the index."""
-        return self._dp[self._dp_at[x]:self._dp_at[x + 1]]
+    def _dp_of(self, x: int) -> list[int]:
+        """The sorted upper covers of element x."""
+        return self._parents[x]
 
     def _name(self, k) -> str:
         return self.elements[k]
@@ -295,7 +284,7 @@ class FiniteLattice:
 
     def upper_covers(self, x: str) -> set[str]:
         """dp(x): the elements covering x."""
-        return {self._name(p) for p in self._dp_of(self.index(x)).tolist()}
+        return {self._name(p) for p in self._dp_of(self.index(x))}
 
     def lower_covers(self, x: str) -> set[str]:
         """ds(x): the elements covered by x."""
@@ -346,6 +335,21 @@ class Covers(Sequence):
 def _named_pairs(lat, upper, lower):
     name = lat.elements.__getitem__
     return zip(map(name, upper.tolist()), map(name, lower.tolist()))
+
+
+def _index_array(a) -> np.ndarray | None:
+    """A new int64 copy of a 1-D integer (or empty) array a, else None."""
+    try:
+        a = np.asarray(a)
+    except ValueError:  # ragged nesting
+        return None
+    return a.astype(np.int64) if a.ndim == 1 and (a.dtype.kind in "iu" or not len(a)) else None
+
+
+def _split(values: np.ndarray, counts: np.ndarray) -> list[list[int]]:
+    """values cut into consecutive lists of the given lengths."""
+    flat, ends = values.tolist(), np.cumsum(counts, dtype=np.int64).tolist()
+    return [flat[e - m:e] for e, m in zip(ends, counts.tolist())]
 
 
 def _bits(mask: int):
@@ -412,13 +416,17 @@ def _largest_rho(keys, block_at, tol: float,
 def from_covers(elements, covers) -> FiniteLattice:
     """Build a lattice from (upper, lower) name pairs, certified at any size.
 
-    Maps names to indices (an unknown one raises ValueError); the constructor
-    checks that the covers are acyclic and transitively reduced, that there
-    is one maximum and one minimum, and that any two upper covers of an
-    element have a join, which proves the lattice axioms.  A missing join
-    raises LatticeError naming the pair."""
+    Maps names to indices (an unknown one, or a cover that is not a pair,
+    raises ValueError); the constructor checks that the covers are acyclic
+    and transitively reduced, that there is one maximum and one minimum, and
+    that any two upper covers of an element have a join, which proves the
+    lattice axioms.  A missing join raises LatticeError naming the pair."""
     elements = [str(e) for e in elements]
     index = {e: i for i, e in enumerate(elements)}
+    covers = list(covers)
+    for c in covers:
+        if isinstance(c, (str, bytes)) or not isinstance(c, Sequence) or len(c) != 2:
+            raise ValueError(f"cover {c!r} is not an (upper, lower) pair")
     try:
         ends = [index[str(e)] for u, l in covers for e in (u, l)]
     except KeyError as exc:
@@ -442,7 +450,7 @@ def q_of(lat: FiniteLattice, x: str, ys=None) -> Quiver:
     never multiple.
     """
     ix = lat.index(x)
-    dp = [lat._name(y) for y in lat._dp_of(ix).tolist()]
+    dp = [lat._name(y) for y in lat._dp_of(ix)]
     ys = dp if ys is None else [str(y) for y in ys]
     if not ys:
         raise ValueError("Y must be nonempty")

@@ -467,15 +467,12 @@ class _Tables:
         order = np.lexsort((covered, upper))
         return np.array(upper)[order], np.array(covered)[order]
 
-    def certify(self, upper: np.ndarray, covered: np.ndarray) -> None:
-        """Raise unless the closure of the covers is exactly the pair order.
-        Down-sets grow strictly along the order, so in popcount order every
-        lower cover is closed before the pairs above it; one still open (-1)
-        spoils the closure and fails the check.  O(#covers) ors."""
+    def certify(self, children: list[list[int]]) -> None:
+        """Raise unless the closure of the lower covers children[x] of each
+        pair x is exactly the pair order.  Down-sets grow strictly along the
+        order, so in popcount order every lower cover is closed before the
+        pairs above it; one still open (-1) spoils the closure.  O(#covers)."""
         names, lower = self.pairs[0], self.pair_lower
-        children: list[list[int]] = [[] for _ in names]
-        for u, c in zip(upper.tolist(), covered.tolist()):
-            children[u].append(c)
         closed = [-1] * len(names)
         for x in sorted(range(len(names)), key=lambda x: lower[x].bit_count()):
             down = 0
@@ -492,13 +489,12 @@ class _Tables:
         unless every almost complete pair has two completions, every
         mutation is oriented one way, the extremes are (A, 0) and (0, A),
         and the covers close to exactly the pair order."""
-        upper, covered = self.mutations()
         names, mms, pms = self.pairs
-        lat = FiniteLattice(names, upper, covered)
+        lat = FiniteLattice(names, *self.mutations())
         ends = (mms[lat._max], pms[lat._max], mms[lat._min], pms[lat._min])
         if ends != (sum(1 << p for p in self.proj), 0, 0, (1 << self.n) - 1):
             raise ConsistencyError(f"{self.name}: tau-tilting lattice extremes are wrong")
-        self.certify(upper, covered)
+        self.certify(lat._children)
         return lat
 
     @cached_property

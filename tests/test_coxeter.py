@@ -345,12 +345,16 @@ def test_face_masks_equal_join_masks(fam, rank):
     # the cover quivers read off the descent table are the ones the generic
     # constructor computes from joins (Bjorner-Edelman-Ziegler), both ways
     # up, element by element in each element's own dp order; the table's
-    # sorted cover index and cover counts are those of its derived covers
+    # upper covers, cover lists and cover counts are those of its derived
+    # covers
     cd = cartan_matrix(fam, rank)
     for lat in (tau_tiltp_model(cd), weak_order(cd).lattice):
         joined = FiniteLattice(lat.elements, lat._upper, lat._lower)
-        for index in ("_dp", "_dp_at", "_n_dp", "_n_ds"):
-            assert np.array_equal(getattr(lat, index), getattr(joined, index)), index
+        assert [lat._dp_of(x) for x in range(len(lat))] == joined._parents
+        for lists in ("_parents", "_children"):
+            assert getattr(lat, lists) == getattr(joined, lists), lists
+        for counts in ("_n_dp", "_n_ds"):
+            assert np.array_equal(getattr(lat, counts), getattr(joined, counts)), counts
         assert ([lat._key(x) for x in range(len(lat))]
                 == [joined._quivers[c] for c in joined._qclass.tolist()])
         assert (lat._max, lat._min) == (joined._max, joined._min)
@@ -419,28 +423,33 @@ def test_face_built_order_queries_equal_generic(fam, rank):
                 with pytest.raises(ValueError) as got:
                     named.index(bad)
                 assert str(got.value) == str(want.value)
-        # the walk reads the tree alone: no names and no ascent table
-        assert not {"elements", "_ascent"} & set(vars(walked))
+        # the walk reads the tree alone: no names, no cover lists and no
+        # cover arrays
+        assert not {"elements", "_parents", "_upper", "_lower"} & set(vars(walked))
 
 
 def test_model_fpdim_builds_no_upsets():
     model = tau_tiltp_model(cartan_matrix("D", 5))
     fpdim_lattice(model)
     assert not {"_up", "_pos", "_toporder"} & set(vars(model)) and "_down" not in vars(model)
-    # nor any per-element list, the name index, the sorted cover index, the
-    # cover arrays or the ascent table: the scan reads the class keys
-    assert not {"_parents", "_children", "_index", "_dp", "_dp_at", "_upper", "_lower",
-                "_ascent"} & set(vars(model))
+    # nor any per-element list, the name index or the cover arrays: the scan
+    # reads the class keys
+    assert not {"_parents", "_children", "_index", "_upper", "_lower"} & set(vars(model))
     assert model.leq(model.minimum, model.maximum)
     assert {"_up", "_pos", "_toporder"} <= set(vars(model))
+    # the sweep read the cover arrays, which flip the table into a temporary:
+    # the model keeps its one table
+    tables = [k for k, v in vars(model).items()
+              if isinstance(v, np.ndarray) and v.shape == model._moves.shape]
+    assert "_upper" in vars(model) and tables == ["_moves"]
     # upper_covers and q_of read one column of the table, and name only the
-    # covers: no cover index, no name list and no name index
+    # covers: no cover list, no cover array, no name list and no name index
     for read in (lambda lat: lat.upper_covers(lat.minimum),
                  lambda lat: q_of(lat, lat.minimum).labels):
         lat = tau_tiltp_model(cartan_matrix("D", 5))
         fpdim_lattice(lat)
         assert len(read(lat)) == 5
-        assert not {"_dp", "_dp_at", "elements", "_index"} & set(vars(lat))
+        assert not {"_parents", "_upper", "_lower", "elements", "_index"} & set(vars(lat))
 
 
 def _sha256(lines) -> str:

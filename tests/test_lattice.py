@@ -104,8 +104,13 @@ def test_index_array_constructor():
     assert lat.covers[:2] == (("top", "a"), ("top", "b"))
     assert lat.covers[::-2] == (("b", "bot"), ("top", "b")) and lat.covers[4:] == ()
     assert opposite(lat).covers == [(lo, up) for up, lo in lat.covers]
+    # an empty sequence is no cover; a float, a digit string, a nested or a
+    # ragged list is not an index array, though a cast would make it one
+    assert len(FiniteLattice(["x"], [], ())) == 1
     for upper, lower in [([0, 0, 1], [1, 2, 3, 3]), ([0, 0, 1, 4], [1, 2, 3, 3]),
-                         ([0, 0, 1, -1], [1, 2, 3, 3])]:
+                         ([0, 0, 1, -1], [1, 2, 3, 3]), ([0, 0, 1, 2.5], [1, 2, 3, 3]),
+                         (["0", "0", "1", "2"], [1, 2, 3, 3]), ([[0, 0], [1, 2]], [1, 2, 3, 3]),
+                         ([0, 0, 1, 2], [[1, 2, 3, 3]]), ([0, 0, 1, [2]], [1, 2, 3, 3])]:
         with pytest.raises(ValueError, match="index arrays"):
             FiniteLattice(["top", "a", "b", "bot"], upper, lower)
 
@@ -145,6 +150,13 @@ def test_q_of_errors():
     (lambda d: d.index("side"), "unknown element 'side'"),
     (lambda d: d.join_all([]), "join of an empty set"),
     (lambda d: q_of(d, "bot", ["a", "a"]), "Y has repeated elements"),
+    *[(lambda d, cover=cover: FiniteLattice(["a", "b"], cover, [0]),
+       "covers must be two index arrays of one length into elements")
+      for cover in ([1.5], ["1"], [[1]])],
+    (lambda d: from_covers(["a", "b"], ["ab"]), "cover 'ab' is not an (upper, lower) pair"),
+    (lambda d: from_covers(["a"], [5]), "cover 5 is not an (upper, lower) pair"),
+    (lambda d: from_covers(["a", "b"], [("a", "b", "a")]),
+     "cover ('a', 'b', 'a') is not an (upper, lower) pair"),
 ])
 def test_input_checks_name_the_fault(call, message):
     with pytest.raises(ValueError) as err:

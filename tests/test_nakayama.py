@@ -485,6 +485,14 @@ def _drop_minimum_below_maximum(tables):
     return [d & ~(1 << bottom) if x == top else d for x, d in enumerate(lower)]
 
 
+def _drop_a_cover_of_maximum(names, upper, lower):
+    """The pair lattice with one lower cover of its maximum cut from its
+    cover lists, after the constructor has certified it."""
+    lat = FiniteLattice(names, upper, lower)
+    lat._children[lat._max].pop()
+    return lat
+
+
 @pytest.mark.parametrize("stage, target, fake", [
     # every pair below every other, so each exchange pair both ways
     ("not antisymmetric", (nakayama._Tables, "pair_lower"),
@@ -497,6 +505,8 @@ def _drop_minimum_below_maximum(tables):
     # the maximum loses the minimum from its down-set
     ("pair order certificate", (nakayama._Tables, "pair_lower"),
      property(_drop_minimum_below_maximum)),
+    # the certificate reads the covers of the lattice it returns
+    ("pair order certificate", (nakayama, "FiniteLattice"), _drop_a_cover_of_maximum),
 ])
 def test_pair_checks_name_algebra_and_stage(monkeypatch, stage, target, fake):
     monkeypatch.setattr(*target, fake)
@@ -599,7 +609,7 @@ def _check_brick_label_rule(a, max_n=nakayama.DEFAULT_MAX_N):
     assert list(lat.elements) == t.pairs[0]
     label_sets, compared, arrows = [], 0, 0
     for x in range(len(lat)):
-        ys = lat._dp_of(x).tolist()
+        ys = lat._dp_of(x)
         labels = []
         for y in ys:
             found = torsion[y] & bricks & ~killed[x]
