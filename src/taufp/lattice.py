@@ -14,6 +14,16 @@ joins and meets cheap even on weak orders with tens of thousands of
 elements) and rejects cycles and covers implied by longer paths; the name
 dict and the down-sets are built when first needed.
 
+Every single-element query reads one element interface: index (a name to
+its index), _name (an index to its name), _dp_of and _ds_of (the upper and
+lower covers of one element) and _key (its cover quiver).  join, meet,
+join_all, interval, upper_covers, lower_covers, q_of, the extremes and
+Covers[k] name their results through _name; only whole-lattice export
+(iterating or slicing Covers, lattice_to_dict, opposite) reads elements.
+A subclass that holds its order otherwise (the weak orders of coxeter)
+overrides the interface, and then those queries build no name list and,
+but for the order queries and Covers, no cover array.
+
 Every lattice is certified at construction, at any size: a bounded finite
 poset is a lattice as soon as any two upper covers of a common element have
 a join (Bjorner-Edelman-Ziegler, DCG 5 (1990), Lemma 2.1), so the
@@ -142,6 +152,10 @@ class FiniteLattice:
         """The sorted upper covers of element x."""
         return self._parents[x]
 
+    def _ds_of(self, x: int) -> list[int]:
+        """The lower covers of element x."""
+        return self._children[x]
+
     def _name(self, k) -> str:
         return self.elements[k]
 
@@ -268,10 +282,10 @@ class FiniteLattice:
         return bool(self._up[self.index(x)] >> self._pos[self.index(y)] & 1)
 
     def join(self, x: str, y: str) -> str:
-        return self.elements[self._join_idx(self.index(x), self.index(y))]
+        return self._name(self._join_idx(self.index(x), self.index(y)))
 
     def meet(self, x: str, y: str) -> str:
-        return self.elements[self._meet_idx(self.index(x), self.index(y))]
+        return self._name(self._meet_idx(self.index(x), self.index(y)))
 
     def join_all(self, names) -> str:
         names = list(names)
@@ -280,7 +294,7 @@ class FiniteLattice:
         acc = self.index(names[0])
         for nm in names[1:]:
             acc = self._join_idx(acc, self.index(nm))
-        return self.elements[acc]
+        return self._name(acc)
 
     def upper_covers(self, x: str) -> set[str]:
         """dp(x): the elements covering x."""
@@ -288,13 +302,12 @@ class FiniteLattice:
 
     def lower_covers(self, x: str) -> set[str]:
         """ds(x): the elements covered by x."""
-        ds = self._lower[self._upper == self.index(x)]
-        return {self.elements[c] for c in ds.tolist()}
+        return {self._name(c) for c in self._ds_of(self.index(x))}
 
     def interval(self, x: str, y: str) -> list[str]:
         """Elements z with x <= z <= y, in declaration order."""
         mask = self._up[self.index(x)] & self._down[self.index(y)]
-        return [self.elements[i] for i in sorted(self._toporder[b] for b in _bits(mask))]
+        return [self._name(i) for i in sorted(self._toporder[b] for b in _bits(mask))]
 
     @property
     def covers(self) -> Covers:
@@ -320,7 +333,7 @@ class Covers(Sequence):
         lat = self._lat
         if isinstance(k, slice):
             return tuple(_named_pairs(lat, lat._upper[k], lat._lower[k]))
-        return lat.elements[lat._upper[k]], lat.elements[lat._lower[k]]
+        return lat._name(lat._upper[k]), lat._name(lat._lower[k])
 
     def __iter__(self):
         return _named_pairs(self._lat, self._lat._upper, self._lat._lower)

@@ -389,6 +389,10 @@ def test_budget_env_override(capsys, monkeypatch):
     monkeypatch.setenv("TAUFP_BUDGET", "6")
     code, out, _ = run(capsys, "coxeter", "order", "--type", "A", "--rank", 2)
     assert code == 0 and "order: 6" in out
+    # preproj reads no budget: its closed forms need no Weyl group
+    monkeypatch.setenv("TAUFP_BUDGET", "1")
+    code, out, _ = run(capsys, "preproj", "rho", "--type", "E", "--rank", 8, "--json")
+    assert code == 0 and json.loads(out)["verdicts"]["closed_form_match"] is True
 
 
 def _consistency_failure(*args, **kwargs):

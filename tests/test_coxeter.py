@@ -2,7 +2,12 @@
 
 import hashlib
 import itertools
+import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -29,6 +34,8 @@ from taufp.lattice import FiniteLattice, fpdim_lattice, q_of
 from taufp.preproj import TABLE_TYPES, fpdim_preproj, tau_tiltp_model
 
 from helpers import weak_order_reference
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 RANK2PLUS = [("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 3), ("D", 4), ("F", 4), ("G", 2)]
 
@@ -315,6 +322,26 @@ def test_lattice_callers_build_no_generator_matrices():
     assert longest_element(w) == w.element(w.lattice.maximum)
 
 
+def test_element_walks_its_name_and_builds_one_matrix():
+    # element checks the name by walking it down the BFS tree and builds one
+    # matrix from its word: equal to the entry of the dict of every element,
+    # which it does not build
+    for fam, rank in [t for t in TABLE_TYPES if t != ("E", 6)]:
+        w = weak_order(cartan_matrix(fam, rank))
+        got = [w.element(x) for x in w.lattice.elements]
+        assert "elements" not in vars(w)
+        assert ([(e.word, e.mat.tolist()) for e in got]
+                == [(e.word, e.mat.tolist()) for e in w.elements.values()]), (fam, rank)
+    # a letter, the empty name, digits out of range, a non-reduced word and
+    # a non-canonical word of w0 raise the lattice's ValueError
+    w = weak_order(cartan_matrix("A", 2))
+    for bad in ["x", "", "0", "3", "11", "212"]:
+        with pytest.raises(ValueError) as got:
+            w.element(bad)
+        assert str(got.value) == f"unknown element {bad!r}"
+    assert "elements" not in vars(w)
+
+
 def test_index_checks_of_is_ascent_and_coxeter_exponent():
     # index 0 once read the last column or row through numpy's negative indexing
     cd = cartan_matrix("A", 3)
@@ -426,6 +453,21 @@ def test_face_built_order_queries_equal_generic(fam, rank):
         # the walk reads the tree alone: no names, no cover lists and no
         # cover arrays
         assert not {"elements", "_parents", "_upper", "_lower"} & set(vars(walked))
+        # lower_covers reads the table alone, and the order queries and a cover
+        # name their results off the tree: no name list
+        fresh = build()
+        assert ([fresh.lower_covers(x) for x in lat.elements]
+                == [generic.lower_covers(x) for x in lat.elements])
+        assert not {"elements", "_parents", "_children", "_upper", "_lower"} & set(vars(fresh))
+        sample = lat.elements[::7]
+        for x, y in itertools.product(sample, repeat=2):
+            assert fresh.join(x, y) == generic.join(x, y)
+            assert fresh.meet(x, y) == generic.meet(x, y)
+            assert fresh.interval(x, y) == generic.interval(x, y)
+        assert fresh.join_all(sample) == generic.join_all(sample)
+        ks = [0, len(generic.covers) // 2, -1]
+        assert [fresh.covers[k] for k in ks] == [generic.covers[k] for k in ks]
+        assert "elements" not in vars(fresh)
 
 
 def test_model_fpdim_builds_no_upsets():
@@ -442,14 +484,52 @@ def test_model_fpdim_builds_no_upsets():
     tables = [k for k, v in vars(model).items()
               if isinstance(v, np.ndarray) and v.shape == model._moves.shape]
     assert "_upper" in vars(model) and tables == ["_moves"]
-    # upper_covers and q_of read one column of the table, and name only the
-    # covers: no cover list, no cover array, no name list and no name index
+    # upper_covers and q_of read one column of the table, lower_covers that
+    # column and one row per lower cover, and each names only the covers: no
+    # cover list, no cover array, no name list and no name index
     for read in (lambda lat: lat.upper_covers(lat.minimum),
-                 lambda lat: q_of(lat, lat.minimum).labels):
+                 lambda lat: q_of(lat, lat.minimum).labels,
+                 lambda lat: lat.lower_covers(lat.maximum)):
         lat = tau_tiltp_model(cartan_matrix("D", 5))
         fpdim_lattice(lat)
         assert len(read(lat)) == 5
         assert not {"_parents", "_upper", "_lower", "elements", "_index"} & set(vars(lat))
+        assert "_children" not in vars(lat)
+
+
+# Prints the seconds and the peak RSS (VmHWM, kB) of the E7 single-element
+# queries after the FP dimension scan, and their results, as one JSON line.
+_E7_CHILD = """
+import json, time
+started = time.perf_counter()
+from taufp.coxeter import cartan_matrix
+from taufp.lattice import fpdim_lattice, q_of
+from taufp.preproj import tau_tiltp_model
+lat = tau_tiltp_model(cartan_matrix("E", 7), budget=2_903_040)
+rho, witness = fpdim_lattice(lat)
+below = sorted(lat.lower_covers(lat.maximum))
+arrows = int(q_of(lat, witness).adj.sum())
+status = open("/proc/self/status").read().split("VmHWM:")[1]
+print(json.dumps([witness, below, arrows, time.perf_counter() - started,
+                  int(status.split()[0])]))
+"""
+
+
+@pytest.mark.stretch
+def test_e7_single_element_queries_build_no_names():
+    # lower_covers and q_of read the descent table of 2,903,040 elements and
+    # walk the BFS tree; building every name for lower_covers once took 1.1 s
+    # and raised the peak from 178 to 636 MB
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _E7_CHILD], env=env, capture_output=True,
+                          text=True, check=True)
+    witness, below, arrows, elapsed, peak_kb = json.loads(proc.stdout)
+    assert witness == "121321432153214325346532143253465321765321432534653217653243567"
+    # e lies above the seven generators, and Q(w0) is the Coxeter graph of E7
+    # (six edges, both ways)
+    assert below == [str(i) for i in range(1, 8)] and arrows == 12
+    assert elapsed < 5 and peak_kb / 1024 < 200
 
 
 def _sha256(lines) -> str:
