@@ -486,8 +486,9 @@ class _WeylLattice(FiniteLattice):
     as a rank-bit mask, so there are at most 2^rank classes; two of them can
     share a key, and one can hold one block in several vertex orders.  Their
     first elements come from one scatter of minima into a 2^rank table, and
-    a class's key is its block in the sorted dp order of its first element
-    (_key).  Only the extremes are checked here.
+    _classes maps the key of each, its block in its own sorted dp order
+    (_key), to the first of them with that key, in element order.  Only the
+    extremes are checked here.
 
     The elements are the indices of the tree, each named by its lex-minimal
     reduced word, the generators along its tree path, one digit each
@@ -524,11 +525,9 @@ class _WeylLattice(FiniteLattice):
         # the first element of each set: one scatter of the least index
         first = np.full(1 << rank, n, dtype=np.int32)
         np.minimum.at(first, mask, np.arange(n, dtype=np.int32))
-        first = np.sort(first[first < n])
-        number = np.zeros(1 << rank, dtype=np.int16)
-        number[mask[first]] = np.arange(len(first))
-        self._qclass = number[mask]
-        self._quivers = [self._key(x) for x in first.tolist()]
+        self._classes: dict[tuple[int, int], int] = {}
+        for x in np.sort(first[first < n]).tolist():
+            self._classes.setdefault(self._key(x), x)
 
     def __getattr__(self, name):
         # the names and the cover arrays; everything else as on any lattice

@@ -33,24 +33,27 @@ one missing.  The same joins give the cover quivers: Q(x, dp(x)) has
 vertices the upper covers y of x and an arrow y -> y' exactly when y is not
 a lower cover of y v y'.
 
-The elements fall into classes with one cover quiver each: _qclass holds
-the class of every element, the classes numbered in order of their first
-elements, and _quivers one key (m, mask) per class, m the number of upper
-covers and mask the arrows of Q(x, dp(x)) as one row-major bitmask over the
-sorted dp(x) of the class's first element, which fpdim_lattice reads
-through _arrows and q_of through _key.  The certificate makes one class per
-distinct key; a subclass that stores its order otherwise (the weak orders
-of coxeter) may let two classes share a key.  fpdim_lattice and the
-Nakayama scans take the largest spectral radius over small integer blocks
-through one kernel, _largest_rho: one radius per distinct key, at its first
-occurrence, and a later block wins only by more than tol; a block whose
-row- and column-sum bound cannot beat the best so far is skipped, and scans
-that share their radii compute a block common to them once.
+The elements fall into classes with one cover quiver each.  _key(x) is
+Q(x, dp(x)) as a key (m, mask), m the number of upper covers and mask the
+arrows as one row-major bitmask over the sorted dp(x), and _classes maps
+each distinct key to the first element that has it, in element order.  The
+constructor builds _classes with one _key per element, and those joins are
+the certificate above.  q_of computes the _key of its one element, and
+fpdim_lattice reads _classes through _arrows, with no join.  A subclass
+that stores its order otherwise (the weak orders of coxeter) builds
+_classes over the first element of each of its own classes instead.
+fpdim_lattice and the Nakayama scans take the largest spectral
+radius over small integer blocks through one kernel, _largest_rho, and
+hand it the same shape: a dict from each distinct key to what it stands
+for, in order of first occurrence.  It computes one radius per key, a later
+block wins only by more than tol, and it returns the winning key; a block
+whose row- and column-sum bound cannot beat the best so far is skipped, and
+scans that share their radii compute a block common to them once.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Hashable, Sequence
 
 import numpy as np
 
@@ -83,7 +86,10 @@ class FiniteLattice:
         self._cover_lists()
         self._sweep()
         self._set_extremes()
-        self._qclass, self._quivers = self._certify()
+        # the cover quiver classes, whose joins certify the lattice (_key)
+        self._classes: dict[tuple[int, int], int] = {}
+        for x in range(len(self)):
+            self._classes.setdefault(self._key(x), x)
 
     def __getattr__(self, name):
         # only reached for missing attributes: the cover lists of a subclass,
@@ -144,9 +150,20 @@ class FiniteLattice:
         self._children: list[list[int]] = _split(lo[np.argsort(up, kind="stable")], self._n_ds)
 
     def _key(self, x: int) -> tuple[int, int]:
-        """Q(x, dp(x)) as a key (m, mask) on the sorted dp(x) = ys: bit
-        a*m + b for the arrow ys[a] -> ys[b]."""
-        return self._quivers[self._qclass[x]]
+        """Q(x, dp(x)) as a key (m, mask) on the m sorted upper covers
+        dp(x) = ys: bit a*m + b for the arrow ys[a] -> ys[b], from the join
+        of every two of them.  With the unique extremes already checked,
+        these joins over all x prove the lattice axioms (module docstring)."""
+        ys, children = self._parents[x], self._children
+        m, mask = len(ys), 0
+        for a in range(m):
+            for b in range(a + 1, m):
+                ds = children[self._join_idx(ys[a], ys[b])]
+                if ys[a] not in ds:
+                    mask |= 1 << (a * m + b)
+                if ys[b] not in ds:
+                    mask |= 1 << (b * m + a)
+        return m, mask
 
     def _dp_of(self, x: int) -> list[int]:
         """The sorted upper covers of element x."""
@@ -211,30 +228,6 @@ class FiniteLattice:
             raise ValueError(f"cover ({self._name(u)!r}, {self._name(l)!r}) is implied "
                              "by other covers (not transitively reduced)")
         self._toporder, self._pos, self._up = order, pos, up
-
-    def _certify(self) -> tuple[np.ndarray, list[tuple[int, int]]]:
-        """Join every two upper covers of each element; return the cover
-        quiver classes (module docstring): the class of each element, and
-        per class its key (m, mask), mask the arrows of Q(x, dp(x)) with bit
-        a*m + b for the arrow ys[a] -> ys[b] on the m sorted upper covers
-        ys.  One dict numbers the distinct keys in element order.  With the
-        unique extremes already checked, these joins prove the lattice
-        axioms (module docstring)."""
-        children = self._children
-        classes: dict[tuple[int, int], int] = {}
-        qclass = []
-        for ys in self._parents:
-            m = len(ys)
-            mask = 0
-            for a in range(m):
-                for b in range(a + 1, m):
-                    ds = children[self._join_idx(ys[a], ys[b])]
-                    if ys[a] not in ds:
-                        mask |= 1 << (a * m + b)
-                    if ys[b] not in ds:
-                        mask |= 1 << (b * m + a)
-            qclass.append(classes.setdefault((m, mask), len(classes)))
-        return np.array(qclass, dtype=np.int32), list(classes)
 
     def _join_idx(self, i: int, j: int) -> int:
         # Bits sit at topological positions, maxima first, so any element of
@@ -387,20 +380,20 @@ def _arrows(m: int, mask: int) -> np.ndarray:
     return np.array([mask >> i & 1 for i in range(m * m)], dtype=np.int64).reshape(m, m)
 
 
-def _largest_rho(keys, block_at, tol: float,
-                 radii: dict | None = None) -> tuple[float, int | None]:
+def _largest_rho(keys, block_of, tol: float,
+                 radii: dict | None = None) -> tuple[float, Hashable | None]:
     """The largest spectral radius over nonnegative int64 square blocks, and
-    the position in keys of the block attaining it, or (0.0, None) if none
-    exceeds tol.
+    the key of the block attaining it, or (0.0, None) if none exceeds tol.
 
-    Equal keys (any hashable values) stand for equal blocks: each distinct
-    key is visited once, at its first position k, in position order; a
-    block wins only by more than tol over the best so far, so ties go to
-    the earliest position.  radii maps keys to the radii already computed
-    and is filled in here, so scans that share it (with keys that stand for
-    equal blocks across them) compute each block once.
+    keys are distinct hashable values in scan order (a dict's, in insertion
+    order), each standing for the block block_of(key); the callers keep
+    only the first occurrence of each key.  A block wins only by more than
+    tol over the best so far, so ties go to the earliest key.  radii maps
+    keys to the radii already computed and is filled in here, so scans that
+    share it (with keys that stand for equal blocks across them) compute
+    each block once.
 
-    A key not in radii reads block_at(k) and first takes the integer bound
+    A key not in radii reads block_of(key) and first takes the integer bound
     b = min(max row sum, max column sum) >= rho.  If b <= best, rho is not
     computed (nor stored): the computed value is the midpoint of a
     Collatz-Wielandt bracket narrower than tol (or an exact loop count),
@@ -408,21 +401,18 @@ def _largest_rho(keys, block_at, tol: float,
     while a win needs more than best + tol.  A skipped block could never
     have won, so the value and witness are those of the unpruned scan."""
     radii = {} if radii is None else radii
-    best, witness, seen = 0.0, None, set()
-    for k, key in enumerate(keys):
-        if key in seen:
-            continue
-        seen.add(key)
+    best, witness = 0.0, None
+    for key in keys:
         rho = radii.get(key)
         if rho is None:
-            block = block_at(k)
+            block = block_of(key)
             rows = block.tolist()
             if (max(map(sum, rows), default=0) <= best
                     or max(map(sum, zip(*rows)), default=0) <= best):
                 continue
             rho = radii[key] = spectral_radius(Quiver(range(len(block)), block), tol=tol)
         if rho > best + tol:
-            best, witness = rho, k
+            best, witness = rho, key
     return best, witness
 
 
@@ -481,20 +471,19 @@ def fpdim_lattice(lat: FiniteLattice, tol: float = 1e-12) -> tuple[float, str | 
 
     Maximizes rho(Q(x, dp(x))) over all x below the maximum, reading the
     cover quiver classes stored by the constructor (no join here):
-    _largest_rho takes the class keys (m, mask) in class order, so it
-    computes one rho per distinct key, at its first class, which holds its
-    first element in declaration order; a later one wins only by more than
-    tol.  Elements with at most one upper cover contribute 0, as the bound
-    of their block is 0.  The witness is the first element of the winning
-    class; with no rho above tol it is the first element below the maximum,
-    and a one-element lattice gives (0.0, None).
+    _largest_rho takes the distinct keys (m, mask) of lat._classes in order
+    of their first elements, so it computes one rho per distinct key, and a
+    later one wins only by more than tol.  Elements with at most one upper
+    cover contribute 0, as the bound of their block is 0.  The witness is
+    the first element of the winning key; with no rho above tol it is the
+    first element below the maximum, and a one-element lattice gives
+    (0.0, None).
     """
     _check_tol(tol)
     if len(lat) == 1:
         return 0.0, None
-    quivers = lat._quivers
-    rho, c = _largest_rho(quivers, lambda c: _arrows(*quivers[c]), tol)
-    witness = (1 if lat._max == 0 else 0) if c is None else int(np.argmax(lat._qclass == c))
+    rho, key = _largest_rho(lat._classes, lambda key: _arrows(*key), tol)
+    witness = (1 if lat._max == 0 else 0) if key is None else lat._classes[key]
     return rho, lat._name(witness)
 
 

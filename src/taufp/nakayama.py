@@ -48,9 +48,12 @@ decides which of the two lies above.  A closure certificate then checks that
 these covers generate exactly the pair order.  The FP dimension reads the
 Ext blocks of the maximal semibricks only, from one Ext table: the spectral
 radius is monotone on principal submatrices, so smaller semibricks cannot
-exceed them.  The lattice kernel _largest_rho takes their maximum, once per
-distinct block, at its first semibrick, with the tol rule of fpdim_lattice,
-and skips a block whose row- and column-sum bound cannot beat the best.
+exceed them.  Each maximal semibrick is sliced once, and only the distinct
+blocks are kept, in order of their first semibricks (_maximal_blocks).  The
+lattice kernel _largest_rho takes their maximum, once per distinct block,
+with the tol rule of fpdim_lattice, and skips a block whose row- and
+column-sum bound cannot beat the best.  sandwich derives its loop-free
+supports from those distinct blocks, with no module-by-module support table.
 
 sandwich needs no pair lattice either.  Label each cover x < y of the pair
 lattice by its brick: the one brick in the torsion class of y that no
@@ -519,11 +522,6 @@ class _Tables:
         dfs(0, bricks, bricks)
         return every, maximal
 
-    @cached_property
-    def maximal_index(self) -> list[np.ndarray]:
-        """The module indices of each maximal semibrick, in search order."""
-        return [np.fromiter(_bits(sb), dtype=np.int64) for sb in self.semibrick_masks[1]]
-
 
 def module(a: NakayamaAlgebra, socle: int, length: int) -> Uniserial:
     """Normalized, existence-checked M(socle; length), as the algebra holds it."""
@@ -629,12 +627,16 @@ def ext_quiver(a: NakayamaAlgebra, mods) -> Quiver:
     return Quiver([str(t.mods[i]) for i in idx], [[t.ext(i, j) for j in idx] for i in idx])
 
 
-def _maximal_blocks(t: _Tables, table: np.ndarray) -> tuple[list[bytes], list[np.ndarray]]:
-    """The blocks of a module-by-module table on the maximal semibricks, in
-    search order, and their keys: the bytes of each int64 block, whose
-    count fixes the size."""
-    blocks = [table.take(i, 0).take(i, 1) for i in t.maximal_index]
-    return [b.tobytes() for b in blocks], blocks
+def _maximal_blocks(t: _Tables) -> dict[bytes, np.ndarray]:
+    """The distinct Ext blocks of the maximal semibricks, keyed by the bytes
+    of each int64 block (whose count fixes the size), in order of each
+    block's first semibrick in search order."""
+    blocks: dict[bytes, np.ndarray] = {}
+    for sb in t.semibrick_masks[1]:
+        i = np.fromiter(_bits(sb), dtype=np.int64)
+        block = t.ext_table.take(i, 0).take(i, 1)
+        blocks.setdefault(block.tobytes(), block)
+    return blocks
 
 
 def fpdim_nakayama(
@@ -643,13 +645,14 @@ def fpdim_nakayama(
     """FP dimension: sup of rho over all semibrick Ext-quivers.
 
     rho is monotone on principal submatrices (Perron-Frobenius), so the
-    maximal semibricks attain it.  Their Ext blocks are read from one table;
-    _largest_rho computes rho once per distinct block, at its first maximal
-    semibrick in search order, and a later block wins only by more than tol."""
+    maximal semibricks attain it.  Their distinct Ext blocks are read from
+    one table (_maximal_blocks), in order of their first maximal semibricks
+    in search order; _largest_rho computes rho once per block, and a later
+    block wins only by more than tol."""
     _check_tol(tol)
     _check_budget(a, max_n)
-    keys, blocks = _maximal_blocks(a._tables, a._tables.ext_table)
-    return _largest_rho(keys, blocks.__getitem__, tol)[0]
+    blocks = _maximal_blocks(a._tables)
+    return _largest_rho(blocks, blocks.__getitem__, tol)[0]
 
 
 def sandwich(
@@ -662,19 +665,23 @@ def sandwich(
     docstring (checked on every algebra with n <= 5 and on cyclic [16]*8,
     not proved), FPdim(lattice) is the largest rho over the maximal
     semibricks of the loop-free 0/1 support of their Ext blocks, which the
-    Ext blocks dominate entrywise.  The two scans share their radii, so a
-    block common to both is computed once; each keeps the tol rule of
-    fpdim_lattice."""
+    Ext blocks dominate entrywise.  The supports are taken of the distinct
+    Ext blocks (_maximal_blocks) in their order, and keep the first of each:
+    a support's first semibrick is also the first of its own Ext block, so
+    they come in the order of their first semibricks.  The two scans share
+    their radii, so a block common to both is computed once; each keeps the
+    tol rule of fpdim_lattice."""
     _check_tol(tol)
     _check_budget(a, max_n)
-    t = a._tables
-    support = (t.ext_table != 0).astype(np.int64)
-    np.fill_diagonal(support, 0)
+    blocks = _maximal_blocks(a._tables)
+    supports: dict[bytes, np.ndarray] = {}
+    for block in blocks.values():
+        support = (block != 0).astype(np.int64)
+        np.fill_diagonal(support, 0)
+        supports.setdefault(support.tobytes(), support)
     radii: dict = {}
-    keys, blocks = _maximal_blocks(t, support)
-    flat = _largest_rho(keys, blocks.__getitem__, tol, radii)[0]
-    keys, blocks = _maximal_blocks(t, t.ext_table)
-    return flat, self_ext_bound(a), _largest_rho(keys, blocks.__getitem__, tol, radii)[0]
+    flat = _largest_rho(supports, supports.__getitem__, tol, radii)[0]
+    return flat, self_ext_bound(a), _largest_rho(blocks, blocks.__getitem__, tol, radii)[0]
 
 
 def self_ext_bound(a: NakayamaAlgebra) -> int:

@@ -8,7 +8,8 @@ from taufp import lattice
 @pytest.fixture
 def radius_calls(monkeypatch):
     """The (size, bytes) of each block whose radius the FP scan kernel
-    lattice._largest_rho computes, in order."""
+    lattice._largest_rho computes, in order: at most one per distinct key
+    that a scan hands it, and none for a block its bound skips."""
     calls = []
     radius = lattice.spectral_radius
 

@@ -394,6 +394,15 @@ def fpdim_reference(names, covers, tol, radius=None):
     return best, (None if witness is None else names[witness]), kept
 
 
+def first_occurrences(keys, xs):
+    """[(keys[x], x)] for each x in xs whose key no earlier x has, in order:
+    the items of a dict from each distinct key to its first x."""
+    first = {}
+    for x in xs:
+        first.setdefault(keys[x], x)
+    return list(first.items())
+
+
 def largest_rho_scan(blocks, radius, tol):
     """The largest-rho scan over a sequence of square integer blocks, with no
     bound and no shared radii: each distinct block (by size and entries) is

@@ -210,13 +210,14 @@ def _descent_graph_mismatches(fam, rank):
     cd = cartan_matrix(fam, rank)
     w = weak_order(cd)
     model = tau_tiltp_model(cd)
-    by_key = {elem.key(): name for name, elem in w.elements.items()}
-    gens = [w.element(str(i)).mat for i in range(1, rank + 1)]
+    elements = w.elements
+    by_key = {elem.key(): name for name, elem in elements.items()}
+    gens = [elements[str(i)].mat for i in range(1, rank + 1)]
     bad = []
     for x in model.elements:
         if x == model.maximum:
             continue
-        elem = w.element(x)
+        elem = elements[x]
         gen_of = {by_key[(elem.mat @ g).tobytes()]: i for i, g in enumerate(gens)}
         descents = {i for i in range(rank) if not is_ascent(elem, i + 1)}
         q = q_of(model, x)

@@ -33,7 +33,7 @@ from taufp.errors import BudgetError, ConsistencyError
 from taufp.lattice import FiniteLattice, fpdim_lattice, q_of
 from taufp.preproj import TABLE_TYPES, fpdim_preproj, tau_tiltp_model
 
-from helpers import weak_order_reference
+from helpers import first_occurrences, weak_order_reference
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -376,21 +376,23 @@ def test_face_masks_equal_join_masks(fam, rank):
     # covers
     cd = cartan_matrix(fam, rank)
     for lat in (tau_tiltp_model(cd), weak_order(cd).lattice):
+        assert not {"_qclass", "_quivers"} & set(vars(lat))
         joined = FiniteLattice(lat.elements, lat._upper, lat._lower)
         assert [lat._dp_of(x) for x in range(len(lat))] == joined._parents
         for lists in ("_parents", "_children"):
             assert getattr(lat, lists) == getattr(joined, lists), lists
         for counts in ("_n_dp", "_n_ds"):
             assert np.array_equal(getattr(lat, counts), getattr(joined, counts)), counts
-        assert ([lat._key(x) for x in range(len(lat))]
-                == [joined._quivers[c] for c in joined._qclass.tolist()])
+        keys = [lat._key(x) for x in range(len(lat))]
+        joined_keys = [joined._key(x) for x in range(len(lat))]
+        assert keys == joined_keys
+        assert list(joined._classes.items()) == first_occurrences(joined_keys, range(len(lat)))
         assert (lat._max, lat._min) == (joined._max, joined._min)
-        # a class is one set of generators, and its key is its first element's
-        firsts = [int(np.argmax(lat._qclass == c)) for c in range(len(lat._quivers))]
-        assert firsts == sorted(firsts) and lat._quivers == [lat._key(x) for x in firsts]
-        sets = (lat._moves[:, :len(lat)] >= 0).T
-        assert len(np.unique(sets, axis=0)) == len(firsts)
-        assert np.array_equal(sets, sets[firsts][lat._qclass])
+        # a class is one set of generators, every set occurs, and the class
+        # dict keeps the first occurrence of the keys of the sets' first elements
+        _, firsts = np.unique(lat._moves[:, :len(lat)] >= 0, axis=1, return_index=True)
+        assert len(firsts) == 1 << rank
+        assert list(lat._classes.items()) == first_occurrences(keys, sorted(firsts.tolist()))
 
 
 def test_face_certificate_names_a_broken_face():

@@ -27,7 +27,7 @@ from taufp.preproj import tau_tiltp_model
 from taufp.quiver import Quiver
 from taufp.spectral import spectral_radius
 
-from helpers import fpdim_reference, largest_rho_scan
+from helpers import first_occurrences, fpdim_reference, largest_rho_scan
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -366,6 +366,10 @@ def test_json_roundtrip():
 def test_example_fixture_shapes():
     lat = load_fixture("example31.json")
     assert len(lat) == 32 and len(lat.covers) == 48
+    # one dict of classes, each distinct cover quiver key to its first element
+    assert not {"_qclass", "_quivers"} & set(vars(lat))
+    keys = [lat._key(x) for x in range(len(lat))]
+    assert list(lat._classes.items()) == first_occurrences(keys, range(len(lat)))
     assert sorted(lat.upper_covers("x")) == ["y1", "y2", "y3"]
     q = q_of(lat, "x")
     assert q.adj.tolist() == [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
@@ -415,31 +419,34 @@ def test_first_occurrences_equal_a_dict_scan(scale):
 
 
 def test_largest_rho_takes_first_occurrences_and_the_tol_rule():
-    # 1x1 blocks [[r]] have rho r; keys 30 and 20 repeat, so three blocks are
-    # read, at the first positions 0, 1, 3 in that order, not in key order
-    rhos = [1, 3, 1, 2, 3]
-    keys = np.array([30, 20, 30, 10, 20])
+    # the callers hand the kernel the first occurrence of each key (pinned by
+    # the one-radius-per-distinct tests); it reads the keys in the order
+    # given, not in key order, and returns the winning key.  rhos maps each
+    # key to r, standing for the 1x1 block [[r]] of radius r
     read = []
 
-    def block_at(k):
-        read.append(k)
-        return np.array([[rhos[k]]])
+    def scan(rhos, tol=1e-12):
+        def block_of(key):
+            read.append(key)
+            return np.array([[rhos[key]]])
 
-    assert _largest_rho(keys, block_at, 1e-12) == (3.0, 1) and read == [0, 1, 3]
-    # any hashable keys take the same first positions: Python ints past
-    # 2^64, and the int64 bytes of blocks, where those of [[1]] and
-    # [[1, 0], [0, 0]] differ only in trailing zeros and stay distinct
-    one, three = np.array([[1]]).tobytes(), np.array([[3]]).tobytes()
-    for other in ([k << 70 for k in keys.tolist()],
-                  [one, three, one, np.array([[1, 0], [0, 0]]).tobytes(), three]):
         read.clear()
-        assert _largest_rho(other, block_at, 1e-12) == (3.0, 1) and read == [0, 1, 3]
+        return _largest_rho(rhos, block_of, tol)
+
+    assert scan({30: 1, 20: 3, 10: 2}) == (3.0, 20) and read == [30, 20, 10]
+    # any hashable keys: Python ints past 2^64, and the int64 bytes of blocks,
+    # where those of [[1]] and [[1, 0], [0, 0]] differ only in trailing zeros
+    # and stay distinct
+    one, three = np.array([[1]]).tobytes(), np.array([[3]]).tobytes()
+    wide = np.array([[1, 0], [0, 0]]).tobytes()
+    for rhos in ({30 << 70: 1, 20 << 70: 3, 10 << 70: 2}, {one: 1, three: 3, wide: 2}):
+        assert scan(rhos) == (3.0, list(rhos)[1]) and read == list(rhos)
     # at tol 0.5 a radius must clear the best by more than 0.5: 3 does, 2 not
-    assert _largest_rho(keys, block_at, 0.5) == (3.0, 1)
-    # 3 at position 1 is within tol of 2 at position 0, so the first stays
-    assert _largest_rho(np.array([2, 1]), lambda k: np.array([[k + 2]]), 1.5) == (2.0, 0)
-    assert _largest_rho(np.array([2, 1]), lambda k: np.array([[k + 1]]), 2.5) == (0.0, None)
-    assert _largest_rho(np.array([], dtype=np.int64), block_at, 1e-12) == (0.0, None)
+    assert scan({30: 1, 20: 3, 10: 2}, 0.5) == (3.0, 20)
+    # 3 at the second key is within tol of 2 at the first, so the first stays
+    assert scan({"b": 2, "a": 3}, 1.5) == (2.0, "b")
+    assert scan({"b": 1, "a": 2}, 2.5) == (0.0, None)
+    assert scan({}) == (0.0, None) and read == []
 
 
 _blocks = st.lists(st.integers(1, 4).flatmap(lambda m: st.lists(
@@ -451,12 +458,15 @@ _blocks = st.lists(st.integers(1, 4).flatmap(lambda m: st.lists(
 @given(_blocks, st.lists(st.integers(0, 5), min_size=1, max_size=30),
        st.sampled_from([1e-12, 0.3]))
 def test_pruned_largest_rho_equals_the_unpruned_scan(pool, picks, tol):
-    # keys with repeats index a pool of random blocks; skipping the blocks
-    # whose bound cannot beat the best changes neither value nor witness
-    keys = np.array([p % len(pool) for p in picks], dtype=np.int64)
-    blocks = [np.array(pool[k], dtype=np.int64) for k in keys.tolist()]
+    # keys with repeats index a pool of random blocks, and the kernel gets
+    # each key's first position; skipping the blocks whose bound cannot beat
+    # the best changes neither value nor witness
+    keys = [p % len(pool) for p in picks]
+    blocks = [np.array(pool[k], dtype=np.int64) for k in keys]
     value, witness, _ = largest_rho_scan(blocks, lambda b: _rho(b, tol), tol)
-    assert _largest_rho(keys, blocks.__getitem__, tol) == (value, witness)
+    first = dict(first_occurrences(keys, range(len(keys))))
+    assert (_largest_rho(first, lambda key: blocks[first[key]], tol)
+            == (value, None if witness is None else keys[witness]))
 
 
 def _rho(block, tol=1e-12):
@@ -467,10 +477,15 @@ def test_fpdim_computes_one_radius_per_distinct_key(radius_calls):
     # at most one spectral radius per distinct (cover count, arrow mask)
     # among the elements with at least two upper covers: their classes, one
     # per descent set, have 6 distinct keys among 147 elements, and the
-    # bound skips 2 of them
+    # bound skips 2 of them.  A class's key is that of its set's first
+    # element; per element there are 7, as one set holds one block in two
+    # vertex orders
     lat = tau_tiltp_model(cartan_matrix("D", 4))
+    _, firsts, sets = np.unique(lat._moves[:, :len(lat)] >= 0, axis=1,
+                                return_index=True, return_inverse=True)
     xs = np.flatnonzero(lat._n_dp >= 2).tolist()
-    pairs = [lat._quivers[lat._qclass[x]] for x in xs]
+    pairs = [lat._key(firsts[sets[x]]) for x in xs]
+    assert len({lat._key(x) for x in xs}) == 7
     value, witness = fpdim_lattice(lat)
     assert value == pytest.approx(math.sqrt(3), abs=1e-12)  # 2 cos(pi / 6), D4
     want, k, visits = largest_rho_scan(

@@ -47,6 +47,7 @@ from helpers import (
     canonical_form,
     cyclic_series,
     ext_oracle,
+    first_occurrences,
     hom_oracle,
     largest_rho_scan,
     linear_series,
@@ -382,6 +383,9 @@ def test_fpdim_computes_one_radius_per_distinct_block(radius_calls):
     value, _, visits = largest_rho_scan([ext_quiver(a, s).adj for s in maximal], _rho, 1e-12)
     assert fpdim_nakayama(a) == value == 1.0
     assert (len(maximal), len(visits), len(radius_calls)) == (7, 3, 1)
+    # the scan is handed the 3 distinct blocks alone, in order of first use
+    blocks = nakayama._maximal_blocks(a._tables)
+    assert [(len(b), k) for k, b in blocks.items()] == [key for key, _, _ in visits]
     assert radius_calls == [visits[0][0]]
     assert all(bound <= best for key, bound, best in visits if key not in radius_calls)
 
@@ -607,6 +611,9 @@ def _check_brick_label_rule(a, max_n=nakayama.DEFAULT_MAX_N):
     # per pair x, the modules B with Hom(T_x, B) != 0
     killed = [nakayama._union(maps_to, tx) for tx in torsion]
     assert list(lat.elements) == t.pairs[0]
+    keys = [lat._key(x) for x in range(len(lat))]
+    assert not {"_qclass", "_quivers"} & set(vars(lat))
+    assert list(lat._classes.items()) == first_occurrences(keys, range(len(lat)))
     label_sets, compared, arrows = [], 0, 0
     for x in range(len(lat)):
         ys = lat._dp_of(x)
@@ -617,7 +624,7 @@ def _check_brick_label_rule(a, max_n=nakayama.DEFAULT_MAX_N):
             labels.append(found.bit_length() - 1)
         label_sets.append(sum(1 << b for b in labels))
         rule = ext[np.ix_(labels, labels)] & ~np.eye(len(ys), dtype=bool)
-        key = lat._quivers[lat._qclass[x]]
+        key = keys[x]
         assert key[0] == len(ys) and (lattice._arrows(*key) == rule).all(), (str(a), lat.elements[x])
         compared += len(ys) * (len(ys) - 1)
         arrows += int(rule.sum())
@@ -660,6 +667,11 @@ def test_sandwich_computes_a_shared_block_once(radius_calls):
     assert len({key for key, _, _ in visits}) == 3
     shared = support[2][0][0]
     assert radius_calls == [shared] and shared in {key for key, _, _ in ext[2]}
+    # the 2 distinct Ext blocks are held once, one of them also a support;
+    # the supports come from them, with no table of maximal semibrick indices
+    blocks = nakayama._maximal_blocks(a._tables)
+    assert [(len(b), k) for k, b in blocks.items()] == [key for key, _, _ in ext[2]]
+    assert shared[1] in blocks and not hasattr(a._tables, "maximal_index")
     assert all(bound <= best for key, bound, best in visits if key not in radius_calls)
 
 
